@@ -1,9 +1,10 @@
 """Command-line driver for the slang lexicon analyses.
 
 Subcommands mirror the library modules one to one; ``pipeline`` chains
-them end to end, optionally on the bundled fixture corpus. Reports are
-CSV with provenance headers; every subcommand takes ``--seed`` where
-randomness is involved and is run-to-run deterministic.
+their stage functions end to end, optionally on the bundled fixture
+corpus. Every option is defined once, in ``OPTIONS``. Reports are CSV with
+provenance headers; every subcommand takes ``--seed`` where randomness is
+involved and is run-to-run deterministic.
 
 Config files use flat ``section.key = value`` lines (dots select the
 subcommand, e.g. ``embed.dimension = 50``); explicit flags win over the
@@ -39,6 +40,7 @@ from .labels import REJECTED, SlangClass
 from .morphology import (
     AffixSide,
     affix_distribution,
+    load_segmenter,
     normalize_word,
     save_segmenter,
     segment,
@@ -58,6 +60,7 @@ from .phonology import (
 )
 from .reports import fnum, provenance_lines, summary_line, write_csv
 from .slangclass import (
+    LabelSampler,
     NgramKind,
     ScoreType,
     argmax_label,
@@ -72,12 +75,13 @@ from .slangclass import (
     load_classifier,
     predict_proba,
     predict_with_reject,
-    random_baseline,
     save_classifier,
+    split_pair,
     substitution_stats,
     train_logreg,
 )
 from .social import (
+    Gender,
     GenderLexicon,
     KnnMetric,
     direct_bias,
@@ -93,12 +97,85 @@ from .social import (
 )
 from .stats import weighted_f1
 
-SCORE_CHOICES = click.Choice([s.value for s in ScoreType])
-METRIC_CHOICES = click.Choice([m.value for m in KnnMetric])
+IN_FILE = click.Path(exists=True, dir_okay=False)
+OUT_FILE = click.Path(dir_okay=False)
+
+# key -> (flag declarations, click attributes). Commands name the keys they
+# take; the parameter name is also the config key. The pipeline reads the
+# defaults of the settings it does not expose from here too.
+OPTIONS = {
+    "fixtures": (("--fixtures",),
+                 dict(is_flag=True, help="Run on the bundled miniature corpus.")),
+    "slang": (("--slang", "slang_path"), dict(required=True, type=IN_FILE)),
+    "standard": (("--standard", "standard_path"), dict(required=True, type=IN_FILE)),
+    "gold": (("--gold", "gold_path"), dict(required=True, type=IN_FILE)),
+    "vectors": (("--vectors", "vectors_path"), dict(required=True, type=IN_FILE)),
+    "names": (("--names", "names_path"), dict(required=True, type=IN_FILE)),
+    "lexicons": (("--lexicons", "lexicons_dir"),
+                 dict(required=True, type=click.Path(exists=True, file_okay=False))),
+    "model": (("--model", "model_path"), dict(required=True, type=IN_FILE)),
+    "segmenter": (("--segmenter", "segmenter_path"), dict(
+        type=IN_FILE, help="Saved segmenter TSV; required for morph features.")),
+    "words": (("--words", "words_csv"), dict(help="Comma-separated words to label.")),
+    "in": (("--in", "in_path"),
+           dict(type=IN_FILE, help="File with one word per line.")),
+    "out_dir": (("--out", "out_dir"),
+                dict(required=True, type=click.Path(file_okay=False))),
+    "out_file": (("--out", "out_path"), dict(required=True, type=OUT_FILE)),
+    "out_csv": (("--out", "out_path"), dict(type=OUT_FILE)),
+    "seed": (("--seed",), dict(default=0)),
+    "min_votes": (("--min-votes",), dict(
+        default=100, help="Keep entries with at least this many total votes.")),
+    "smoothing": (("--smoothing",), dict(
+        default=1e-6, help="Additive smoothing for the odds ratios.")),
+    "max_iters": (("--max-iters",), dict(default=10)),
+    "affix_k": (("--affix-k",), dict(
+        default=25, help="Rank cutoff for the affix share report.")),
+    "features": (("--features", "kind"), dict(
+        default="char", type=click.Choice([k.value for k in NgramKind]))),
+    "n_min": (("--n-min",), dict(default=1)),
+    "n_max": (("--n-max",), dict(default=5)),
+    "cap": (("--cap",), dict(default=200, help="Feature vocabulary size.")),
+    "l2": (("--l2",), dict(default=1.0)),
+    "lr": (("--lr",), dict(default=1.0)),
+    "max_epochs": (("--max-epochs",), dict(default=500)),
+    "tol": (("--tol",), dict(default=1e-6)),
+    "test_fraction": (("--test-fraction",), dict(default=0.10)),
+    "delta": (("--delta",), dict(
+        required=True, type=float, help="Rejection threshold (inclusive).")),
+    "score": (("--score", "score_name"), dict(
+        default="maxprob", type=click.Choice([s.value for s in ScoreType]))),
+    "suffix_k": (("--suffix-k",), dict(
+        default=5, help="Rank cutoff for the blend suffix report.")),
+    "dimension": (("--dimension",), dict(default=100)),
+    "window": (("--window",), dict(default=5)),
+    "negatives": (("--negatives",), dict(default=5)),
+    "min_count": (("--min-count",), dict(default=5)),
+    "subsample": (("--subsample",), dict(default=1e-3)),
+    "epochs": (("--epochs",), dict(default=5)),
+    "sgns_lr": (("--lr",), dict(default=0.025)),
+    "embed_min_votes": (("--min-votes",), dict(
+        default=0, help="Vote filter applied before corpus extraction.")),
+    "k": (("--k",), dict(default=5)),
+    "metric": (("--metric", "metric_name"), dict(
+        default="cosine", type=click.Choice([m.value for m in KnnMetric]))),
+    "strictness": (("--strictness",), dict(
+        default=1.0, help="Exponent on |cosine| in the bias average.")),
+    "n_perms": (("--n-perms",), dict(default=10_000)),
+}
+DEFAULT = {key: attrs["default"] for key, (_, attrs) in OPTIONS.items()
+           if "default" in attrs}
+# logistic regression (classes train and eval) and skip-gram (embed, pipeline)
+FIT = {key: DEFAULT[key]
+       for key in ("n_min", "n_max", "cap", "l2", "lr", "max_epochs", "tol")}
+SGNS = ("dimension", "window", "negatives", "min_count", "subsample", "epochs",
+        "sgns_lr")
 
 
-def _read_config(path: str) -> dict:
+def _read_config(ctx, param, path):
     """Flat `a.b.c = value` lines -> nested default map for click."""
+    if not path:
+        return path
     tree: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -114,70 +191,86 @@ def _read_config(path: str) -> dict:
         for part in parts[:-1]:
             node = node.setdefault(part, {})
         node[parts[-1]] = value.strip()
-    return tree
+    ctx.default_map = tree
+    return path
 
 
-def _apply_config(ctx, param, value):
-    if value:
-        ctx.default_map = _read_config(value)
-    return value
+def command(group, name: str, *keys: str, **overrides):
+    """Register the decorated stage function, unchanged, as subcommand
+    ``name``: it gets the ``keys`` options (``overrides[key]`` replaces
+    attributes) as keyword arguments, a SlanglexError or OSError exits 1,
+    and its summary dict (or the first item of a returned tuple) is echoed."""
+    def register(fn):
+        def callback(**params):
+            try:
+                info = fn(**params)
+            except (SlanglexError, OSError) as exc:
+                raise click.ClickException(str(exc)) from exc
+            if isinstance(info, tuple):
+                info = info[0]
+            click.echo(summary_line(name, **info))
+        for key in reversed(keys):
+            decls, attrs = OPTIONS[key]
+            callback = click.option(*decls, show_default=True,
+                                    **{**attrs, **overrides.get(key, {})})(callback)
+        group.command(name.rsplit(".", 1)[-1], help=fn.__doc__)(callback)
+        return fn
+    return register
 
 
-def _fail(exc: Exception) -> "click.ClickException":
-    return click.ClickException(str(exc))
-
-
-def _check_delta(score: ScoreType, delta: float) -> None:
+def _score(score_name: str, delta: float) -> ScoreType:
+    score = ScoreType(score_name)
     if score is ScoreType.MAX_PROB and not 0.0 <= delta <= 1.0:
         raise click.UsageError("MaxProb delta must be within [0, 1]")
     if score is ScoreType.NEG_ENTROPY and delta > 0.0:
         raise click.UsageError(
             "NegEntropy delta must be <= 0 (scores are negated entropy in nats)")
+    return score
 
 
 def _letters(word: str) -> str:
     return re.sub(r"[^a-z]", "", normalize_word(word))
 
 
-def _echo_summary(command: str, **fields) -> None:
-    click.echo(summary_line(command, **fields))
+def _reports(out_dir, seed, inputs):
+    """Writer of CSV reports into ``out_dir`` under one provenance header."""
+    header = provenance_lines(seed, inputs)
+    return lambda name, fields, rows: write_csv(Path(out_dir) / name, fields,
+                                                rows, header)
 
 
 @click.group()
 @click.version_option(__version__, prog_name="slanglex")
 @click.option("--config", type=click.Path(exists=True, dir_okay=False),
-              callback=_apply_config, is_eager=True, expose_value=False,
+              callback=_read_config, is_eager=True, expose_value=False,
               help="Flat key=value config file; flags override it.")
 def main():
     """Analyze slang lexicons: sounds, morphs, classes, vectors, bias."""
 
 
-# --------------------------------------------------------------------------
-# ingest
+@main.group()
+def classes():
+    """Train, apply, and probe the slang-class detector."""
 
-@main.command()
-@click.option("--slang", "slang_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--min-votes", default=100, show_default=True,
-              help="Keep entries with at least this many total votes.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-def ingest(slang_path, min_votes, out_path):
+
+@main.group()
+def bias():
+    """Quantify stereotype signal in the trained vectors."""
+
+
+@command(main, "ingest", "slang", "min_votes", "out_file")
+def run_ingest(slang_path, min_votes, out_path) -> dict:
     """Filter a slang lexicon by community vote count."""
-    try:
-        entries = load_slang_lexicon(slang_path)
-        kept = filter_by_votes(entries, min_votes)
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        save_slang_lexicon(kept, out_path)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("ingest", read=len(entries), kept=len(kept),
-                  dropped=len(entries) - len(kept), min_votes=min_votes)
+    entries = load_slang_lexicon(slang_path)
+    kept = filter_by_votes(entries, min_votes)
+    save_slang_lexicon(kept, out_path)
+    return {"read": len(entries), "kept": len(kept),
+            "dropped": len(entries) - len(kept), "min_votes": min_votes}
 
 
-# --------------------------------------------------------------------------
-# phonology
-
+@command(main, "phonology", "slang", "standard", "out_dir", "smoothing")
 def run_phonology(slang_path, standard_path, out_dir, smoothing) -> dict:
+    """Phoneme distributions and slang-vs-standard odds ratios."""
     entries = load_slang_lexicon(slang_path)
     standard = load_standard_lexicon(standard_path)
     table = load_bundled_pronouncing_table()
@@ -187,34 +280,25 @@ def run_phonology(slang_path, standard_path, out_dir, smoothing) -> dict:
     std_seqs = [to_phonemes(w, table, rules) for w in sorted(standard.words)]
     fallback = sum(1 for s in slang_seqs
                    if s.source is ConversionSource.RULE_FALLBACK)
-
     p_slang = phoneme_distribution(slang_seqs)
     p_std = phoneme_distribution(std_seqs)
     ranking = odds_ratio_ranking(p_slang, p_std, smoothing=smoothing)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = provenance_lines(None, [("slang", slang_path),
+    write = _reports(out_dir, None, [("slang", slang_path),
                                      ("standard", standard_path)])
-    write_csv(out / "phoneme_odds.csv",
-              ["rank", "phoneme", "manner", "odds_ratio", "p_slang", "p_standard"],
-              [{"rank": e.rank, "phoneme": e.symbol,
-                "manner": manner_of(e.symbol).value, "odds_ratio": fnum(e.ratio),
-                "p_slang": fnum(p_slang.get(e.symbol, 0.0)),
-                "p_standard": fnum(p_std.get(e.symbol, 0.0))}
-               for e in ranking.entries],
-              header)
-
+    write("phoneme_odds.csv",
+          ["rank", "phoneme", "manner", "odds_ratio", "p_slang", "p_standard"],
+          [(e.rank, e.symbol, manner_of(e.symbol).value, fnum(e.ratio),
+            fnum(p_slang.get(e.symbol, 0.0)), fnum(p_std.get(e.symbol, 0.0)))
+           for e in ranking.entries])
     rows = []
     for corpus_name, seqs in (("slang", slang_seqs), ("standard", std_seqs)):
         for position in (WordPosition.FIRST, WordPosition.FINAL):
             dist = positional_manner_distribution(seqs, position)
-            for manner in sorted(Manner, key=lambda m: m.value):
-                rows.append({"corpus": corpus_name, "position": position.value,
-                             "manner": manner.value,
-                             "share": fnum(dist.probabilities.get(manner, 0.0))})
-    write_csv(out / "manner_positions.csv",
-              ["corpus", "position", "manner", "share"], rows, header)
+            rows += [(corpus_name, position.value, manner.value,
+                      fnum(dist.probabilities.get(manner, 0.0)))
+                     for manner in sorted(Manner, key=lambda m: m.value)]
+    write("manner_positions.csv", ["corpus", "position", "manner", "share"], rows)
 
     top = ranking.entries[0]
     return {"slang_words": len(slang_seqs), "standard_words": len(std_seqs),
@@ -222,28 +306,10 @@ def run_phonology(slang_path, standard_path, out_dir, smoothing) -> dict:
             "top_phoneme": top.symbol, "top_odds": top.ratio}
 
 
-@main.command()
-@click.option("--slang", "slang_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--standard", "standard_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--smoothing", default=1e-6, show_default=True,
-              help="Additive smoothing for the odds ratios.")
-def phonology(slang_path, standard_path, out_dir, smoothing):
-    """Phoneme distributions and slang-vs-standard odds ratios."""
-    try:
-        info = run_phonology(slang_path, standard_path, out_dir, smoothing)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("phonology", **info)
-
-
-# --------------------------------------------------------------------------
-# morphology
-
-def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k,
-                   seed) -> dict:
+@command(main, "morphology", "slang", "standard", "out_dir", "max_iters",
+         "affix_k", "seed")
+def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed):
+    """Train code-length segmenters and compare affix inventories."""
     entries = load_slang_lexicon(slang_path)
     standard = load_standard_lexicon(standard_path)
     slang_words = sorted({w for w in (_letters(e.headword) for e in entries) if w})
@@ -253,11 +319,12 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k,
     out.mkdir(parents=True, exist_ok=True)
     header = provenance_lines(seed, [("slang", slang_path),
                                      ("standard", standard_path)])
-
     info: dict = {}
+    models = {}
     affix_rows = []
     for corpus_name, words in (("slang", slang_words), ("standard", std_words)):
-        model = train_segmenter(words, max_iters=max_iters, seed=seed)
+        model = models[corpus_name] = train_segmenter(words, max_iters=max_iters,
+                                                      seed=seed)
         save_segmenter(model, out / f"segmenter_{corpus_name}.tsv")
         segs = [segment(model, w) for w in words]
         with open(out / f"segmentations_{corpus_name}.tsv", "w",
@@ -268,322 +335,163 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k,
                 handle.write(f"{seg.word}\t{'+'.join(seg.morphs)}\n")
         for side in (AffixSide.PREFIX, AffixSide.SUFFIX):
             dist = affix_distribution(segs, side, k=affix_k)
-            running = 0.0
-            for rank, (affix, share) in enumerate(dist.entries, 1):
-                running += share
-                affix_rows.append({"corpus": corpus_name, "side": side.value,
-                                   "rank": rank, "affix": affix,
-                                   "share": fnum(share),
-                                   "cumulative": fnum(running)})
+            affix_rows += [(corpus_name, side.value, rank, affix, fnum(share),
+                            fnum(dist.covered_mass_at_k[rank]))
+                           for rank, (affix, share) in enumerate(dist.entries, 1)]
         info[f"{corpus_name}_types"] = len(words)
         info[f"{corpus_name}_morphs"] = len(model.morph_counts)
         info[f"{corpus_name}_bits"] = model.total_code_length
     write_csv(out / "affix_shares.csv",
               ["corpus", "side", "rank", "affix", "share", "cumulative"],
               affix_rows, header)
-    return info
+    return info, models["slang"]
 
 
-@main.command()
-@click.option("--slang", "slang_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--standard", "standard_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--max-iters", default=10, show_default=True)
-@click.option("--affix-k", default=25, show_default=True,
-              help="Rank cutoff for the affix share report.")
-@click.option("--seed", default=0, show_default=True)
-def morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed):
-    """Train code-length segmenters and compare affix inventories."""
-    try:
-        info = run_morphology(slang_path, standard_path, out_dir, max_iters,
-                              affix_k, seed)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("morphology", **info)
-
-
-# --------------------------------------------------------------------------
-# classes
-
-@main.group()
-def classes():
-    """Train, apply, and probe the slang-class detector."""
-
-
-def _feature_maps(words, kind: NgramKind, n_min: int, n_max: int, segmenter):
+def _fit_classifier(records, kind: NgramKind, segmenter, n_min, n_max, cap,
+                    l2, lr, max_epochs, tol):
+    words = [r.word for r in records]
     if kind is NgramKind.CHAR:
-        return [extract_char_ngrams(w, n_min, n_max) for w in words]
-    if segmenter is None:
+        maps = [extract_char_ngrams(w, n_min, n_max) for w in words]
+    elif segmenter is None:
         raise SlanglexError("morpheme features require a trained segmenter")
-    return [extract_morpheme_ngrams(segment(segmenter, w), n_min, n_max)
-            for w in words]
+    else:
+        maps = [extract_morpheme_ngrams(segment(segmenter, w), n_min, n_max)
+                for w in words]
+    vocab = fit_vocabulary(maps, kind, cap=cap, n_min=n_min, n_max=n_max)
+    return train_logreg(maps, [r.label for r in records], vocab, l2=l2, lr=lr,
+                        max_epochs=max_epochs, tol=tol)
 
 
-def run_classes_train(gold_path, out_path, kind, n_min, n_max, cap, l2, lr,
-                      max_epochs, tol, test_fraction, seed, segmenter) -> dict:
-    records = load_gold_classes(gold_path)
-    split = split_gold(records, test_fraction=test_fraction, seed=seed)
-    train_maps = _feature_maps([r.word for r in split.train], kind, n_min,
-                               n_max, segmenter)
-    vocab = fit_vocabulary(train_maps, kind, cap=cap, n_min=n_min, n_max=n_max)
-    model = train_logreg(train_maps, [r.label for r in split.train], vocab,
-                         l2=l2, lr=lr, max_epochs=max_epochs, tol=tol,
-                         seed=seed)
+def run_classes_train(gold_path, out_path, kind, segmenter, seed,
+                      test_fraction, **fit):
+    """Fit on the gold training split; returns the summary, the split and
+    the test-split predictions."""
+    split = split_gold(load_gold_classes(gold_path),
+                       test_fraction=test_fraction, seed=seed)
+    model = _fit_classifier(split.train, kind, segmenter, **fit)
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         save_classifier(model, out_path)
     preds = [argmax_label(predict_proba(model, r.word, segmenter))
              for r in split.test]
     f1 = weighted_f1([r.label for r in split.test], preds)
-    return {"model": model, "split": split,
-            "info": {"features": kind.value, "train": len(split.train),
-                     "test": len(split.test), "vocab": len(vocab.features),
-                     "test_f1": f1}}
+    return ({"features": kind.value, "train": len(split.train),
+             "test": len(split.test), "vocab": len(model.vocab.features),
+             "test_f1": f1}, split, preds)
 
 
-@classes.command("train")
-@click.option("--gold", "gold_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--features", "kind", default="char", show_default=True,
-              type=click.Choice([k.value for k in NgramKind]))
-@click.option("--segmenter", "segmenter_path",
-              type=click.Path(exists=True, dir_okay=False),
-              help="Saved segmenter TSV; required for morph features.")
-@click.option("--n-min", default=1, show_default=True)
-@click.option("--n-max", default=5, show_default=True)
-@click.option("--cap", default=200, show_default=True,
-              help="Feature vocabulary size.")
-@click.option("--l2", default=1.0, show_default=True)
-@click.option("--lr", default=1.0, show_default=True)
-@click.option("--max-epochs", default=500, show_default=True)
-@click.option("--tol", default=1e-6, show_default=True)
-@click.option("--test-fraction", default=0.10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-def classes_train(gold_path, out_path, kind, segmenter_path, n_min, n_max,
-                  cap, l2, lr, max_epochs, tol, test_fraction, seed):
+@command(classes, "classes.train", "gold", "out_file", "features", "segmenter",
+         *FIT, "test_fraction", "seed")
+def classes_train(kind, segmenter_path, **params):
     """Fit the four-class detector on labeled words."""
-    try:
-        segmenter = None
-        if segmenter_path is not None:
-            from .morphology import load_segmenter
-            segmenter = load_segmenter(segmenter_path)
-        result = run_classes_train(gold_path, out_path, NgramKind(kind),
-                                   n_min, n_max, cap, l2, lr, max_epochs, tol,
-                                   test_fraction, seed, segmenter)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("classes.train", **result["info"])
+    segmenter = None if segmenter_path is None else load_segmenter(segmenter_path)
+    return run_classes_train(kind=NgramKind(kind), segmenter=segmenter, **params)
 
 
-@classes.command("predict")
-@click.option("--model", "model_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--words", "words_csv", help="Comma-separated words to label.")
-@click.option("--in", "in_path", type=click.Path(exists=True, dir_okay=False),
-              help="File with one word per line.")
-@click.option("--delta", required=True, type=float,
-              help="Rejection threshold (inclusive).")
-@click.option("--score", "score_name", default="maxprob", show_default=True,
-              type=SCORE_CHOICES)
-@click.option("--segmenter", "segmenter_path",
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_path", type=click.Path(dir_okay=False),
-              help="CSV destination; prints rows when omitted.")
+@command(classes, "classes.predict", "model", "words", "in", "delta", "score",
+         "segmenter", "out_csv",
+         out_csv={"help": "CSV destination; prints rows when omitted."})
 def classes_predict(model_path, words_csv, in_path, delta, score_name,
-                    segmenter_path, out_path):
+                    segmenter_path, out_path) -> dict:
     """Label words, rejecting low-confidence predictions."""
-    score = ScoreType(score_name)
-    _check_delta(score, delta)
+    score = _score(score_name, delta)
     if (words_csv is None) == (in_path is None):
         raise click.UsageError("provide exactly one of --words or --in")
-    try:
-        model = load_classifier(model_path)
-        segmenter = None
-        if segmenter_path is not None:
-            from .morphology import load_segmenter
-            segmenter = load_segmenter(segmenter_path)
-        if words_csv is not None:
-            words = [w.strip() for w in words_csv.split(",") if w.strip()]
-        else:
-            words = [line.strip()
-                     for line in Path(in_path).read_text(encoding="utf-8").splitlines()
-                     if line.strip()]
-        if not words:
-            raise SlanglexError("no words to label")
-        prob_model = lambda w: predict_proba(model, w, segmenter)  # noqa: E731
-        labels = predict_with_reject(list(model.classes), prob_model, words,
-                                     delta, score)
-        rows = []
-        for word, label in zip(words, labels):
-            dist = prob_model(word)
-            row = {"word": word, "prediction": str(label),
-                   "score": fnum(confidence_score(dist, score))}
-            for cls in model.classes:
-                row[f"p_{cls}"] = fnum(dist[cls])
-            rows.append(row)
-        fieldnames = ["word", "prediction", "score"] + [
-            f"p_{c}" for c in model.classes]
-        if out_path is not None:
-            header = provenance_lines(None, [("model", model_path)])
-            Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-            write_csv(out_path, fieldnames, rows, header)
-        else:
-            click.echo(",".join(fieldnames))
-            for row in rows:
-                click.echo(",".join(str(row[f]) for f in fieldnames))
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    rejected = sum(1 for lab in labels if lab is REJECTED)
-    _echo_summary("classes.predict", words=len(words), rejected=rejected,
-                  delta=delta, score=score.value)
-
-
-def _char_model_factory(n_min, n_max, cap, l2, lr, max_epochs, tol):
-    """Training procedure handed to the cross-class evaluation."""
-    def factory(train_records, known_classes, seed):
-        maps = [extract_char_ngrams(r.word, n_min, n_max)
-                for r in train_records]
-        vocab = fit_vocabulary(maps, NgramKind.CHAR, cap=cap, n_min=n_min,
-                               n_max=n_max)
-        model = train_logreg(maps, [r.label for r in train_records], vocab,
-                             l2=l2, lr=lr, max_epochs=max_epochs, tol=tol,
-                             seed=seed)
-        return lambda word: predict_proba(model, word)
-    return factory
-
-
-def run_classes_eval(gold_path, delta, score, seed, test_fraction, n_min,
-                     n_max, cap, l2, lr, max_epochs, tol, out_path) -> dict:
-    records = load_gold_classes(gold_path)
-    report = cross_class_validate(
-        records, _char_model_factory(n_min, n_max, cap, l2, lr, max_epochs,
-                                     tol),
-        delta, score, seed, test_fraction=test_fraction)
+    model = load_classifier(model_path)
+    segmenter = None if segmenter_path is None else load_segmenter(segmenter_path)
+    if words_csv is not None:
+        words = [w.strip() for w in words_csv.split(",") if w.strip()]
+    else:
+        words = [line.strip()
+                 for line in Path(in_path).read_text(encoding="utf-8").splitlines()
+                 if line.strip()]
+    if not words:
+        raise SlanglexError("no words to label")
+    prob_model = lambda w: predict_proba(model, w, segmenter)  # noqa: E731
+    labels = predict_with_reject(list(model.classes), prob_model, words,
+                                 delta, score)
+    rows = []
+    for word, label in zip(words, labels):
+        dist = prob_model(word)
+        rows.append([word, str(label), fnum(confidence_score(dist, score))]
+                    + [fnum(dist[cls]) for cls in model.classes])
+    fields = ["word", "prediction", "score"] + [f"p_{c}" for c in model.classes]
     if out_path is not None:
-        header = provenance_lines(seed, [("gold", gold_path)])
-        rows = [{"held_class": str(cls), "weighted_f1": fnum(f1)}
-                for cls, f1 in sorted(report.fold_f1.items(), key=lambda i: str(i[0]))]
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        write_csv(out_path, ["held_class", "weighted_f1"], rows, header)
-    info = {f"fold_{cls}": f1
-            for cls, f1 in sorted(report.fold_f1.items(), key=lambda i: str(i[0]))}
-    info["mean_f1"] = report.mean_f1
-    info["delta"] = delta
-    info["score"] = score.value
-    return info
+        write_csv(out_path, fields, rows,
+                  provenance_lines(None, [("model", model_path)]))
+    else:
+        for row in [fields] + rows:
+            click.echo(",".join(str(value) for value in row))
+    return {"words": len(words),
+            "rejected": sum(1 for lab in labels if lab is REJECTED),
+            "delta": delta, "score": score.value}
 
 
-@classes.command("eval")
-@click.option("--gold", "gold_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--delta", required=True, type=float)
-@click.option("--score", "score_name", default="maxprob", show_default=True,
-              type=SCORE_CHOICES)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--test-fraction", default=0.10, show_default=True)
-@click.option("--n-min", default=1, show_default=True)
-@click.option("--n-max", default=5, show_default=True)
-@click.option("--cap", default=200, show_default=True)
-@click.option("--l2", default=1.0, show_default=True)
-@click.option("--lr", default=1.0, show_default=True)
-@click.option("--max-epochs", default=500, show_default=True)
-@click.option("--tol", default=1e-6, show_default=True)
-@click.option("--out", "out_path", type=click.Path(dir_okay=False))
-def classes_eval(gold_path, delta, score_name, seed, test_fraction, n_min,
-                 n_max, cap, l2, lr, max_epochs, tol, out_path):
+@command(classes, "classes.eval", "gold", "delta", "score", "seed",
+         "test_fraction", *FIT, "out_csv")
+def run_classes_eval(gold_path, delta, score_name, seed, test_fraction,
+                     out_path, **fit) -> dict:
     """Cross-class validation: hold out each class as unknown."""
-    score = ScoreType(score_name)
-    _check_delta(score, delta)
-    try:
-        info = run_classes_eval(gold_path, delta, score, seed, test_fraction,
-                                n_min, n_max, cap, l2, lr, max_epochs, tol,
-                                out_path)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("classes.eval", **info)
+    score = _score(score_name, delta)
+
+    def train(records, known_classes, seed):
+        model = _fit_classifier(records, NgramKind.CHAR, None, **fit)
+        return lambda word: predict_proba(model, word)
+
+    report = cross_class_validate(load_gold_classes(gold_path), train, delta,
+                                  score, seed, test_fraction=test_fraction)
+    folds = sorted(report.fold_f1.items(), key=lambda i: str(i[0]))
+    if out_path is not None:
+        write_csv(out_path, ["held_class", "weighted_f1"],
+                  [(str(cls), fnum(f1)) for cls, f1 in folds],
+                  provenance_lines(seed, [("gold", gold_path)]))
+    return {**{f"fold_{cls}": f1 for cls, f1 in folds},
+            "mean_f1": report.mean_f1, "delta": delta, "score": score.value}
 
 
-def run_classes_patterns(gold_path, out_dir, suffix_k, seed) -> dict:
+@command(classes, "classes.patterns", "gold", "out_dir", "suffix_k")
+def run_classes_patterns(gold_path, out_dir, suffix_k, seed=None) -> dict:
+    """Rule-based formation analyses over labeled words."""
     records = load_gold_classes(gold_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = provenance_lines(seed, [("gold", gold_path)])
+    write = _reports(out_dir, seed, [("gold", gold_path)])
 
-    clip_rows = []
-    unsourced = 0
-    for r in records:
-        if r.label is not SlangClass.CLIPPING:
-            continue
-        if not r.components:
-            unsourced += 1
-            continue
-        source = " ".join(r.components)
-        clip_rows.append({"word": r.word, "source": source,
-                          "type": classify_clipping(r.word, source).value})
-    write_csv(out / "clipping_types.csv", ["word", "source", "type"],
-              clip_rows, header)
+    clips = [r for r in records if r.label is SlangClass.CLIPPING]
+    sourced = [(r.word, " ".join(r.components)) for r in clips if r.components]
+    write("clipping_types.csv", ["word", "source", "type"],
+          [(word, source, classify_clipping(word, source).value)
+           for word, source in sourced])
 
-    redup_rows = []
-    pairs = []
-    for r in records:
-        if r.label is not SlangClass.REDUPLICATIVE:
-            continue
-        redup_rows.append({"word": r.word,
-                           "type": classify_reduplicative(r.word).value})
-        first, second = re.split(r"[-\s]+", r.word.strip())
-        if len(first) == len(second):
-            pairs.append((first, second))
-    write_csv(out / "reduplicative_types.csv", ["word", "type"], redup_rows,
-              header)
-
-    subs = None
+    redups = [r.word for r in records if r.label is SlangClass.REDUPLICATIVE]
+    write("reduplicative_types.csv", ["word", "type"],
+          [(word, classify_reduplicative(word).value) for word in redups])
+    pairs = [(a, b) for a, b in map(split_pair, redups) if len(a) == len(b)]
+    subs = substitution_stats(pairs) if pairs else None
     if pairs:
-        subs = substitution_stats(pairs)
-        sub_rows = [{"original": a, "replacement": b, "share": fnum(share)}
-                    for a in subs.replacements
-                    for b, share in subs.replacements[a].items()]
-        write_csv(out / "substitutions.csv",
-                  ["original", "replacement", "share"], sub_rows, header)
+        write("substitutions.csv", ["original", "replacement", "share"],
+              [(a, b, fnum(share)) for a, row in subs.replacements.items()
+               for b, share in row.items()])
 
     blends = [r for r in records if r.label is SlangClass.BLEND]
     dist, skipped_blends = blend_suffix_stats(blends, k=suffix_k)
-    running = 0.0
-    blend_rows = []
-    for rank, (suffix, share) in enumerate(dist.entries, 1):
-        running += share
-        blend_rows.append({"rank": rank, "suffix": suffix,
-                           "share": fnum(share), "cumulative": fnum(running)})
-    write_csv(out / "blend_suffixes.csv",
-              ["rank", "suffix", "share", "cumulative"], blend_rows, header)
+    write("blend_suffixes.csv", ["rank", "suffix", "share", "cumulative"],
+          [(rank, suffix, fnum(share), fnum(dist.covered_mass_at_k[rank]))
+           for rank, (suffix, share) in enumerate(dist.entries, 1)])
 
-    return {"clippings": len(clip_rows), "clippings_unsourced": unsourced,
-            "reduplicatives": len(redup_rows),
+    return {"clippings": len(sourced),
+            "clippings_unsourced": len(clips) - len(sourced),
+            "reduplicatives": len(redups),
             "substitution_pairs_skipped": subs.skipped if subs else 0,
             "blends": len(blends), "blends_skipped": skipped_blends}
 
 
-@classes.command("patterns")
-@click.option("--gold", "gold_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--suffix-k", default=5, show_default=True,
-              help="Rank cutoff for the blend suffix report.")
-def classes_patterns(gold_path, out_dir, suffix_k):
-    """Rule-based formation analyses over labeled words."""
-    try:
-        info = run_classes_patterns(gold_path, out_dir, suffix_k, seed=None)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("classes.patterns", **info)
-
-
-# --------------------------------------------------------------------------
-# embed
-
-def run_embed(slang_path, out_path, config: TrainingConfig, min_votes) -> dict:
+@command(main, "embed", "slang", "out_file", *SGNS, "seed", "embed_min_votes")
+def run_embed(slang_path, out_path, dimension, window, negatives, min_count,
+              subsample, epochs, lr, seed, min_votes) -> dict:
+    """Train skip-gram vectors on usage examples."""
+    config = TrainingConfig(dimension=dimension, window=window,
+                            negatives=negatives, epochs=epochs,
+                            initial_lr=lr, min_count=min_count,
+                            subsample_threshold=subsample, seed=seed)
     entries = load_slang_lexicon(slang_path)
     if min_votes > 0:
         entries = filter_by_votes(entries, min_votes)
@@ -598,119 +506,42 @@ def run_embed(slang_path, out_path, config: TrainingConfig, min_votes) -> dict:
             "last_epoch_loss": table.epoch_losses[-1]}
 
 
-@main.command()
-@click.option("--slang", "slang_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--dimension", default=100, show_default=True)
-@click.option("--window", default=5, show_default=True)
-@click.option("--negatives", default=5, show_default=True)
-@click.option("--min-count", default=5, show_default=True)
-@click.option("--subsample", default=1e-3, show_default=True)
-@click.option("--epochs", default=5, show_default=True)
-@click.option("--lr", default=0.025, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--min-votes", default=0, show_default=True,
-              help="Vote filter applied before corpus extraction.")
-@click.option("--workers", default=1, show_default=True,
-              help="Reserved for parallel training; current trainer is "
-                   "single-threaded.")
-def embed(slang_path, out_path, dimension, window, negatives, min_count,
-          subsample, epochs, lr, seed, min_votes, workers):
-    """Train skip-gram vectors on usage examples."""
-    if workers < 1:
-        raise click.UsageError("--workers must be at least 1")
-    try:
-        config = TrainingConfig(dimension=dimension, window=window,
-                                negatives=negatives, epochs=epochs,
-                                initial_lr=lr, min_count=min_count,
-                                subsample_threshold=subsample, seed=seed)
-        info = run_embed(slang_path, out_path, config, min_votes)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("embed", **info)
-
-
-# --------------------------------------------------------------------------
-# subjects
-
-def run_subjects(slang_path, vectors_path, out_dir, k, metric, test_fraction,
-                 seed) -> dict:
-    entries = load_slang_lexicon(slang_path)
-    labeled = []
-    ambiguous = 0
-    for e in entries:
-        if e.subjects is None or len(e.subjects) == 0:
-            continue
-        if len(e.subjects) != 1:
-            ambiguous += 1
-            continue
-        labeled.append((e.headword, next(iter(e.subjects))))
+@command(main, "subjects", "slang", "vectors", "out_dir", "k", "metric",
+         "test_fraction", "seed")
+def run_subjects(slang_path, vectors_path, out_dir, k, metric_name,
+                 test_fraction, seed) -> dict:
+    """Nearest-neighbor subject classification over trained vectors."""
+    tagged = [e for e in load_slang_lexicon(slang_path) if e.subjects]
+    labeled = [(e.headword, next(iter(e.subjects))) for e in tagged
+               if len(e.subjects) == 1]
     if not labeled:
         raise SlanglexError("no entry carries exactly one subject tag")
     train, test = stratified_split(labeled, lambda item: item[1],
                                    test_fraction, seed)
     embedding = load_embeddings(vectors_path)
     model, skipped_train = knn_from_embedding(embedding, train, k=k,
-                                              metric=metric)
+                                              metric=KnnMetric(metric_name))
     evaluation = evaluate_subject_model(model, test, embedding)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = provenance_lines(seed, [("slang", slang_path),
+    write = _reports(out_dir, seed, [("slang", slang_path),
                                      ("vectors", vectors_path)])
     confusion = evaluation.confusion
-    write_csv(out / "subject_confusion.csv", ["true", "predicted", "count"],
-              [{"true": str(t), "predicted": str(p),
-                "count": confusion[t, p]}
-               for t in confusion.labels for p in confusion.labels],
-              header)
-    write_csv(out / "subject_metrics.csv",
-              ["label", "precision", "recall", "f1", "support"],
-              [{"label": str(m.label), "precision": fnum(m.precision),
-                "recall": fnum(m.recall), "f1": fnum(m.f1),
-                "support": m.support}
-               for m in sorted(evaluation.per_class,
-                               key=lambda m: str(m.label))],
-              header)
-    return {"labeled": len(labeled), "ambiguous_skipped": ambiguous,
+    write("subject_confusion.csv", ["true", "predicted", "count"],
+          [(str(t), str(p), confusion[t, p])
+           for t in confusion.labels for p in confusion.labels])
+    write("subject_metrics.csv", ["label", "precision", "recall", "f1", "support"],
+          [(str(m.label), fnum(m.precision), fnum(m.recall), fnum(m.f1), m.support)
+           for m in sorted(evaluation.per_class, key=lambda m: str(m.label))])
+    return {"labeled": len(labeled), "ambiguous_skipped": len(tagged) - len(labeled),
             "train": len(train), "test": len(test),
             "train_oov_skipped": skipped_train,
             "test_oov_excluded": evaluation.excluded,
             "weighted_f1": evaluation.f1}
 
 
-@main.command()
-@click.option("--slang", "slang_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--vectors", "vectors_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--k", default=5, show_default=True)
-@click.option("--metric", "metric_name", default="cosine", show_default=True,
-              type=METRIC_CHOICES)
-@click.option("--test-fraction", default=0.10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-def subjects(slang_path, vectors_path, out_dir, k, metric_name, test_fraction,
-             seed):
-    """Nearest-neighbor subject classification over trained vectors."""
-    try:
-        info = run_subjects(slang_path, vectors_path, out_dir, k,
-                            KnnMetric(metric_name), test_fraction, seed)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("subjects", **info)
-
-
-# --------------------------------------------------------------------------
-# bias
-
-@main.group()
-def bias():
-    """Quantify stereotype signal in the trained vectors."""
-
-
+@command(bias, "bias.gender", "vectors", "lexicons", "out_dir", "strictness")
 def run_bias_gender(vectors_path, lexicons_dir, out_dir, strictness) -> dict:
+    """Gender direction, direct bias, and occupation projections."""
     embedding = load_embeddings(vectors_path)
     lexicons = load_bias_lexicons(lexicons_dir)
     present = [(m, f) for m, f in lexicons.gender_pairs
@@ -721,15 +552,10 @@ def run_bias_gender(vectors_path, lexicons_dir, out_dir, strictness) -> dict:
     bias_value = direct_bias(embedding, lexicons.occupations, g, c=strictness)
     projections = occupation_projections(embedding, lexicons.occupations, g)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = provenance_lines(None, [("vectors", vectors_path)])
-    write_csv(out / "occupation_projections.csv",
-              ["rank", "occupation", "cosine_to_female"],
-              [{"rank": rank, "occupation": word,
-                "cosine_to_female": fnum(value)}
-               for rank, (word, value) in enumerate(projections, 1)],
-              header)
+    write = _reports(out_dir, None, [("vectors", vectors_path)])
+    write("occupation_projections.csv", ["rank", "occupation", "cosine_to_female"],
+          [(rank, word, fnum(value))
+           for rank, (word, value) in enumerate(projections, 1)])
     return {"direct_bias": bias_value, "strictness": strictness,
             "pairs_used": len(present),
             "pairs_missing": len(lexicons.gender_pairs) - len(present),
@@ -737,52 +563,25 @@ def run_bias_gender(vectors_path, lexicons_dir, out_dir, strictness) -> dict:
             "occupations_missing": len(lexicons.occupations) - len(projections)}
 
 
-@bias.command("gender")
-@click.option("--vectors", "vectors_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--lexicons", "lexicons_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--strictness", default=1.0, show_default=True,
-              help="Exponent on |cosine| in the bias average.")
-def bias_gender(vectors_path, lexicons_dir, out_dir, strictness):
-    """Gender direction, direct bias, and occupation projections."""
-    try:
-        info = run_bias_gender(vectors_path, lexicons_dir, out_dir, strictness)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("bias.gender", **info)
-
-
+@command(bias, "bias.sexprej", "vectors", "lexicons", "names", "out_dir",
+         "n_perms", "seed")
 def run_bias_sexprej(vectors_path, lexicons_dir, names_path, out_dir, n_perms,
                      seed) -> dict:
+    """Sexual-prejudice proximity of personal names, by gender."""
     embedding = load_embeddings(vectors_path)
-    lexicons = load_bias_lexicons(lexicons_dir)
+    terms = load_bias_lexicons(lexicons_dir).prejudice_terms
     genders = GenderLexicon.from_csv(names_path)
-    names = []
-    for line in Path(names_path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            names.append(line.split(",")[0].strip())
-    report = name_prejudice_comparison(embedding, names, genders,
-                                       lexicons.prejudice_terms,
+    report = name_prejudice_comparison(embedding, genders.names, genders, terms,
                                        n_permutations=n_perms, seed=seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = provenance_lines(seed, [("vectors", vectors_path),
+    write = _reports(out_dir, seed, [("vectors", vectors_path),
                                      ("names", names_path)])
-    rows = []
-    for name in names:
-        gender = genders.lookup(name)
-        token = subject_token(name)
-        if gender.value == "unknown" or token not in embedding:
-            continue
-        rows.append({"name": name, "gender": gender.value,
-                     "sexprej": fnum(sexprej(embedding, name,
-                                             lexicons.prejudice_terms))})
-    write_csv(out / "name_sexprej.csv", ["name", "gender", "sexprej"], rows,
-              header)
-    terms_present = sum(1 for t in lexicons.prejudice_terms if t in embedding)
+    write("name_sexprej.csv", ["name", "gender", "sexprej"],
+          [(name, genders.lookup(name).value,
+            fnum(sexprej(embedding, name, terms)))
+           for name in genders.names
+           if genders.lookup(name) is not Gender.UNKNOWN
+           and subject_token(name) in embedding])
+    terms_present = sum(1 for t in terms if t in embedding)
     return {"female_mean": report.female_mean, "female_n": report.female_n,
             "male_mean": report.male_mean, "male_n": report.male_n,
             "difference": report.difference, "p_value": report.p_value,
@@ -790,48 +589,22 @@ def run_bias_sexprej(vectors_path, lexicons_dir, names_path, out_dir, n_perms,
             "excluded_unknown": report.excluded_unknown,
             "excluded_oov": report.excluded_oov,
             "terms_present": terms_present,
-            "terms_missing": len(lexicons.prejudice_terms) - terms_present}
+            "terms_missing": len(terms) - terms_present}
 
 
-@bias.command("sexprej")
-@click.option("--vectors", "vectors_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--lexicons", "lexicons_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--names", "names_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-@click.option("--n-perms", default=10_000, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-def bias_sexprej(vectors_path, lexicons_dir, names_path, out_dir, n_perms,
-                 seed):
-    """Sexual-prejudice proximity of personal names, by gender."""
-    try:
-        info = run_bias_sexprej(vectors_path, lexicons_dir, names_path,
-                                out_dir, n_perms, seed)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("bias.sexprej", **info)
-
-
+@command(bias, "bias.religion", "vectors", "lexicons", "out_dir")
 def run_bias_religion(vectors_path, lexicons_dir, out_dir) -> dict:
+    """Religion-to-trait cosine matrix, column standardized."""
     embedding = load_embeddings(vectors_path)
     lexicons = load_bias_lexicons(lexicons_dir)
     report = religious_prejudice_matrix(embedding, lexicons.religious_terms,
                                         lexicons.trait_terms)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    header = provenance_lines(None, [("vectors", vectors_path)])
+    write = _reports(out_dir, None, [("vectors", vectors_path)])
     for name, matrix in (("raw", report.raw),
                          ("standardized", report.standardized)):
-        rows = []
-        for i, religion in enumerate(report.religions):
-            row = {"religion": religion}
-            for j, trait in enumerate(report.prejudices):
-                row[trait] = fnum(float(matrix[i, j]))
-            rows.append(row)
-        write_csv(out / f"religious_bias_{name}.csv",
-                  ["religion"] + list(report.prejudices), rows, header)
+        write(f"religious_bias_{name}.csv", ["religion", *report.prejudices],
+              [[religion] + [fnum(float(value)) for value in matrix[i]]
+               for i, religion in enumerate(report.religions)])
     return {"religions": len(report.religions),
             "traits": len(report.prejudices),
             "overall_mean_raw": report.overall_mean_raw,
@@ -839,174 +612,95 @@ def run_bias_religion(vectors_path, lexicons_dir, out_dir) -> dict:
             "missing_traits": len(report.missing_prejudices)}
 
 
-@bias.command("religion")
-@click.option("--vectors", "vectors_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--lexicons", "lexicons_dir", required=True,
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
-def bias_religion(vectors_path, lexicons_dir, out_dir):
-    """Religion-to-trait cosine matrix, column standardized."""
-    try:
-        info = run_bias_religion(vectors_path, lexicons_dir, out_dir)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("bias.religion", **info)
+def _compare_classifiers(gold_path, out: Path, segmenter, seed) -> dict:
+    """Char vs morph features vs a label-draw baseline on one test split."""
+    f1 = {}
+    predictions = []
+    for kind in NgramKind:
+        info, split, preds = run_classes_train(
+            gold_path, None, kind, segmenter, seed, DEFAULT["test_fraction"],
+            **FIT)
+        f1[kind.value] = info["test_f1"]
+        predictions.append(preds)
+    truth = [r.label for r in split.test]
+    sampler = LabelSampler([r.label for r in split.train], seed)
+    f1["baseline"] = weighted_f1(truth, sampler.draw(len(truth)))
 
-
-# --------------------------------------------------------------------------
-# pipeline
-
-def _fixture_path(*parts) -> str:
-    return str(resources.files("slanglex").joinpath("data", "fixtures", *parts))
+    write = _reports(out, seed, [("gold", gold_path)])
+    write("class_model_comparison.csv", ["model", "weighted_f1"],
+          [(model, fnum(value)) for model, value in f1.items()])
+    write("class_predictions.csv",
+          ["word", "true", "char_prediction", "morph_prediction"],
+          [(r.word, str(r.label), str(char), str(morph))
+           for r, char, morph in zip(split.test, *predictions)])
+    return {f"{model}_f1": value for model, value in f1.items()}
 
 
 def run_pipeline(slang_path, standard_path, gold_path, lexicons_dir,
-                 names_path, out_dir, seed, min_votes, dimension, window,
-                 negatives, min_count, subsample, epochs, lr, delta, score,
-                 k, echo=click.echo) -> None:
+                 names_path, out_dir, seed, min_votes, delta, score_name, k,
+                 echo=click.echo, **sgns) -> None:
+    """Every stage in order; ``echo`` gets one summary line per stage."""
+    def done(stage: str, info: dict) -> None:
+        echo(summary_line(f"pipeline.{stage}", **info))
+
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    entries = load_slang_lexicon(slang_path)
-    kept = filter_by_votes(entries, min_votes)
-    filtered_path = out / "filtered.jsonl"
-    save_slang_lexicon(kept, filtered_path)
-    echo(summary_line("pipeline.ingest", read=len(entries), kept=len(kept),
-                      min_votes=min_votes))
-
-    info = run_phonology(filtered_path, standard_path, out, smoothing=1e-6)
-    echo(summary_line("pipeline.phonology", **info))
-
-    info = run_morphology(filtered_path, standard_path, out, max_iters=10,
-                          affix_k=25, seed=seed)
-    echo(summary_line("pipeline.morphology", **info))
-
-    # detector comparison: char vs morph features vs label-draw baseline
-    from .morphology import load_segmenter
-    segmenter = load_segmenter(out / "segmenter_slang.tsv")
-    records = load_gold_classes(gold_path)
-    split = split_gold(records, test_fraction=0.10, seed=seed)
-    test_words = [r.word for r in split.test]
-    test_labels = [r.label for r in split.test]
-    model_rows = []
-    predictions = {}
-    for kind, seg in ((NgramKind.CHAR, None), (NgramKind.MORPHEME, segmenter)):
-        maps = _feature_maps([r.word for r in split.train], kind, 1, 5, seg)
-        vocab = fit_vocabulary(maps, kind, cap=200, n_min=1, n_max=5)
-        model = train_logreg(maps, [r.label for r in split.train], vocab,
-                             seed=seed)
-        preds = [argmax_label(predict_proba(model, w, seg)) for w in test_words]
-        predictions[kind.value] = preds
-        model_rows.append({"model": kind.value,
-                           "weighted_f1": fnum(weighted_f1(test_labels, preds))})
-    sampler = random_baseline([r.label for r in split.train], seed)
-    baseline_preds = sampler.draw(len(test_words))
-    model_rows.append({"model": "baseline",
-                       "weighted_f1": fnum(weighted_f1(test_labels,
-                                                       baseline_preds))})
-    header = provenance_lines(seed, [("gold", gold_path)])
-    write_csv(out / "class_model_comparison.csv", ["model", "weighted_f1"],
-              model_rows, header)
-    write_csv(out / "class_predictions.csv",
-              ["word", "true", "char_prediction", "morph_prediction"],
-              [{"word": w, "true": str(t),
-                "char_prediction": str(predictions["char"][i]),
-                "morph_prediction": str(predictions["morph"][i])}
-               for i, (w, t) in enumerate(zip(test_words, test_labels))],
-              header)
-    echo(summary_line("pipeline.classes",
-                      **{row["model"] + "_f1": row["weighted_f1"]
-                         for row in model_rows}))
-
-    info = run_classes_eval(gold_path, delta, score, seed, 0.10, 1, 5, 200,
-                            1.0, 1.0, 500, 1e-6, out / "crossclass_f1.csv")
-    echo(summary_line("pipeline.crossclass", mean_f1=info["mean_f1"]))
-
-    info = run_classes_patterns(gold_path, out, suffix_k=5, seed=seed)
-    echo(summary_line("pipeline.patterns", **info))
-
-    config = TrainingConfig(dimension=dimension, window=window,
-                            negatives=negatives, epochs=epochs,
-                            initial_lr=lr, min_count=min_count,
-                            subsample_threshold=subsample, seed=seed)
-    vectors_path = out / "vectors.txt"
-    info = run_embed(filtered_path, vectors_path, config, min_votes=0)
-    echo(summary_line("pipeline.embed", **info))
-
-    info = run_subjects(filtered_path, vectors_path, out, k,
-                        KnnMetric.COSINE, 0.10, seed)
-    echo(summary_line("pipeline.subjects", **info))
-
-    info = run_bias_gender(vectors_path, lexicons_dir, out, strictness=1.0)
-    echo(summary_line("pipeline.bias.gender", **info))
-
-    info = run_bias_sexprej(vectors_path, lexicons_dir, names_path, out,
-                            n_perms=10_000, seed=seed)
-    echo(summary_line("pipeline.bias.sexprej", **info))
-
-    info = run_bias_religion(vectors_path, lexicons_dir, out)
-    echo(summary_line("pipeline.bias.religion", **info))
+    filtered = out / "filtered.jsonl"
+    vectors = out / "vectors.txt"
+    info = run_ingest(slang_path, min_votes, filtered)
+    del info["dropped"]
+    done("ingest", info)
+    done("phonology", run_phonology(filtered, standard_path, out,
+                                    DEFAULT["smoothing"]))
+    info, segmenter = run_morphology(filtered, standard_path, out,
+                                     DEFAULT["max_iters"], DEFAULT["affix_k"],
+                                     seed)
+    done("morphology", info)
+    done("classes", _compare_classifiers(gold_path, out, segmenter, seed))
+    info = run_classes_eval(gold_path, delta, score_name, seed,
+                            DEFAULT["test_fraction"], out / "crossclass_f1.csv",
+                            **FIT)
+    done("crossclass", {"mean_f1": info["mean_f1"]})
+    done("patterns", run_classes_patterns(gold_path, out, DEFAULT["suffix_k"],
+                                          seed))
+    done("embed", run_embed(filtered, vectors, seed=seed, min_votes=0, **sgns))
+    done("subjects", run_subjects(filtered, vectors, out, k, DEFAULT["metric"],
+                                  DEFAULT["test_fraction"], seed))
+    done("bias.gender", run_bias_gender(vectors, lexicons_dir, out,
+                                        DEFAULT["strictness"]))
+    done("bias.sexprej", run_bias_sexprej(vectors, lexicons_dir, names_path,
+                                          out, DEFAULT["n_perms"], seed))
+    done("bias.religion", run_bias_religion(vectors, lexicons_dir, out))
 
 
-@main.command()
-@click.option("--fixtures", is_flag=True,
-              help="Run on the bundled miniature corpus.")
-@click.option("--slang", "slang_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--standard", "standard_path",
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--gold", "gold_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--lexicons", "lexicons_dir",
-              type=click.Path(exists=True, file_okay=False))
-@click.option("--names", "names_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_dir", default="slanglex-run", show_default=True,
-              type=click.Path(file_okay=False))
-@click.option("--seed", default=0, show_default=True)
-@click.option("--min-votes", default=100, show_default=True)
-@click.option("--dimension", default=100, show_default=True)
-@click.option("--window", default=5, show_default=True)
-@click.option("--negatives", default=5, show_default=True)
-@click.option("--min-count", default=2, show_default=True,
-              help="Fixture-scale default; raise for larger corpora.")
-@click.option("--subsample", default=1e-3, show_default=True)
-@click.option("--epochs", default=8, show_default=True)
-@click.option("--lr", default=0.025, show_default=True)
-@click.option("--delta", default=0.5, show_default=True)
-@click.option("--score", "score_name", default="maxprob", show_default=True,
-              type=SCORE_CHOICES)
-@click.option("--k", default=5, show_default=True)
-@click.option("--workers", default=1, show_default=True,
-              help="Reserved for parallel analyses; currently single-threaded.")
-def pipeline(fixtures, slang_path, standard_path, gold_path, lexicons_dir,
-             names_path, out_dir, seed, min_votes, dimension, window,
-             negatives, min_count, subsample, epochs, lr, delta, score_name,
-             k, workers):
+# the bundled fixture for each pipeline input option, used with --fixtures
+FIXTURES = {"slang": "slang.jsonl", "standard": "standard.tsv",
+            "gold": "gold_classes.csv", "lexicons": "lexicons",
+            "names": "names_gender.csv"}
+
+
+@command(main, "pipeline", "fixtures", "slang", "standard", "gold", "lexicons",
+         "names", "out_dir", "seed", "min_votes", *SGNS, "delta", "score", "k",
+         out_dir={"default": "slanglex-run", "required": False},
+         min_count={"default": 2,
+                    "help": "Fixture-scale default; raise for larger corpora."},
+         epochs={"default": 8}, delta={"default": 0.5, "required": False},
+         **{key: {"required": False} for key in FIXTURES})
+def pipeline(fixtures, **params) -> dict:
     """Run every analysis in sequence into one output directory."""
-    if workers < 1:
-        raise click.UsageError("--workers must be at least 1")
-    score = ScoreType(score_name)
-    _check_delta(score, delta)
-    if fixtures:
-        slang_path = slang_path or _fixture_path("slang.jsonl")
-        standard_path = standard_path or _fixture_path("standard.tsv")
-        gold_path = gold_path or _fixture_path("gold_classes.csv")
-        lexicons_dir = lexicons_dir or _fixture_path("lexicons")
-        names_path = names_path or _fixture_path("names_gender.csv")
-    missing = [name for name, value in
-               (("--slang", slang_path), ("--standard", standard_path),
-                ("--gold", gold_path), ("--lexicons", lexicons_dir),
-                ("--names", names_path)) if value is None]
+    _score(params["score_name"], params["delta"])
+    missing = []
+    for key, fixture in FIXTURES.items():
+        flag, name = OPTIONS[key][0]
+        if fixtures and params[name] is None:
+            params[name] = str(resources.files("slanglex").joinpath(
+                "data", "fixtures", fixture))
+        if params[name] is None:
+            missing.append(flag)
     if missing:
         raise click.UsageError(
             f"missing inputs (or pass --fixtures): {', '.join(missing)}")
-    try:
-        run_pipeline(slang_path, standard_path, gold_path, lexicons_dir,
-                     names_path, out_dir, seed, min_votes, dimension, window,
-                     negatives, min_count, subsample, epochs, lr, delta,
-                     score, k)
-    except (SlanglexError, OSError) as exc:
-        raise _fail(exc)
-    _echo_summary("pipeline", out=out_dir, seed=seed)
+    run_pipeline(**params)
+    return {"out": params["out_dir"], "seed": params["seed"]}
 
 
 if __name__ == "__main__":

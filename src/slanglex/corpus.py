@@ -15,7 +15,6 @@ analysis passes.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 import random
@@ -25,11 +24,6 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import AnalysisError, SchemaError
 from .labels import SlangClass, SubjectLabel
-
-
-class LexiconFormat(enum.Enum):
-    SLANG_JSONL = "slang-jsonl"
-    STANDARD_TSV = "standard-tsv"
 
 
 @dataclass(frozen=True)
@@ -192,15 +186,6 @@ def load_standard_lexicon(path) -> StandardLexicon:
         words=frozenset(words),
         definitions={w: tuple(defs) for w, defs in definitions.items()},
     )
-
-
-def load_lexicon(path, format: LexiconFormat):
-    """Dispatching loader; returns entries or a StandardLexicon per format."""
-    if format is LexiconFormat.SLANG_JSONL:
-        return load_slang_lexicon(path)
-    if format is LexiconFormat.STANDARD_TSV:
-        return load_standard_lexicon(path)
-    raise AnalysisError(f"unsupported lexicon format: {format!r}")
 
 
 def save_slang_lexicon(entries: Iterable[LexiconEntry], path) -> None:

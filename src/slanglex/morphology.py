@@ -278,6 +278,21 @@ class AffixDistribution:
     covered_mass_at_k: dict[int, float]
 
 
+def ranked_shares(counts: Mapping[str, int], total: int, side: AffixSide,
+                  k: int) -> AffixDistribution:
+    """Top-k affixes by count (ties alphabetical), each with its share of
+    ``total``, and the running sum of those shares at every rank 1..k."""
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    entries = tuple((affix, count / total) for affix, count in ranked[:k])
+    mass = {}
+    running = 0.0
+    for rank in range(1, k + 1):
+        if rank <= len(entries):
+            running += entries[rank - 1][1]
+        mass[rank] = running
+    return AffixDistribution(side=side, entries=entries, covered_mass_at_k=mass)
+
+
 def affix_distribution(segmentations: Sequence[Segmentation], side: AffixSide,
                        k: int = 25) -> AffixDistribution:
     """Distribution of word-initial or word-final morphs over a corpus."""
@@ -289,16 +304,7 @@ def affix_distribution(segmentations: Sequence[Segmentation], side: AffixSide,
     for seg in segmentations:
         affix = seg.morphs[0] if side is AffixSide.PREFIX else seg.morphs[-1]
         counts[affix] = counts.get(affix, 0) + 1
-    total = len(segmentations)
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    entries = tuple((affix, count / total) for affix, count in ranked[:k])
-    mass = {}
-    running = 0.0
-    for rank in range(1, k + 1):
-        if rank <= len(entries):
-            running += entries[rank - 1][1]
-        mass[rank] = running
-    return AffixDistribution(side=side, entries=entries, covered_mass_at_k=mass)
+    return ranked_shares(counts, len(segmentations), side, k)
 
 
 def save_segmenter(model: SegmenterModel, path) -> None:

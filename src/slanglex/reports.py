@@ -38,22 +38,18 @@ def provenance_lines(seed: int | None,
     return lines
 
 
-def write_csv(path, fieldnames: Sequence[str], rows: Iterable[dict],
+def write_csv(path, fieldnames: Sequence[str], rows: Iterable[Sequence],
               header_lines: Sequence[str] = ()) -> None:
+    """Header comments, the field-name row, then one row per value sequence
+    (in field order); the parent directory is created if missing."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(line + "\n")
-    writer = csv.DictWriter(buf, fieldnames=list(fieldnames), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fieldnames)
+    writer.writerows(rows)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
-
-
-def write_lines(path, lines: Iterable[str],
-                header_lines: Sequence[str] = ()) -> None:
-    out = list(header_lines) + list(lines)
-    Path(path).write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
 def fnum(x: float) -> str:

@@ -22,7 +22,6 @@ from .openset import (
     argmax_label,
     confidence_score,
     predict_with_reject,
-    random_baseline,
     LabelSampler,
     cross_class_validate,
     CrossClassReport,
@@ -32,6 +31,7 @@ from .patterns import (
     ReduplicativeType,
     classify_clipping,
     classify_reduplicative,
+    split_pair,
     substitution_stats,
     SubstitutionStats,
     blend_suffix_stats,
@@ -54,7 +54,6 @@ __all__ = [
     "argmax_label",
     "confidence_score",
     "predict_with_reject",
-    "random_baseline",
     "LabelSampler",
     "cross_class_validate",
     "CrossClassReport",
@@ -62,6 +61,7 @@ __all__ = [
     "ReduplicativeType",
     "classify_clipping",
     "classify_reduplicative",
+    "split_pair",
     "substitution_stats",
     "SubstitutionStats",
     "blend_suffix_stats",

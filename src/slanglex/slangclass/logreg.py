@@ -78,12 +78,11 @@ def _features_for_word(vocab: FeatureVocabulary, word: str,
 def train_logreg(feature_maps: Sequence[Mapping[str, int]],
                  labels: Sequence[SlangClass], vocab: FeatureVocabulary,
                  l2: float = 1.0, lr: float = 1.0, max_epochs: int = 500,
-                 tol: float = 1e-6, seed: int = 0) -> ClassifierModel:
+                 tol: float = 1e-6) -> ClassifierModel:
     """Fit the classifier on pre-extracted feature maps.
 
     The vocabulary must be fit on training data only. Training is fully
-    deterministic (zero init, full-batch updates); the seed parameter is
-    kept for interface stability and does not affect the result. Stops at
+    deterministic (zero init, full-batch updates). Stops at
     gradient max-norm <= tol, when line search stalls, or at max_epochs.
     """
     if len(feature_maps) != len(labels):

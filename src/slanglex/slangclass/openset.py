@@ -92,11 +92,6 @@ class LabelSampler:
         return self._rng.choices(self._labels, weights=self._weights, k=n)
 
 
-def random_baseline(train_labels: Sequence[Label], seed: int) -> LabelSampler:
-    """Baseline that predicts from the training label distribution."""
-    return LabelSampler(train_labels, seed)
-
-
 @dataclass(frozen=True)
 class CrossClassReport:
     fold_f1: dict[SlangClass, float]

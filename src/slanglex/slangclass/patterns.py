@@ -13,7 +13,7 @@ from typing import Sequence
 
 from ..corpus import GoldClassRecord
 from ..errors import AnalysisError
-from ..morphology import AffixDistribution, AffixSide
+from ..morphology import AffixDistribution, AffixSide, ranked_shares
 
 _VOWELS = frozenset("aeiou")
 _PAIR_SPLIT = re.compile(r"[-\s]+")
@@ -53,6 +53,17 @@ def classify_clipping(clip: str, source: str) -> ClippingType:
     return ClippingType.UNKNOWN
 
 
+def split_pair(pair: str) -> tuple[str, str]:
+    """The two parts of an echo pair, split at hyphens and spaces; empty
+    parts (from a leading, trailing or doubled separator) are dropped."""
+    parts = [p for p in _PAIR_SPLIT.split(pair.strip()) if p]
+    if len(parts) != 2:
+        raise AnalysisError(
+            f"expected exactly two hyphen- or space-separated parts, "
+            f"got {len(parts)} in {pair!r}")
+    return parts[0], parts[1]
+
+
 def classify_reduplicative(pair: str,
                            y_is_vowel: bool = False) -> ReduplicativeType:
     """Type an echo pair like "boo-boo" or "flip flop".
@@ -61,12 +72,7 @@ def classify_reduplicative(pair: str,
     equal-length parts whose differing positions are all vowels (resp. all
     consonants) on both sides.
     """
-    parts = [p for p in _PAIR_SPLIT.split(pair.strip().lower()) if p]
-    if len(parts) != 2:
-        raise AnalysisError(
-            f"expected exactly two hyphen- or space-separated parts, "
-            f"got {len(parts)} in {pair!r}")
-    first, second = parts
+    first, second = split_pair(pair.lower())
     if first == second:
         return ReduplicativeType.DUP
     for prefix in ("schm", "shm"):
@@ -145,17 +151,7 @@ def blend_suffix_stats(blends: Sequence[GoldClassRecord],
         total += 1
     if total == 0:
         raise AnalysisError("no blend records with usable components")
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    entries = tuple((affix, count / total) for affix, count in ranked[:k])
-    mass = {}
-    running = 0.0
-    for rank in range(1, k + 1):
-        if rank <= len(entries):
-            running += entries[rank - 1][1]
-        mass[rank] = running
-    dist = AffixDistribution(side=AffixSide.SUFFIX, entries=entries,
-                             covered_mass_at_k=mass)
-    return dist, skipped
+    return ranked_shares(counts, total, AffixSide.SUFFIX, k), skipped
 
 
 def _common_suffix(a: str, b: str) -> str:

@@ -141,10 +141,16 @@ class Gender(enum.Enum):
 
 
 class GenderLexicon:
-    """Case-insensitive name -> gender lookup, total with Unknown default."""
+    """Case-insensitive name -> gender lookup, total with Unknown default.
 
-    def __init__(self, assignments: Mapping[str, Gender]):
+    ``names`` lists the names as given: in file order, repeats kept, when
+    read with :meth:`from_csv`.
+    """
+
+    def __init__(self, assignments: Mapping[str, Gender],
+                 names: Sequence[str] | None = None):
         self._table = {name.casefold(): g for name, g in assignments.items()}
+        self.names = tuple(assignments if names is None else names)
 
     def lookup(self, name: str) -> Gender:
         return self._table.get(name.casefold(), Gender.UNKNOWN)
@@ -155,6 +161,7 @@ class GenderLexicon:
     @classmethod
     def from_csv(cls, path) -> "GenderLexicon":
         assignments = {}
+        names = []
         with open(path, encoding="utf-8") as handle:
             for lineno, row in enumerate(csv.reader(handle), 1):
                 if not row or row[0].lstrip().startswith("#"):
@@ -162,12 +169,13 @@ class GenderLexicon:
                 if len(row) != 2:
                     raise SchemaError("expected name,gender", line=lineno)
                 name, raw = row[0].strip(), row[1].strip().lower()
+                names.append(name)
                 try:
                     assignments[name] = Gender(raw)
                 except ValueError:
                     raise SchemaError(f"unknown gender {row[1]!r}",
                                       line=lineno, field="gender") from None
-        return cls(assignments)
+        return cls(assignments, names)
 
 
 @dataclass(frozen=True)
@@ -344,11 +352,6 @@ class NameBiasReport:
     n_permutations: int
     excluded_unknown: int
     excluded_oov: int
-
-    @property
-    def group_means(self) -> dict[Gender, tuple[float, int]]:
-        return {Gender.FEMALE: (self.female_mean, self.female_n),
-                Gender.MALE: (self.male_mean, self.male_n)}
 
 
 def name_prejudice_comparison(embedding: EmbeddingTable,

@@ -36,6 +36,7 @@ from slanglex.phonology import (
 )
 from slanglex.slangclass import (
     ClippingType,
+    LabelSampler,
     NgramKind,
     ReduplicativeType,
     ScoreType,
@@ -48,7 +49,6 @@ from slanglex.slangclass import (
     fit_vocabulary,
     predict_proba,
     predict_with_reject,
-    random_baseline,
     train_logreg,
 )
 from slanglex.slangclass.logreg import loss_and_gradient
@@ -299,7 +299,7 @@ def test_c4_synthetic_gold_classifier(capsys):
                       for r in split.test]
         f1_morph = weighted_f1(truth, morph_pred)
 
-        baseline_pred = random_baseline(train_labels, seed=0).draw(len(truth))
+        baseline_pred = LabelSampler(train_labels, seed=0).draw(len(truth))
         f1_random = weighted_f1(truth, baseline_pred)
 
         elapsed = time.perf_counter() - start

@@ -2,6 +2,7 @@
 and agreement between CLI output and direct library calls."""
 import csv
 import json
+from importlib.resources import files
 
 import pytest
 from click.testing import CliRunner
@@ -108,13 +109,6 @@ class TestExitCodes:
             "classes", "predict", "--model", str(stub), "--delta", "0.5"])
         assert both.exit_code == 2
         assert neither.exit_code == 2
-
-    def test_workers_must_be_positive(self, runner, tmp_path):
-        slang, _, _ = write_inputs(tmp_path)
-        result = runner.invoke(main, [
-            "embed", "--slang", str(slang), "--out", str(tmp_path / "v.txt"),
-            "--workers", "0"])
-        assert result.exit_code == 2
 
     def test_pipeline_without_inputs_or_fixtures(self, runner, tmp_path):
         result = runner.invoke(main, ["pipeline", "--out", str(tmp_path / "o")])
@@ -285,6 +279,44 @@ class TestClasses:
         assert {(r["original"], r["replacement"]) for r in subs} == {("i", "o")}
         blend_rows = read_report(out / "blend_suffixes.csv")
         assert {r["suffix"] for r in blend_rows} == {"tini", "og"}
+
+    def test_patterns_leading_separator(self, runner, tmp_path):
+        gold = tmp_path / "patterns_gold.csv"
+        gold.write_text("-boo-boo,Reduplicative\n"
+                        "flip-flop,Reduplicative\n"
+                        "smog,Blend,smoke;fog\n", encoding="utf-8")
+        out = tmp_path / "pat"
+        result = runner.invoke(main, [
+            "classes", "patterns", "--gold", str(gold), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "Traceback" not in result.output
+        redup = {r["word"]: r["type"]
+                 for r in read_report(out / "reduplicative_types.csv")}
+        assert redup == {"-boo-boo": "DUP", "flip-flop": "EX_VOW"}
+
+
+class TestBiasSexprej:
+    def test_quoted_name_parsed_once(self, runner, tmp_path):
+        vectors = tmp_path / "v.txt"
+        vectors.write_text("6 2\nslut 1.0 0.0\nanna 2.0 0.0\nbella 0.5 0.0\n"
+                           "smith,_john 0.0 1.0\ncarl 0.0 3.0\ndave 1.0 1.0\n",
+                           encoding="utf-8")
+        names = tmp_path / "names.csv"
+        names.write_text('anna,female\nbella,female\n"smith, john",male\n'
+                         "carl,male\ndave,male\n", encoding="utf-8")
+        lexicons = files("slanglex").joinpath("data", "fixtures", "lexicons")
+        out = tmp_path / "bias"
+        result = runner.invoke(main, [
+            "bias", "sexprej", "--vectors", str(vectors),
+            "--lexicons", str(lexicons), "--names", str(names),
+            "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        rows = read_report(out / "name_sexprej.csv")
+        assert [(r["name"], r["gender"]) for r in rows] == [
+            ("anna", "female"), ("bella", "female"), ("smith, john", "male"),
+            ("carl", "male"), ("dave", "male")]
+        assert "male_n=3" in result.output
+        assert "excluded_unknown=0" in result.output
 
 
 class TestEmbedDeterminism:

@@ -8,12 +8,12 @@ from slanglex.corpus import GoldClassRecord
 from slanglex.errors import AnalysisError
 from slanglex.labels import REJECTED, SlangClass
 from slanglex.slangclass.openset import (
+    LabelSampler,
     ScoreType,
     argmax_label,
     confidence_score,
     cross_class_validate,
     predict_with_reject,
-    random_baseline,
 )
 
 
@@ -118,25 +118,25 @@ class TestRejectRule:
 
 class TestBaseline:
     def test_empirical_distribution(self):
-        sampler = random_baseline(["A", "A", "B", "A"], seed=0)
+        sampler = LabelSampler(["A", "A", "B", "A"], seed=0)
         assert sampler.distribution == {"A": 0.75, "B": 0.25}
 
     def test_deterministic_per_seed(self):
         labels = ["A"] * 3 + ["B"] * 2 + ["C"]
-        assert random_baseline(labels, seed=5).draw(40) == \
-            random_baseline(labels, seed=5).draw(40)
+        assert LabelSampler(labels, seed=5).draw(40) == \
+            LabelSampler(labels, seed=5).draw(40)
 
     def test_draw_size_and_support(self):
-        sampler = random_baseline(["A", "B"], seed=1)
+        sampler = LabelSampler(["A", "B"], seed=1)
         drawn = sampler.draw(25)
         assert len(drawn) == 25
         assert set(drawn) <= {"A", "B"}
 
     def test_validation(self):
         with pytest.raises(AnalysisError):
-            random_baseline([], seed=0)
+            LabelSampler([], seed=0)
         with pytest.raises(AnalysisError):
-            random_baseline(["A"], seed=0).draw(-1)
+            LabelSampler(["A"], seed=0).draw(-1)
 
 
 def oracle_gold():

@@ -152,6 +152,14 @@ class TestGenderLexicon:
         assert lex.lookup("never-listed") is Gender.UNKNOWN
         assert len(lex) == 3
 
+    def test_names_in_file_order_from_csv_parse(self, tmp_path):
+        path = tmp_path / "names.csv"
+        path.write_text('# name,gender\n"smith, john",male\nAnna,female\n'
+                        'anna,female\n', encoding="utf-8")
+        lex = GenderLexicon.from_csv(path)
+        assert lex.names == ("smith, john", "Anna", "anna")
+        assert lex.lookup("Smith, John") is Gender.MALE
+
     def test_bad_gender_value_rejected(self, tmp_path):
         path = tmp_path / "names.csv"
         path.write_text("Anna,woman\n", encoding="utf-8")
