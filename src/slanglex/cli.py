@@ -58,7 +58,7 @@ from .phonology import (
     positional_manner_distribution,
     to_phonemes,
 )
-from .reports import fnum, provenance_lines, summary_line, write_csv
+from .reports import csv_text, fnum, provenance_lines, summary_line, write_csv
 from .slangclass import (
     LabelSampler,
     NgramKind,
@@ -172,8 +172,20 @@ SGNS = ("dimension", "window", "negatives", "min_count", "subsample", "epochs",
         "sgns_lr")
 
 
+def _names_parameter(command, parts) -> bool:
+    """Whether dotted key ``parts`` is a subcommand path plus one of its
+    parameter names."""
+    for part in parts[:-1]:
+        if not isinstance(command, click.Group) or part not in command.commands:
+            return False
+        command = command.commands[part]
+    return (not isinstance(command, click.Group)
+            and any(p.name == parts[-1] for p in command.params))
+
+
 def _read_config(ctx, param, path):
-    """Flat `a.b.c = value` lines -> nested default map for click."""
+    """Flat `a.b.c = value` lines -> nested default map for click; a key
+    that names no subcommand parameter is rejected."""
     if not path:
         return path
     tree: dict = {}
@@ -187,6 +199,9 @@ def _read_config(ctx, param, path):
         parts = [p.strip().replace("-", "_") for p in key.strip().split(".")]
         if not all(parts):
             raise click.UsageError(f"{path}:{lineno}: empty key component")
+        if not _names_parameter(ctx.command, parts):
+            raise click.UsageError(
+                f"{path}:{lineno}: unknown config key {key.strip()!r}")
         node = tree
         for part in parts[:-1]:
             node = node.setdefault(part, {})
@@ -420,8 +435,7 @@ def classes_predict(model_path, words_csv, in_path, delta, score_name,
         write_csv(out_path, fields, rows,
                   provenance_lines(None, [("model", model_path)]))
     else:
-        for row in [fields] + rows:
-            click.echo(",".join(str(value) for value in row))
+        click.echo(csv_text(fields, rows), nl=False)
     return {"words": len(words),
             "rejected": sum(1 for lab in labels if lab is REJECTED),
             "delta": delta, "score": score.value}

@@ -38,18 +38,26 @@ def provenance_lines(seed: int | None,
     return lines
 
 
-def write_csv(path, fieldnames: Sequence[str], rows: Iterable[Sequence],
-              header_lines: Sequence[str] = ()) -> None:
+def csv_text(fieldnames: Sequence[str], rows: Iterable[Sequence],
+             header_lines: Sequence[str] = ()) -> str:
     """Header comments, the field-name row, then one row per value sequence
-    (in field order); the parent directory is created if missing."""
+    (in field order), quoted as the csv module does by default."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(line + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fieldnames)
     writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_csv(path, fieldnames: Sequence[str], rows: Iterable[Sequence],
+              header_lines: Sequence[str] = ()) -> None:
+    """`csv_text` written to `path`; the parent directory is created if
+    missing."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    Path(path).write_text(csv_text(fieldnames, rows, header_lines),
+                          encoding="utf-8")
 
 
 def fnum(x: float) -> str:

@@ -233,6 +233,23 @@ class TestClasses:
                 assert row[f"p_{cls}"] == f"{p:.6f}"
             assert sum(dist.values()) == pytest.approx(1.0)
 
+    def test_stdout_rows_are_quoted_csv(self, runner, tmp_path):
+        _, _, gold = write_inputs(tmp_path)
+        model_path = self.train(runner, tmp_path, gold)
+        words = ["a,b", 'say "hi"', "clia"]
+        in_path = tmp_path / "words.txt"
+        in_path.write_text("\n".join(words) + "\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "classes", "predict", "--model", str(model_path),
+            "--in", str(in_path), "--delta", "0.1"])
+        assert result.exit_code == 0, result.output
+        lines = [line for line in result.output.splitlines()
+                 if not line.startswith("summary ")]
+        rows = list(csv.reader(lines))
+        assert rows[0][:3] == ["word", "prediction", "score"]
+        assert all(len(row) == 7 for row in rows)
+        assert [row[0] for row in rows[1:]] == words
+
     def test_delta_one_rejects_all(self, runner, tmp_path):
         _, _, gold = write_inputs(tmp_path)
         model_path = self.train(runner, tmp_path, gold)
@@ -390,6 +407,38 @@ class TestConfigFile:
         result = runner.invoke(main, [
             "--config", str(cfg), "classes", "train", "--gold", str(gold),
             "--out", str(tmp_path / "m.npz")])
+        assert result.exit_code == 0, result.output
+
+    def test_misspelt_key_rejected(self, runner, tmp_path):
+        slang, _, _ = write_inputs(tmp_path)
+        cfg = tmp_path / "typo.cfg"
+        for key in ("embed.dimenson", "seed", "embedd.dimension",
+                    "classes.seed", "classes.train", "embed.dimension.x"):
+            cfg.write_text(f"embed.dimension = 7\n{key} = 7\n",
+                           encoding="utf-8")
+            result = runner.invoke(main, [
+                "--config", str(cfg), "embed", "--slang", str(slang),
+                "--out", str(tmp_path / "v.txt")])
+            assert result.exit_code == 2, key
+            assert f"{cfg}:2: unknown config key '{key}'" in result.output
+            assert not (tmp_path / "v.txt").exists()
+
+    def test_documented_example_keys_load(self, runner, tmp_path):
+        slang, _, gold = write_inputs(tmp_path)
+        cfg = tmp_path / "slanglex.cfg"
+        cfg.write_text(
+            f"embed.slang_path = {slang}\nclasses.train.kind = char\n"
+            "embed.min-count = 1\nembed.epochs = 1\nembed.dimension = 7\n"
+            "bias.gender.lexicons_dir = lex\npipeline.epochs = 4\n",
+            encoding="utf-8")
+        result = runner.invoke(main, [
+            "--config", str(cfg), "embed", "--out", str(tmp_path / "v.txt")])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "v.txt").read_text(
+            encoding="utf-8").split("\n", 1)[0].endswith(" 7")
+        result = runner.invoke(main, [
+            "--config", str(cfg), "classes", "train", "--gold", str(gold),
+            "--max-epochs", "2", "--out", str(tmp_path / "m.npz")])
         assert result.exit_code == 0, result.output
 
     def test_malformed_config_rejected(self, runner, tmp_path):

@@ -111,6 +111,30 @@ class TestPairGradients:
                 rng.normal(size=4), rng.normal(size=4), rng.normal(size=(2, 4)))
             assert loss >= 0.0
 
+    def test_batch_rows_match_single_pairs(self):
+        # each row of a masked batch equals a single-pair call on that row
+        # with the masked negatives left out
+        rng = np.random.default_rng(21)
+        b, k, d = 40, 5, 7
+        center = rng.normal(scale=0.8, size=(b, d))
+        positive = rng.normal(scale=0.8, size=(b, d))
+        negatives = rng.normal(scale=0.8, size=(b, k, d))
+        keep = rng.random((b, k)) < 0.7
+        keep[0] = False  # a row whose every negative is dropped
+        loss, g_c, g_p, g_n = sgns_pair_gradients(center, positive, negatives,
+                                                  keep=keep)
+        assert loss.shape == (b,)
+        assert g_n.shape == (b, k, d)
+        for i in range(b):
+            ref_loss, ref_c, ref_p, ref_n = sgns_pair_gradients(
+                center[i], positive[i], negatives[i][keep[i]])
+            assert isinstance(ref_loss, float)
+            np.testing.assert_allclose(loss[i], ref_loss, rtol=1e-12)
+            np.testing.assert_allclose(g_c[i], ref_c, rtol=1e-12)
+            np.testing.assert_allclose(g_p[i], ref_p, rtol=1e-12)
+            np.testing.assert_allclose(g_n[i][keep[i]], ref_n, rtol=1e-12)
+            assert not np.any(g_n[i][~keep[i]])
+
 
 def identical_context_corpus():
     a = "the quick brown xxx jumps over fence".split()
@@ -149,6 +173,17 @@ class TestTraining:
             TrainingConfig(dimension=20, window=2, negatives=5, epochs=20,
                            min_count=1, subsample_threshold=0.0, seed=1))
         assert not np.array_equal(other.matrix, trained_table.matrix)
+
+    def test_heavy_repetition_stays_finite(self):
+        # a 3-token vocabulary repeats every row many times per chunk of
+        # pairs unless the chunk is bounded by the vocabulary size
+        corpus = [["ab", "cd", "ef"]] * 300
+        config = TrainingConfig(dimension=10, window=2, negatives=5, epochs=5,
+                                min_count=1, subsample_threshold=0.0, seed=3)
+        table = train_skipgram(corpus, config)
+        assert all(math.isfinite(loss) for loss in table.epoch_losses)
+        assert table.epoch_losses[-1] < table.epoch_losses[0]
+        assert np.all(np.isfinite(table.matrix))
 
     def test_min_count_filters_vocabulary(self):
         corpus = [["common", "common", "common", "rare"]]
@@ -247,6 +282,21 @@ class TestPersistence:
         assert np.allclose(loaded.matrix, matrix, atol=5e-7)
         assert loaded.counts == {t: 1 for t in tokens}
 
+    def test_trailing_whitespace_accepted(self, tmp_path):
+        # word2vec text files often end every vector line with a space
+        path = tmp_path / "vectors.txt"
+        path.write_text("2 3 \na 0.1 0.2 0.3 \nb -1 0 2.5 \r\n",
+                        encoding="utf-8")
+        loaded = load_embeddings(path)
+        assert loaded.tokens == ("a", "b")
+        assert np.array_equal(loaded.matrix,
+                              [[0.1, 0.2, 0.3], [-1.0, 0.0, 2.5]])
+        again = tmp_path / "again.txt"
+        save_embeddings(loaded, again)
+        reloaded = load_embeddings(again)
+        assert reloaded.tokens == loaded.tokens
+        assert np.array_equal(reloaded.matrix, loaded.matrix)
+
     def test_header_must_match_body(self, tmp_path):
         path = tmp_path / "vectors.txt"
         path.write_text("2 3\na 0.1 0.2 0.3\n", encoding="utf-8")
@@ -255,10 +305,12 @@ class TestPersistence:
 
     def test_bad_dimension_reports_line(self, tmp_path):
         path = tmp_path / "vectors.txt"
-        path.write_text("1 3\na 0.1 0.2\n", encoding="utf-8")
-        with pytest.raises(SchemaError) as err:
-            load_embeddings(path)
-        assert err.value.line == 2
+        for text, line in (("1 3\na 0.1 0.2\n", 2),
+                           ("2 3\na 0.1 0.2 0.3 \nb 0.1 0.2 \n", 3)):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(SchemaError) as err:
+                load_embeddings(path)
+            assert err.value.line == line
 
     def test_non_numeric_value_rejected(self, tmp_path):
         path = tmp_path / "vectors.txt"
