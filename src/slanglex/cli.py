@@ -69,8 +69,6 @@ from .slangclass import (
     classify_reduplicative,
     confidence_score,
     cross_class_validate,
-    extract_char_ngrams,
-    extract_morpheme_ngrams,
     fit_vocabulary,
     load_classifier,
     predict_proba,
@@ -79,9 +77,9 @@ from .slangclass import (
     split_pair,
     substitution_stats,
     train_logreg,
+    word_features,
 )
 from .social import (
-    Gender,
     GenderLexicon,
     KnnMetric,
     direct_bias,
@@ -89,11 +87,10 @@ from .social import (
     gender_direction,
     knn_from_embedding,
     load_bias_lexicons,
+    lookup,
     name_prejudice_comparison,
     occupation_projections,
     religious_prejudice_matrix,
-    sexprej,
-    subject_token,
 )
 from .stats import weighted_f1
 
@@ -364,14 +361,8 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed)
 
 def _fit_classifier(records, kind: NgramKind, segmenter, n_min, n_max, cap,
                     l2, lr, max_epochs, tol):
-    words = [r.word for r in records]
-    if kind is NgramKind.CHAR:
-        maps = [extract_char_ngrams(w, n_min, n_max) for w in words]
-    elif segmenter is None:
-        raise SlanglexError("morpheme features require a trained segmenter")
-    else:
-        maps = [extract_morpheme_ngrams(segment(segmenter, w), n_min, n_max)
-                for w in words]
+    maps = [word_features(r.word, kind, n_min, n_max, segmenter)
+            for r in records]
     vocab = fit_vocabulary(maps, kind, cap=cap, n_min=n_min, n_max=n_max)
     return train_logreg(maps, [r.label for r in records], vocab, l2=l2, lr=lr,
                         max_epochs=max_epochs, tol=tol)
@@ -422,14 +413,12 @@ def classes_predict(model_path, words_csv, in_path, delta, score_name,
                  if line.strip()]
     if not words:
         raise SlanglexError("no words to label")
-    prob_model = lambda w: predict_proba(model, w, segmenter)  # noqa: E731
-    labels = predict_with_reject(list(model.classes), prob_model, words,
+    dists = [predict_proba(model, word, segmenter) for word in words]
+    labels = predict_with_reject(list(model.classes), lambda dist: dist, dists,
                                  delta, score)
-    rows = []
-    for word, label in zip(words, labels):
-        dist = prob_model(word)
-        rows.append([word, str(label), fnum(confidence_score(dist, score))]
-                    + [fnum(dist[cls]) for cls in model.classes])
+    rows = [[word, str(label), fnum(confidence_score(dist, score))]
+            + [fnum(dist[cls]) for cls in model.classes]
+            for word, label, dist in zip(words, labels, dists)]
     fields = ["word", "prediction", "score"] + [f"p_{c}" for c in model.classes]
     if out_path is not None:
         write_csv(out_path, fields, rows,
@@ -558,8 +547,8 @@ def run_bias_gender(vectors_path, lexicons_dir, out_dir, strictness) -> dict:
     """Gender direction, direct bias, and occupation projections."""
     embedding = load_embeddings(vectors_path)
     lexicons = load_bias_lexicons(lexicons_dir)
-    present = [(m, f) for m, f in lexicons.gender_pairs
-               if m in embedding and f in embedding]
+    present = [pair for pair in lexicons.gender_pairs
+               if all(lookup(embedding, pair)[0])]
     if not present:
         raise SlanglexError("no gender pair is fully inside the vocabulary")
     g = gender_direction(embedding, present)
@@ -590,12 +579,9 @@ def run_bias_sexprej(vectors_path, lexicons_dir, names_path, out_dir, n_perms,
     write = _reports(out_dir, seed, [("vectors", vectors_path),
                                      ("names", names_path)])
     write("name_sexprej.csv", ["name", "gender", "sexprej"],
-          [(name, genders.lookup(name).value,
-            fnum(sexprej(embedding, name, terms)))
-           for name in genders.names
-           if genders.lookup(name) is not Gender.UNKNOWN
-           and subject_token(name) in embedding])
-    terms_present = sum(1 for t in terms if t in embedding)
+          [(name, gender.value, fnum(score))
+           for name, gender, score in report.scores])
+    terms_present = sum(lookup(embedding, terms)[0])
     return {"female_mean": report.female_mean, "female_n": report.female_n,
             "male_mean": report.male_mean, "male_n": report.male_n,
             "difference": report.difference, "p_value": report.p_value,

@@ -271,34 +271,42 @@ def train_skipgram(corpus: Sequence[Sequence[str]],
                           epoch_losses=tuple(epoch_losses))
 
 
+def cosines(query: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Cosine of `query` (d,) to every row of `rows` (n, d), clipped to
+    [-1, 1]; a stack of queries (m, d) gives an (m, n) matrix. This is the
+    one cosine in slanglex, and a zero vector raises. The dot products are
+    einsum sums rather than a BLAS matrix product, which sums a row in an
+    order that depends on where the row sits: a repeated row could then
+    differ in the last bit and break an exact tie. einsum sums every row
+    the same way, alone or stacked."""
+    query_norms = np.linalg.norm(query, axis=-1)
+    row_norms = np.linalg.norm(rows, axis=-1)
+    if np.any(query_norms == 0.0) or np.any(row_norms == 0.0):
+        raise AnalysisError("cosine undefined for a zero vector")
+    dots = np.einsum("...d,nd->...n", query, rows)
+    return np.clip(dots / (query_norms[..., None] * row_norms), -1.0, 1.0)
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape:
         raise AnalysisError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise AnalysisError("cosine undefined for a zero vector")
-    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
+    return float(cosines(u, v[None])[0])
 
 
 def nearest(table: EmbeddingTable, token: str,
             k: int) -> list[tuple[str, float]]:
-    """Exact top-k neighbors by cosine, ties broken lexicographically."""
+    """Exact top-k neighbors by cosine, ties broken lexicographically;
+    tokens with a zero vector rank last."""
     if k < 1:
         raise AnalysisError(f"k must be at least 1, got {k}")
     query = table.vector(token)
-    qn = float(np.linalg.norm(query))
-    if qn == 0.0:
-        raise AnalysisError(f"token {token!r} has a zero vector")
-    norms = np.linalg.norm(table.matrix, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sims = table.matrix @ query / (norms * qn)
-    sims = np.where(norms == 0.0, -2.0, sims)  # zero vectors sort last
-    ranked = sorted(
-        ((other, float(np.clip(sims[i], -2.0, 1.0)))
-         for i, other in enumerate(table.tokens) if other != token),
-        key=lambda pair: (-pair[1], pair[0]))
-    return ranked[:k]
+    nonzero = np.linalg.norm(table.matrix, axis=1) > 0.0
+    sims = np.full(len(table), -2.0)
+    sims[nonzero] = cosines(query, table.matrix[nonzero])
+    by_token = np.argsort(np.array(table.tokens))
+    ranked = by_token[np.argsort(-sims[by_token], kind="stable")]
+    return [(table.tokens[i], float(sims[i])) for i in ranked[:k + 1]
+            if table.tokens[i] != token][:k]
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:

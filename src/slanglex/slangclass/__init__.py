@@ -8,6 +8,7 @@ from .features import (
     extract_morpheme_ngrams,
     fit_vocabulary,
     vectorize,
+    word_features,
 )
 from .logreg import (
     ClassifierModel,
@@ -44,6 +45,7 @@ __all__ = [
     "extract_morpheme_ngrams",
     "fit_vocabulary",
     "vectorize",
+    "word_features",
     "ClassifierModel",
     "loss_and_gradient",
     "train_logreg",

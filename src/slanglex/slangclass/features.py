@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from ..errors import AnalysisError
-from ..morphology import Segmentation
+from ..morphology import Segmentation, SegmenterModel, segment
 
 MORPH_SEPARATOR = "+"
 
@@ -49,6 +49,17 @@ def extract_morpheme_ngrams(seg: Segmentation, n_min: int = 1,
             gram = MORPH_SEPARATOR.join(morphs[i:i + n])
             counts[gram] = counts.get(gram, 0) + 1
     return counts
+
+
+def word_features(word: str, kind: NgramKind, n_min: int, n_max: int,
+                  segmenter: SegmenterModel | None = None) -> dict[str, int]:
+    """The features of one word, for training and prediction alike: char
+    n-grams, or n-grams of the segmenter's morphs."""
+    if kind is NgramKind.CHAR:
+        return extract_char_ngrams(word, n_min, n_max)
+    if segmenter is None:
+        raise AnalysisError("morpheme features require a trained segmenter")
+    return extract_morpheme_ngrams(segment(segmenter, word), n_min, n_max)
 
 
 @dataclass(frozen=True)

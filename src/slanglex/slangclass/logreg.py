@@ -18,9 +18,8 @@ import numpy as np
 
 from ..errors import AnalysisError
 from ..labels import SlangClass
-from ..morphology import SegmenterModel, segment
-from .features import (FeatureVocabulary, NgramKind, extract_char_ngrams,
-                       extract_morpheme_ngrams, vectorize)
+from ..morphology import SegmenterModel
+from .features import FeatureVocabulary, NgramKind, vectorize, word_features
 
 _MODEL_FORMAT_VERSION = 1
 
@@ -63,16 +62,6 @@ def loss_and_gradient(weights: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
     grad = (probs - onehot).T @ x_aug / n
     grad[:, :-1] += (l2 / n) * weights[:, :-1]
     return nll + penalty, grad
-
-
-def _features_for_word(vocab: FeatureVocabulary, word: str,
-                       segmenter: SegmenterModel | None) -> Mapping[str, int]:
-    if vocab.kind is NgramKind.CHAR:
-        return extract_char_ngrams(word, vocab.n_min, vocab.n_max)
-    if segmenter is None:
-        raise AnalysisError("morpheme features need a trained segmenter")
-    return extract_morpheme_ngrams(segment(segmenter, word),
-                                   vocab.n_min, vocab.n_max)
 
 
 def train_logreg(feature_maps: Sequence[Mapping[str, int]],
@@ -127,8 +116,9 @@ def predict_proba(model: ClassifierModel, word: str,
                   segmenter: SegmenterModel | None = None
                   ) -> dict[SlangClass, float]:
     """Class distribution for one word; unknown features are ignored."""
-    fmap = _features_for_word(model.vocab, word, segmenter)
-    x = vectorize(model.vocab, fmap)
+    vocab = model.vocab
+    x = vectorize(vocab, word_features(word, vocab.kind, vocab.n_min,
+                                       vocab.n_max, segmenter))
     scores = model.weights @ np.append(x, 1.0)
     probs = _softmax_rows(scores[None, :])[0]
     return {c: float(p) for c, p in zip(model.classes, probs)}

@@ -5,6 +5,14 @@ direction and DirectBias measures, mean-cosine sexual-prejudice scoring
 with a permutation test over name groups, and the standardized
 religion-by-prejudice matrix. All operations are pure given immutable
 embeddings and lexicons.
+
+Every analysis takes its cosines from the one kernel,
+`embeddings.cosines`: one call per query or per report, never one per
+word pair. Every lexicon word reaches its vector by one rule, `lookup`:
+the word's `subject_token` (lowercased, a multiword term joined with
+"_"), kept when that token is in the vocabulary. A `KnnModel` stacks its
+reference points once, sorted by token, so a query is one kernel call
+plus a stable sort that gives ties to the smaller token.
 """
 
 from __future__ import annotations
@@ -15,13 +23,14 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, cosine
+from .embeddings import EmbeddingTable, cosines
 from .errors import AnalysisError, SchemaError
 from .labels import SubjectLabel
 from .slangclass.openset import argmax_label
@@ -33,6 +42,18 @@ def subject_token(word: str) -> str:
     return "_".join(word.strip().lower().split())
 
 
+def lookup(embedding: EmbeddingTable, words: Sequence[str]
+           ) -> tuple[list[bool], np.ndarray]:
+    """The one rule from lexicon words to vectors: a word's token is its
+    subject_token, and the word has a vector when that token is in the
+    vocabulary. Returns which words have one, and those vectors stacked in
+    word order."""
+    tokens = [subject_token(word) for word in words]
+    found = [token in embedding for token in tokens]
+    rows = [embedding.vector(t) for t, ok in zip(tokens, found) if ok]
+    return found, np.array(rows).reshape(len(rows), embedding.dimension)
+
+
 class KnnMetric(enum.Enum):
     COSINE = "cosine"
     EUCLIDEAN = "euclidean"
@@ -40,19 +61,30 @@ class KnnMetric(enum.Enum):
 
 @dataclass(frozen=True)
 class KnnModel:
+    """Reference points (token, vector, label), also held stacked as one
+    matrix whose rows are sorted by token."""
+
     k: int
     reference: tuple[tuple[str, np.ndarray, SubjectLabel], ...]
     metric: KnnMetric = KnnMetric.COSINE
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    row_labels: tuple[SubjectLabel, ...] = field(init=False, repr=False,
+                                                 compare=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise AnalysisError(f"k must be at least 1, got {self.k}")
         if not self.reference:
             raise AnalysisError("KNN model needs at least one reference point")
+        ordered = sorted(self.reference, key=lambda ref: ref[0])
+        object.__setattr__(self, "matrix",
+                           np.array([vector for _, vector, _ in ordered]))
+        object.__setattr__(self, "row_labels",
+                           tuple(label for _, _, label in ordered))
 
     @property
     def labels(self) -> tuple[SubjectLabel, ...]:
-        return tuple(sorted({lab for _, _, lab in self.reference}, key=str))
+        return tuple(sorted(set(self.row_labels), key=str))
 
 
 def knn_from_embedding(embedding: EmbeddingTable,
@@ -62,17 +94,13 @@ def knn_from_embedding(embedding: EmbeddingTable,
                        ) -> tuple[KnnModel, int]:
     """Build the reference set from labeled words; returns (model, skipped)
     where skipped counts words missing from the embedding vocabulary."""
-    reference = []
-    skipped = 0
-    for word, label in labeled:
-        token = subject_token(word)
-        if token in embedding:
-            reference.append((token, embedding.vector(token), label))
-        else:
-            skipped += 1
-    if not reference:
+    found, rows = lookup(embedding, [word for word, _ in labeled])
+    if not len(rows):
         raise AnalysisError("no labeled word is in the embedding vocabulary")
-    return KnnModel(k=k, reference=tuple(reference), metric=metric), skipped
+    reference = tuple((subject_token(word), row, label) for (word, label), row
+                      in zip(itertools.compress(labeled, found), rows))
+    return (KnnModel(k=k, reference=reference, metric=metric),
+            len(labeled) - len(reference))
 
 
 def knn_predict_proba(model: KnnModel,
@@ -82,24 +110,17 @@ def knn_predict_proba(model: KnnModel,
     Similarity ties are broken lexicographically by reference token. The
     returned distribution has a key for every label in the reference set.
     """
-    dim = model.reference[0][1].shape[0]
+    dim = model.matrix.shape[1]
     if vector.shape != (dim,):
         raise AnalysisError(
             f"vector dimension {vector.shape} does not match reference {dim}")
-    scored = []
-    for token, ref, label in model.reference:
-        if model.metric is KnnMetric.COSINE:
-            key = (-cosine(vector, ref), token)
-        else:
-            key = (float(np.linalg.norm(vector - ref)), token)
-        scored.append((key, label))
-    scored.sort(key=lambda item: item[0])
-    chosen = scored[:min(model.k, len(scored))]
-    votes: dict[SubjectLabel, int] = {}
-    for _, label in chosen:
-        votes[label] = votes.get(label, 0) + 1
-    return {label: votes.get(label, 0) / len(chosen)
-            for label in model.labels}
+    if model.metric is KnnMetric.COSINE:
+        distances = -cosines(vector, model.matrix)
+    else:
+        distances = np.linalg.norm(model.matrix - vector, axis=1)
+    chosen = np.argsort(distances, kind="stable")[:model.k]
+    votes = Counter(model.row_labels[i] for i in chosen)
+    return {label: votes[label] / len(chosen) for label in model.labels}
 
 
 @dataclass(frozen=True)
@@ -114,24 +135,16 @@ def evaluate_subject_model(model: KnnModel,
                            test: Sequence[tuple[str, SubjectLabel]],
                            embedding: EmbeddingTable) -> SubjectEvaluation:
     """Closed-set weighted F1 and confusion matrix on labeled test words."""
-    truth: list[SubjectLabel] = []
-    preds: list[SubjectLabel] = []
-    excluded = 0
-    for word, label in test:
-        token = subject_token(word)
-        if token not in embedding:
-            excluded += 1
-            continue
-        dist = knn_predict_proba(model, embedding.vector(token))
-        truth.append(label)
-        preds.append(argmax_label(dist))
-    if not truth:
+    found, rows = lookup(embedding, [word for word, _ in test])
+    if not len(rows):
         raise AnalysisError("no test word is in the embedding vocabulary")
+    truth = [label for _, label in itertools.compress(test, found)]
+    preds = [argmax_label(knn_predict_proba(model, row)) for row in rows]
     labels = sorted(set(truth) | set(preds), key=str)
     confusion, per_class = confusion_and_report(truth, preds, labels)
     return SubjectEvaluation(f1=weighted_f1(truth, preds),
                              confusion=confusion, per_class=per_class,
-                             excluded=excluded)
+                             excluded=len(test) - len(truth))
 
 
 class Gender(enum.Enum):
@@ -244,15 +257,18 @@ def gender_direction(embedding: EmbeddingTable,
     """
     if not pairs:
         raise AnalysisError("no gender pairs supplied")
-    diffs = []
-    for male, female in pairs:
-        diff = embedding.vector(female) - embedding.vector(male)
-        norm = float(np.linalg.norm(diff))
-        if norm == 0.0:
-            raise AnalysisError(
-                f"pair ({male!r}, {female!r}) has identical vectors")
-        diffs.append(diff / norm)
-    mean = np.mean(diffs, axis=0)
+    words = [word for pair in pairs for word in pair]
+    found, rows = lookup(embedding, words)
+    if not all(found):
+        raise AnalysisError(
+            f"{words[found.index(False)]!r} not in embedding vocabulary")
+    diffs = rows[1::2] - rows[0::2]
+    norms = np.linalg.norm(diffs, axis=1)
+    if np.any(norms == 0.0):
+        male, female = pairs[int(np.argmin(norms))]
+        raise AnalysisError(
+            f"pair ({male!r}, {female!r}) has identical vectors")
+    mean = np.mean(diffs / norms[:, None], axis=0)
     norm = float(np.linalg.norm(mean))
     if norm == 0.0:
         raise AnalysisError("gender pair differences cancel out")
@@ -262,27 +278,30 @@ def gender_direction(embedding: EmbeddingTable,
 def direct_bias(embedding: EmbeddingTable, neutral_words: Sequence[str],
                 g: np.ndarray, c: float = 1.0) -> float:
     """Mean |cosine(w, g)|^c over the words present in the vocabulary."""
-    scores = []
-    for word in neutral_words:
-        token = subject_token(word)
-        if token in embedding:
-            scores.append(abs(cosine(embedding.vector(token), g)) ** c)
-    if not scores:
+    _, rows = lookup(embedding, neutral_words)
+    if not len(rows):
         raise AnalysisError("no neutral word is in the embedding vocabulary")
-    return float(np.mean(scores))
+    return float(np.mean(np.abs(cosines(g, rows)) ** c))
 
 
 def occupation_projections(embedding: EmbeddingTable,
                            occupations: Sequence[str],
                            g: np.ndarray) -> list[tuple[str, float]]:
     """Signed cosine of each occupation onto g, most-female first."""
-    projections = []
-    for word in occupations:
-        token = subject_token(word)
-        if token in embedding:
-            projections.append((word, cosine(embedding.vector(token), g)))
-    projections.sort(key=lambda item: (-item[1], item[0]))
-    return projections
+    found, rows = lookup(embedding, occupations)
+    projections = zip(itertools.compress(occupations, found),
+                      map(float, cosines(g, rows)))
+    return sorted(projections, key=lambda item: (-item[1], item[0]))
+
+
+def _mean_cosines(embedding: EmbeddingTable, vectors: np.ndarray,
+                  prejudice_terms: Sequence[str]) -> np.ndarray:
+    """SEXPREJ of a vector (d,), or of each row of (m, d): the mean cosine
+    to the prejudice terms that are in the vocabulary."""
+    _, rows = lookup(embedding, prejudice_terms)
+    if not len(rows):
+        raise AnalysisError("no prejudice term is in the embedding vocabulary")
+    return cosines(vectors, rows).mean(axis=-1)
 
 
 def sexprej(embedding: EmbeddingTable, word: str,
@@ -292,12 +311,8 @@ def sexprej(embedding: EmbeddingTable, word: str,
     Terms missing from the vocabulary are excluded from the mean; the word
     itself must be present.
     """
-    vec = embedding.vector(subject_token(word))
-    cosines = [cosine(vec, embedding.vector(term))
-               for term in prejudice_terms if term in embedding]
-    if not cosines:
-        raise AnalysisError("no prejudice term is in the embedding vocabulary")
-    return float(np.mean(cosines))
+    vector = embedding.vector(subject_token(word))
+    return float(_mean_cosines(embedding, vector, prejudice_terms))
 
 
 def permutation_test_means(group_a: Sequence[float], group_b: Sequence[float],
@@ -352,6 +367,7 @@ class NameBiasReport:
     n_permutations: int
     excluded_unknown: int
     excluded_oov: int
+    scores: tuple[tuple[str, Gender, float], ...]  # usable names, in order
 
 
 def name_prejudice_comparison(embedding: EmbeddingTable,
@@ -360,26 +376,22 @@ def name_prejudice_comparison(embedding: EmbeddingTable,
                               n_permutations: int = 10_000,
                               seed: int = 0) -> NameBiasReport:
     """Mean SEXPREJ by name gender plus permutation-test significance."""
-    scores: dict[Gender, list[float]] = {Gender.MALE: [], Gender.FEMALE: []}
-    excluded_unknown = 0
-    excluded_oov = 0
-    for name in names:
-        gender = genders.lookup(name)
-        if gender is Gender.UNKNOWN:
-            excluded_unknown += 1
-            continue
-        token = subject_token(name)
-        if token not in embedding:
-            excluded_oov += 1
-            continue
-        scores[gender].append(sexprej(embedding, name, prejudice_terms))
-    for gender, values in scores.items():
-        if len(values) < 2:
+    known = [(name, genders.lookup(name)) for name in names]
+    known = [(name, g) for name, g in known if g is not Gender.UNKNOWN]
+    found, rows = lookup(embedding, [name for name, _ in known])
+    usable = list(itertools.compress(known, found))
+    values = _mean_cosines(embedding, rows, prejudice_terms) if usable else ()
+    scores = tuple((name, g, float(value))
+                   for (name, g), value in zip(usable, values))
+    groups = {gender: [value for _, g, value in scores if g is gender]
+              for gender in (Gender.MALE, Gender.FEMALE)}
+    for gender, group in groups.items():
+        if len(group) < 2:
             raise AnalysisError(
                 f"need at least 2 usable {gender.value} names, "
-                f"got {len(values)}")
-    female = scores[Gender.FEMALE]
-    male = scores[Gender.MALE]
+                f"got {len(group)}")
+    female = groups[Gender.FEMALE]
+    male = groups[Gender.MALE]
     p_value, exhaustive = permutation_test_means(
         female, male, n_permutations=n_permutations, seed=seed)
     return NameBiasReport(
@@ -388,7 +400,8 @@ def name_prejudice_comparison(embedding: EmbeddingTable,
         difference=float(np.mean(female)) - float(np.mean(male)),
         p_value=p_value, exhaustive=exhaustive,
         n_permutations=n_permutations,
-        excluded_unknown=excluded_unknown, excluded_oov=excluded_oov)
+        excluded_unknown=len(names) - len(known),
+        excluded_oov=len(known) - len(usable), scores=scores)
 
 
 @dataclass(frozen=True)
@@ -411,10 +424,10 @@ def religious_prejudice_matrix(embedding: EmbeddingTable,
     Standardization uses the sample (n-1) standard deviation over religions
     for each prejudice column; the overall mean is taken on raw scores.
     """
-    present_r = [r for r in religions if r in embedding]
-    missing_r = tuple(r for r in religions if r not in embedding)
-    present_p = [p for p in prejudices if p in embedding]
-    missing_p = tuple(p for p in prejudices if p not in embedding)
+    found_r, religion_rows = lookup(embedding, religions)
+    found_p, prejudice_rows = lookup(embedding, prejudices)
+    present_r = tuple(itertools.compress(religions, found_r))
+    present_p = tuple(itertools.compress(prejudices, found_p))
     if len(present_r) < 2:
         raise AnalysisError(
             f"standardization needs >= 2 religions in vocabulary, "
@@ -422,8 +435,7 @@ def religious_prejudice_matrix(embedding: EmbeddingTable,
     if not present_p:
         raise AnalysisError("no prejudice term is in the embedding vocabulary")
 
-    raw = np.array([[cosine(embedding.vector(r), embedding.vector(p))
-                     for p in present_p] for r in present_r])
+    raw = cosines(religion_rows, prejudice_rows)
     stds = raw.std(axis=0, ddof=1)
     zero_cols = [present_p[j] for j in range(len(present_p)) if stds[j] == 0.0]
     if zero_cols:
@@ -431,7 +443,8 @@ def religious_prejudice_matrix(embedding: EmbeddingTable,
             f"zero variance for prejudice column(s): {', '.join(zero_cols)}")
     standardized = (raw - raw.mean(axis=0)) / stds
     return ReligiousBiasReport(
-        religions=tuple(present_r), prejudices=tuple(present_p),
+        religions=present_r, prejudices=present_p,
         raw=raw, standardized=standardized,
         overall_mean_raw=float(raw.mean()),
-        missing_religions=missing_r, missing_prejudices=missing_p)
+        missing_religions=tuple(r for r in religions if r not in present_r),
+        missing_prejudices=tuple(p for p in prejudices if p not in present_p))

@@ -64,40 +64,14 @@ def normal_cdf(x: float) -> float:
     return 1.0 - pdf * poly
 
 
-def _binary_counts(truth, pred, label):
-    tp = fp = fn = 0
-    for t, p in zip(truth, pred):
-        if t == label and p == label:
-            tp += 1
-        elif t != label and p == label:
-            fp += 1
-        elif t == label and p != label:
-            fn += 1
-    return tp, fp, fn
-
-
-def _f1_from_counts(tp, fp, fn):
-    denom = 2 * tp + fp + fn
-    return 2.0 * tp / denom if denom > 0 else 0.0
-
-
 def weighted_f1(truth: Sequence, pred: Sequence) -> float:
-    """Per-class F1 averaged with weights proportional to true-class support."""
-    if len(truth) != len(pred):
-        raise AnalysisError(
-            f"truth and prediction lengths differ: {len(truth)} vs {len(pred)}")
+    """Per-class F1 of `confusion_and_report` averaged with weights
+    proportional to true-class support."""
+    _, report = confusion_and_report(truth, pred,
+                                     sorted(set(truth) | set(pred), key=str))
     if not truth:
         raise AnalysisError("cannot score an empty prediction list")
-    labels = sorted(set(truth) | set(pred), key=str)
-    total = len(truth)
-    score = 0.0
-    for label in labels:
-        tp, fp, fn = _binary_counts(truth, pred, label)
-        support = tp + fn
-        if support == 0:
-            continue
-        score += (support / total) * _f1_from_counts(tp, fp, fn)
-    return score
+    return sum((m.support / len(truth)) * m.f1 for m in report)
 
 
 def confusion_and_report(truth: Sequence, pred: Sequence,
@@ -127,7 +101,7 @@ def confusion_and_report(truth: Sequence, pred: Sequence,
         predicted = sum(row[i] for row in counts)
         precision = tp / predicted if predicted > 0 else 0.0
         recall = tp / support if support > 0 else 0.0
-        f1 = _f1_from_counts(tp, predicted - tp, support - tp)
+        f1 = 2.0 * tp / (support + predicted) if support + predicted else 0.0
         report.append(ClassMetrics(label, precision, recall, f1, support))
     return ConfusionMatrix(labels, counts), report
 

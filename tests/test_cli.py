@@ -250,6 +250,24 @@ class TestClasses:
         assert all(len(row) == 7 for row in rows)
         assert [row[0] for row in rows[1:]] == words
 
+    def test_each_word_scored_once(self, runner, tmp_path, monkeypatch):
+        import slanglex.cli as cli
+        _, _, gold = write_inputs(tmp_path)
+        model_path = self.train(runner, tmp_path, gold)
+        scored = []
+        predict_proba = cli.predict_proba
+
+        def counting(model, word, segmenter=None):
+            scored.append(word)
+            return predict_proba(model, word, segmenter)
+
+        monkeypatch.setattr(cli, "predict_proba", counting)
+        result = runner.invoke(main, [
+            "classes", "predict", "--model", str(model_path),
+            "--words", "w.a.c,aoo-aoo,clia", "--delta", "0.1"])
+        assert result.exit_code == 0, result.output
+        assert scored == ["w.a.c", "aoo-aoo", "clia"]
+
     def test_delta_one_rejects_all(self, runner, tmp_path):
         _, _, gold = write_inputs(tmp_path)
         model_path = self.train(runner, tmp_path, gold)
@@ -334,6 +352,46 @@ class TestBiasSexprej:
             ("carl", "male"), ("dave", "male")]
         assert "male_n=3" in result.output
         assert "excluded_unknown=0" in result.output
+
+
+class TestBiasMultiwordTerms:
+    def test_multiword_terms_match_joined_tokens(self, runner, tmp_path):
+        import numpy as np
+        tokens = ["he", "she", "holy_roller", "church_lady", "slut",
+                  "muslim", "christian", "terrorist", "evil", "doctor",
+                  "nurse", "anna", "bella", "carl", "dave"]
+        rng = np.random.default_rng(0)
+        vectors = tmp_path / "v.txt"
+        vectors.write_text(f"{len(tokens)} 3\n" + "".join(
+            f"{t} {' '.join(f'{x:.6f}' for x in rng.normal(size=3))}\n"
+            for t in tokens), encoding="utf-8")
+        lexicons = tmp_path / "lex"
+        lexicons.mkdir()
+        for name, text in (("prejudice_terms", "holy roller\nslut\n"),
+                           ("religious_terms", "holy roller\nmuslim\nchristian\n"),
+                           ("trait_terms", "terrorist\nevil\n"),
+                           ("occupations", "doctor\nnurse\n"),
+                           ("gender_pairs", "he,she\nholy roller,church lady\n")):
+            (lexicons / f"{name}.txt").write_text(text, encoding="utf-8")
+        names = tmp_path / "names.csv"
+        names.write_text("anna,female\nbella,female\ncarl,male\ndave,male\n",
+                         encoding="utf-8")
+        common = ["--vectors", str(vectors), "--lexicons", str(lexicons),
+                  "--out", str(tmp_path / "out")]
+        gender = runner.invoke(main, ["bias", "gender", *common])
+        assert gender.exit_code == 0, gender.output
+        assert "pairs_used=2 pairs_missing=0" in gender.output
+        sexprej = runner.invoke(main, ["bias", "sexprej", *common,
+                                       "--names", str(names)])
+        assert sexprej.exit_code == 0, sexprej.output
+        assert "terms_present=2 terms_missing=0" in sexprej.output
+        religion = runner.invoke(main, ["bias", "religion", *common])
+        assert religion.exit_code == 0, religion.output
+        assert "religions=3" in religion.output
+        assert "missing_religions=0" in religion.output
+        rows = read_report(tmp_path / "out" / "religious_bias_raw.csv")
+        assert [r["religion"] for r in rows] == [
+            "holy roller", "muslim", "christian"]
 
 
 class TestEmbedDeterminism:

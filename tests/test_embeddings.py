@@ -11,6 +11,7 @@ from slanglex.embeddings import (
     TrainingConfig,
     build_usage_corpus,
     cosine,
+    cosines,
     load_embeddings,
     nearest,
     save_embeddings,
@@ -18,6 +19,12 @@ from slanglex.embeddings import (
     train_skipgram,
 )
 from slanglex.errors import AnalysisError, SchemaError
+
+
+def fsum_cosine(u, v):
+    """Cosine from exactly rounded sums, independent of the library kernel."""
+    return math.fsum(u * v) / (math.sqrt(math.fsum(u * u))
+                               * math.sqrt(math.fsum(v * v)))
 
 
 def entry(headword, *examples):
@@ -228,6 +235,20 @@ class TestCosine:
         with pytest.raises(AnalysisError):
             cosine(np.ones(3), np.ones(4))
 
+    def test_kernel_rows_equal_scalar_cosine(self):
+        rng = np.random.default_rng(4)
+        rows = rng.normal(size=(7, 5))
+        queries = rng.normal(size=(3, 5))
+        stacked = cosines(queries, rows)
+        assert stacked.shape == (3, 7)
+        for query, row_sims in zip(queries, stacked):
+            assert cosines(query, rows).tolist() == row_sims.tolist()
+            assert row_sims.tolist() == [cosine(query, row) for row in rows]
+
+    def test_kernel_rejects_zero_row(self):
+        with pytest.raises(AnalysisError):
+            cosines(np.ones(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
+
 
 class TestNearest:
     def table(self):
@@ -247,6 +268,31 @@ class TestNearest:
         assert [t for t, _ in got] == [t for t, _ in expected]
         for (_, sim_got), (_, sim_expected) in zip(got, expected):
             assert sim_got == pytest.approx(sim_expected, abs=1e-12)
+
+    def test_matches_oracle_with_planted_ties(self):
+        # the second half repeats first-half rows scaled by 1/2, 1 or 2
+        # (exact cosine ties); two rows are zeroed and must rank last
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            base = rng.normal(size=(12, 37))
+            repeats = (base[rng.integers(0, 12, size=12)]
+                       * rng.choice([0.5, 1.0, 2.0], size=(12, 1)))
+            matrix = np.vstack([base, repeats])
+            matrix[rng.integers(0, 24, size=2)] = 0.0
+            tokens = [f"w{i}" for i in rng.permutation(24)]
+            table = EmbeddingTable(tokens, matrix, {t: 1 for t in tokens})
+            for query in tokens:
+                q = table.vector(query)
+                if not q.any():
+                    continue
+                sims = {t: fsum_cosine(q, v) if v.any() else -2.0
+                        for t, v in zip(tokens, matrix) if t != query}
+                ranked = sorted(sims, key=lambda t: (-sims[t], t))
+                for k in (1, 5, 23):
+                    got = nearest(table, query, k)
+                    assert [t for t, _ in got] == ranked[:k]
+                    assert [s for _, s in got] == pytest.approx(
+                        [sims[t] for t in ranked[:k]], abs=1e-12)
 
     def test_query_token_excluded(self):
         table = self.table()

@@ -23,6 +23,7 @@ from slanglex.social import (
     knn_from_embedding,
     knn_predict_proba,
     load_bias_lexicons,
+    lookup,
     name_prejudice_comparison,
     occupation_projections,
     permutation_test_means,
@@ -38,10 +39,29 @@ def table(vectors: dict[str, list[float]]) -> EmbeddingTable:
     return EmbeddingTable(tokens, matrix, {t: 1 for t in tokens})
 
 
+def fsum_cosine(u, v):
+    """Cosine from exactly rounded sums, independent of the library kernel."""
+    return math.fsum(u * v) / (math.sqrt(math.fsum(u * u))
+                               * math.sqrt(math.fsum(v * v)))
+
+
 class TestSubjectToken:
     def test_folds_case_and_joins_spaces(self):
         assert subject_token("Med School") == "med_school"
         assert subject_token("  drugs ") == "drugs"
+
+
+class TestLookup:
+    def test_one_rule_for_every_lexicon_word(self):
+        emb = table({"holy_roller": [1.0, 0.0], "he": [0.0, 1.0]})
+        found, rows = lookup(emb, ["Holy Roller", "ghost", " he "])
+        assert found == [True, False, True]
+        assert rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_nothing_found_gives_empty_rows(self):
+        found, rows = lookup(table({"he": [0.0, 1.0]}), ["ghost"])
+        assert found == [False]
+        assert rows.shape == (0, 2)
 
 
 class TestKnn:
@@ -109,6 +129,43 @@ class TestKnn:
             KnnModel(k=0, reference=ref)
         with pytest.raises(AnalysisError):
             KnnModel(k=1, reference=())
+
+
+class TestStackedKnnOracle:
+    """The stacked model against a per-reference brute force, on seeded
+    tables whose second half repeats first-half rows scaled by 1/2, 1 or 2:
+    exact ties in cosine (and, for the unscaled repeats, in distance)."""
+
+    @staticmethod
+    def oracle(reference, vector, k, metric):
+        def distance(ref):
+            if metric is KnnMetric.COSINE:
+                return -fsum_cosine(vector, ref)
+            return math.sqrt(math.fsum((vector - ref) ** 2))
+        ranked = sorted(reference, key=lambda ref: (distance(ref[1]), ref[0]))
+        chosen = [label for _, _, label in ranked[:k]]
+        labels = sorted({label for _, _, label in reference}, key=str)
+        return {label: chosen.count(label) / len(chosen) for label in labels}
+
+    def test_matches_brute_force_with_planted_ties(self):
+        subjects = list(SubjectLabel)[:4]
+        for seed in range(15):
+            rng = np.random.default_rng(seed)
+            base = rng.normal(size=(10, 37))
+            repeats = (base[rng.integers(0, 10, size=10)]
+                       * rng.choice([0.5, 1.0, 2.0], size=(10, 1)))
+            vectors = np.vstack([base, repeats])
+            tokens = [f"r{i}" for i in rng.permutation(len(vectors))]
+            labels = [subjects[i]
+                      for i in rng.integers(0, len(subjects), len(vectors))]
+            reference = tuple(zip(tokens, vectors, labels))
+            queries = np.vstack([rng.normal(size=(5, 37)), vectors[::4]])
+            for metric in KnnMetric:
+                for k in (1, 3, 7, 30):
+                    model = KnnModel(k=k, reference=reference, metric=metric)
+                    for query in queries:
+                        assert knn_predict_proba(model, query) == self.oracle(
+                            reference, query, k, metric)
 
 
 class TestSubjectEvaluation:
@@ -326,6 +383,18 @@ class TestNamePrejudiceComparison:
         assert report.excluded_oov == 1      # zoe
         assert report.exhaustive is True
         assert report.p_value == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_scores_are_the_usable_names_in_order(self, tmp_path):
+        emb, genders = self.make_fixture(tmp_path)
+        report = name_prejudice_comparison(
+            emb, ["carl", "anna", "pat", "zoe", "bella", "dave", "anna"],
+            genders, ["whore"])
+        assert [(name, gender) for name, gender, _ in report.scores] == [
+            ("carl", Gender.MALE), ("anna", Gender.FEMALE),
+            ("bella", Gender.FEMALE), ("dave", Gender.MALE),
+            ("anna", Gender.FEMALE)]
+        assert [score for _, _, score in report.scores] == pytest.approx(
+            [0.0, 1.0, 1.0, 0.0, 1.0], abs=1e-9)
 
     def test_too_few_usable_names_rejected(self, tmp_path):
         emb, genders = self.make_fixture(tmp_path)
