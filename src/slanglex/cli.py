@@ -24,6 +24,7 @@ from .corpus import (
     load_gold_classes,
     load_slang_lexicon,
     load_standard_lexicon,
+    read_records,
     save_slang_lexicon,
     split_gold,
     stratified_split,
@@ -408,9 +409,7 @@ def classes_predict(model_path, words_csv, in_path, delta, score_name,
     if words_csv is not None:
         words = [w.strip() for w in words_csv.split(",") if w.strip()]
     else:
-        words = [line.strip()
-                 for line in Path(in_path).read_text(encoding="utf-8").splitlines()
-                 if line.strip()]
+        words = read_records(in_path, str.strip, comment=None)
     if not words:
         raise SlanglexError("no words to label")
     dists = [predict_proba(model, word, segmenter) for word in words]

@@ -9,6 +9,9 @@ Two on-disk formats are understood:
     line per definition (a bare word line is accepted as a definition-less
     entry).
 
+Every line-oriented input but the vector table and the CLI's config file
+is read by `read_records`, with the line rules SCHEMA.md states.
+
 All loaded values are immutable and safe to share between parallel
 analysis passes.
 """
@@ -20,10 +23,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import AnalysisError, SchemaError
 from .labels import SlangClass, SubjectLabel
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -104,25 +109,38 @@ class DatasetSplit:
     seed: int
 
 
-def _entry_from_json(obj: dict) -> LexiconEntry:
+_STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+            "a list of strings")
+_INT = (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+# JSON type of each slang-lexicon field; a null subjects or year_added is absent
+_FIELD_TYPES = {"headword": (lambda v: isinstance(v, str), "a string"),
+                "definitions": _STRINGS, "examples": _STRINGS, "upvotes": _INT,
+                "downvotes": _INT, "subjects": _STRINGS, "year_added": _INT}
+
+
+def _entry_from_json(line: str) -> LexiconEntry:
+    try:
+        obj = json.loads(line.strip())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"invalid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):
         raise SchemaError("expected a JSON object", field=None)
     if "headword" not in obj:
         raise SchemaError("missing required field", field="headword")
+    for name, (check, expected) in _FIELD_TYPES.items():
+        value = obj.get(name)
+        if name in obj and not (check(value) or value is None and name in
+                                ("subjects", "year_added")):
+            raise SchemaError(f"{name} must be {expected}", field=name)
     subjects = obj.get("subjects")
-    if subjects is not None:
-        subjects = frozenset(SubjectLabel.parse(s) for s in subjects)
-    for votes_field in ("upvotes", "downvotes"):
-        value = obj.get(votes_field, 0)
-        if not isinstance(value, int):
-            raise SchemaError(f"{votes_field} must be an integer", field=votes_field)
     return LexiconEntry(
         headword=obj["headword"],
         definitions=tuple(obj.get("definitions", ())),
         examples=tuple(obj.get("examples", ())),
         upvotes=obj.get("upvotes", 0),
         downvotes=obj.get("downvotes", 0),
-        subjects=subjects,
+        subjects=None if subjects is None else frozenset(
+            SubjectLabel.parse(s) for s in subjects),
         year_added=obj.get("year_added"),
     )
 
@@ -143,49 +161,52 @@ def entry_to_dict(entry: LexiconEntry) -> dict:
     return obj
 
 
-def load_slang_lexicon(path) -> list[LexiconEntry]:
-    """Read a JSON-lines slang lexicon; blank lines are ignored."""
-    entries = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
+def read_records(path, parse: Callable[[str], T],
+                 comment: str | None = "#") -> list[T]:
+    """`parse(line)` for every line that is not blank and does not begin
+    with `comment` (None: the format has none) after leading whitespace;
+    `parse` sees the line with only its ending stripped. A `SchemaError`
+    from `parse`, or a line that is not UTF-8, is raised naming the line."""
+    records = []
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"not UTF-8 text: {exc.reason}", line=lineno) from None
+            if not line.strip() or comment and line.lstrip().startswith(comment):
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            try:
-                entries.append(_entry_from_json(obj))
+                records.append(parse(line))
             except SchemaError as exc:
                 raise SchemaError(str(exc), line=lineno, field=exc.field) from exc
-    return entries
+    return records
+
+
+def load_slang_lexicon(path) -> list[LexiconEntry]:
+    """Read a JSON-lines slang lexicon; blank lines are ignored."""
+    return read_records(path, _entry_from_json, comment=None)
+
+
+def _standard_row(line: str) -> tuple[str, str]:
+    """(word, definition), the definition "" on a bare word line."""
+    word, *definition = line.split("\t")
+    if not word.strip():
+        raise SchemaError("empty word", field="word")
+    if len(definition) > 1:
+        raise SchemaError(
+            f"expected word<TAB>definition, got {len(definition) + 1} fields")
+    return word.strip(), "".join(definition)
 
 
 def load_standard_lexicon(path) -> StandardLexicon:
     """Read a TSV standard lexicon (word<TAB>definition, one per line)."""
-    words = set()
-    definitions: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            word = parts[0].strip()
-            if not word:
-                raise SchemaError("empty word", line=lineno, field="word")
-            if len(parts) > 2:
-                raise SchemaError(
-                    f"expected word<TAB>definition, got {len(parts)} fields",
-                    line=lineno)
-            words.add(word)
-            if len(parts) == 2 and parts[1]:
-                definitions.setdefault(word, []).append(parts[1])
-    return StandardLexicon(
-        words=frozenset(words),
-        definitions={w: tuple(defs) for w, defs in definitions.items()},
-    )
+    rows = read_records(path, _standard_row)
+    definitions: dict[str, tuple[str, ...]] = {}
+    for word, definition in rows:
+        if definition:
+            definitions[word] = definitions.get(word, ()) + (definition,)
+    return StandardLexicon(frozenset(word for word, _ in rows), definitions)
 
 
 def save_slang_lexicon(entries: Iterable[LexiconEntry], path) -> None:
@@ -199,29 +220,24 @@ def save_slang_lexicon(entries: Iterable[LexiconEntry], path) -> None:
             handle.write("\n")
 
 
+def _gold_record(line: str) -> GoldClassRecord:
+    parts = line.split(",")
+    if len(parts) < 2:
+        raise SchemaError("expected word,label")
+    if len(parts) > 3:
+        raise SchemaError(f"expected word,label[,components], got {len(parts)} fields")
+    word = parts[0].strip()
+    if not word:
+        raise SchemaError("empty word", field="word")
+    components = None
+    if len(parts) == 3 and parts[2].strip():
+        components = tuple(c.strip() for c in parts[2].split(";") if c.strip())
+    return GoldClassRecord(word, SlangClass.parse(parts[1]), components)
+
+
 def load_gold_classes(path) -> list[GoldClassRecord]:
     """Read gold class records from CSV: word,label[,component;component...]."""
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) < 2:
-                raise SchemaError("expected word,label", line=lineno)
-            word = parts[0].strip()
-            if not word:
-                raise SchemaError("empty word", line=lineno, field="word")
-            try:
-                label = SlangClass.parse(parts[1])
-            except SchemaError as exc:
-                raise SchemaError(str(exc), line=lineno, field="label") from exc
-            components = None
-            if len(parts) >= 3 and parts[2].strip():
-                components = tuple(c.strip() for c in parts[2].split(";") if c.strip())
-            records.append(GoldClassRecord(word, label, components))
-    return records
+    return read_records(path, _gold_record)
 
 
 def filter_by_votes(entries: Sequence[LexiconEntry],

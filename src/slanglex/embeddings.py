@@ -106,6 +106,11 @@ class EmbeddingTable:
         return self.matrix[i]
 
 
+def subject_token(word: str) -> str:
+    """Corpus token for a headword: lowercased, spaces joined with '_'."""
+    return "_".join(word.strip().lower().split())
+
+
 def build_usage_corpus(entries: Iterable[LexiconEntry]) -> list[list[str]]:
     """Token sequences from example sentences.
 
@@ -119,7 +124,7 @@ def build_usage_corpus(entries: Iterable[LexiconEntry]) -> list[list[str]]:
     for entry in entries:
         head = entry.headword.strip().lower()
         if re.search(r"\s", head):
-            phrases[head] = "_".join(head.split())
+            phrases[head] = subject_token(head)
     replacements = [
         (re.compile(r"\b" + r"\s+".join(re.escape(w) for w in phrase.split())
                     + r"\b"), joined)

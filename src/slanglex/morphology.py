@@ -25,6 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import read_records
 from .errors import AnalysisError, SchemaError
 
 _EPS = 1e-12
@@ -314,23 +315,22 @@ def save_segmenter(model: SegmenterModel, path) -> None:
             handle.write(f"{morph}\t{count}\n")
 
 
+def _morph_count(line: str) -> tuple[str, int]:
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise SchemaError("expected morph<TAB>count")
+    try:
+        count = int(parts[1])
+    except ValueError:
+        raise SchemaError(f"bad count {parts[1]!r}") from None
+    if count < 1:
+        raise SchemaError(f"non-positive count {count}")
+    return parts[0], count
+
+
 def load_segmenter(path) -> SegmenterModel:
-    counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise SchemaError("expected morph<TAB>count", line=lineno)
-            try:
-                count = int(parts[1])
-            except ValueError:
-                raise SchemaError(f"bad count {parts[1]!r}", line=lineno) from None
-            if count < 1:
-                raise SchemaError(f"non-positive count {count}", line=lineno)
-            counts[parts[0]] = count
+    # morphs may begin with "#", so this format has no comment lines
+    counts = dict(read_records(path, _morph_count, comment=None))
     if not counts:
         raise SchemaError("segmenter model file is empty")
     alphabet = frozenset(ch for m in counts for ch in m)

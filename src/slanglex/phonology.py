@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import read_records
 from .errors import AnalysisError, SchemaError
 
 
@@ -120,20 +121,17 @@ class PronouncingTable:
     @classmethod
     def from_file(cls, path) -> "PronouncingTable":
         entries: dict[str, list[str]] = {}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.strip()
-                if not line or line.startswith(";;;"):
-                    continue
-                parts = line.split()
-                if len(parts) < 2:
-                    raise SchemaError("expected WORD PH1 PH2 ...", line=lineno)
-                word = parts[0]
-                if re.fullmatch(r".+\(\d+\)", word):
-                    continue
-                if word.upper() not in entries:
-                    entries[word.upper()] = parts[1:]
+        for word, *symbols in read_records(path, _split_entry, comment=";;;"):
+            if not re.fullmatch(r".+\(\d+\)", word):
+                entries.setdefault(word.upper(), symbols)
         return cls(entries)
+
+
+def _split_entry(line: str) -> list[str]:
+    parts = line.split()
+    if len(parts) < 2:
+        raise SchemaError("expected WORD PH1 PH2 ...")
+    return parts
 
 
 class FallbackRules:
@@ -169,17 +167,14 @@ class FallbackRules:
 
     @classmethod
     def from_file(cls, path) -> "FallbackRules":
-        rules: dict[str, list[str]] = {}
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise SchemaError("expected cluster<TAB>phonemes", line=lineno)
-                rules[parts[0].strip()] = parts[1].split()
-        return cls(rules)
+        return cls(dict(read_records(path, _rule)))
+
+
+def _rule(line: str) -> tuple[str, list[str]]:
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise SchemaError("expected cluster<TAB>phonemes")
+    return parts[0].strip(), parts[1].split()
 
 
 def _data_path(name: str):

@@ -30,16 +30,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, cosines
+from .corpus import read_records
+from .embeddings import EmbeddingTable, cosines, subject_token
 from .errors import AnalysisError, SchemaError
 from .labels import SubjectLabel
 from .slangclass.openset import argmax_label
 from .stats import ConfusionMatrix, confusion_and_report, weighted_f1
-
-
-def subject_token(word: str) -> str:
-    """Corpus token for a headword: lowercased, spaces joined with '_'."""
-    return "_".join(word.strip().lower().split())
 
 
 def lookup(embedding: EmbeddingTable, words: Sequence[str]
@@ -173,22 +169,19 @@ class GenderLexicon:
 
     @classmethod
     def from_csv(cls, path) -> "GenderLexicon":
-        assignments = {}
-        names = []
-        with open(path, encoding="utf-8") as handle:
-            for lineno, row in enumerate(csv.reader(handle), 1):
-                if not row or row[0].lstrip().startswith("#"):
-                    continue
-                if len(row) != 2:
-                    raise SchemaError("expected name,gender", line=lineno)
-                name, raw = row[0].strip(), row[1].strip().lower()
-                names.append(name)
-                try:
-                    assignments[name] = Gender(raw)
-                except ValueError:
-                    raise SchemaError(f"unknown gender {row[1]!r}",
-                                      line=lineno, field="gender") from None
-        return cls(assignments, names)
+        rows = read_records(path, _name_gender)
+        return cls(dict(rows), [name for name, _ in rows])
+
+
+def _name_gender(line: str) -> tuple[str, Gender]:
+    """One `name,gender` CSV record; a quoted name may hold a comma."""
+    row = next(csv.reader([line]))
+    if len(row) != 2:
+        raise SchemaError("expected name,gender")
+    try:
+        return row[0].strip(), Gender(row[1].strip().lower())
+    except ValueError:
+        raise SchemaError(f"unknown gender {row[1]!r}", field="gender") from None
 
 
 @dataclass(frozen=True)
@@ -216,34 +209,25 @@ class BiasLexicons:
 
 
 def _read_terms(path: Path) -> tuple[str, ...]:
-    terms = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            terms.append(line.lower())
-    return tuple(terms)
+    return tuple(read_records(path, lambda line: line.strip().lower()))
+
+
+def _gender_pair(line: str) -> tuple[str, str]:
+    parts = [p.strip().lower() for p in re.split(r"[,\t]", line.strip())]
+    if len(parts) != 2 or not all(parts):
+        raise SchemaError("expected male,female")
+    return parts[0], parts[1]
 
 
 def load_bias_lexicons(directory) -> BiasLexicons:
     """Load the five plain-text lexicon files from a directory."""
     directory = Path(directory)
-    pairs = []
-    pair_path = directory / "gender_pairs.txt"
-    for lineno, line in enumerate(
-            pair_path.read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip().lower() for p in re.split(r"[,\t]", line)]
-        if len(parts) != 2 or not all(parts):
-            raise SchemaError("expected male,female", line=lineno)
-        pairs.append((parts[0], parts[1]))
     return BiasLexicons(
         prejudice_terms=_read_terms(directory / "prejudice_terms.txt"),
         religious_terms=_read_terms(directory / "religious_terms.txt"),
         trait_terms=_read_terms(directory / "trait_terms.txt"),
         occupations=_read_terms(directory / "occupations.txt"),
-        gender_pairs=tuple(pairs),
+        gender_pairs=tuple(read_records(directory / "gender_pairs.txt", _gender_pair)),
     )
 
 

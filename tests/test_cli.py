@@ -79,6 +79,21 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert "line 2" in result.output
 
+    @pytest.mark.parametrize("line, message", [
+        (b'{"headword": "a", "subjects": 5}\n',
+         "line 1: subjects must be a list of strings"),
+        (b'{"headword": "caf\xe9"}\n', "line 1: not UTF-8 text"),
+    ])
+    def test_malformed_lexicon_line_is_runtime_error(self, runner, tmp_path,
+                                                     line, message):
+        slang = tmp_path / "slang.jsonl"
+        slang.write_bytes(line)
+        result = runner.invoke(main, [
+            "ingest", "--slang", str(slang), "--out", str(tmp_path / "out.jsonl")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert message in result.output
+
     def test_maxprob_delta_range_enforced(self, runner, tmp_path):
         stub = tmp_path / "model.npz"
         stub.write_text("placeholder", encoding="utf-8")
