@@ -36,7 +36,7 @@ from .embeddings import (
     save_embeddings,
     train_skipgram,
 )
-from .errors import SlanglexError
+from .errors import SchemaError, SlanglexError
 from .labels import REJECTED, SlangClass
 from .morphology import (
     AffixSide,
@@ -135,8 +135,8 @@ OPTIONS = {
     "n_max": (("--n-max",), dict(default=5)),
     "cap": (("--cap",), dict(default=200, help="Feature vocabulary size.")),
     "l2": (("--l2",), dict(default=1.0)),
-    "lr": (("--lr",), dict(default=1.0)),
-    "max_epochs": (("--max-epochs",), dict(default=500)),
+    "max_epochs": (("--max-epochs",), dict(
+        default=500, help="Cap on L-BFGS iterations.")),
     "tol": (("--tol",), dict(default=1e-6)),
     "test_fraction": (("--test-fraction",), dict(default=0.10)),
     "delta": (("--delta",), dict(
@@ -165,7 +165,7 @@ DEFAULT = {key: attrs["default"] for key, (_, attrs) in OPTIONS.items()
            if "default" in attrs}
 # logistic regression (classes train and eval) and skip-gram (embed, pipeline)
 FIT = {key: DEFAULT[key]
-       for key in ("n_min", "n_max", "cap", "l2", "lr", "max_epochs", "tol")}
+       for key in ("n_min", "n_max", "cap", "l2", "max_epochs", "tol")}
 SGNS = ("dimension", "window", "negatives", "min_count", "subsample", "epochs",
         "sgns_lr")
 
@@ -183,27 +183,32 @@ def _names_parameter(command, parts) -> bool:
 
 def _read_config(ctx, param, path):
     """Flat `a.b.c = value` lines -> nested default map for click; a key
-    that names no subcommand parameter is rejected."""
+    that names no subcommand parameter, like any malformed line, is a usage
+    error naming the line."""
     if not path:
         return path
-    tree: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+
+    def entry(line: str) -> tuple[list[str], str]:
         if "=" not in line:
-            raise click.UsageError(f"{path}:{lineno}: expected key = value")
+            raise SchemaError("expected key = value")
         key, value = line.split("=", 1)
         parts = [p.strip().replace("-", "_") for p in key.strip().split(".")]
         if not all(parts):
-            raise click.UsageError(f"{path}:{lineno}: empty key component")
+            raise SchemaError("empty key component")
         if not _names_parameter(ctx.command, parts):
-            raise click.UsageError(
-                f"{path}:{lineno}: unknown config key {key.strip()!r}")
+            raise SchemaError(f"unknown config key {key.strip()!r}")
+        return parts, value.strip()
+
+    try:
+        entries = read_records(path, entry)
+    except SchemaError as exc:
+        raise click.UsageError(f"{path}:{exc.line}: {exc.reason}") from None
+    tree: dict = {}
+    for parts, value in entries:
         node = tree
         for part in parts[:-1]:
             node = node.setdefault(part, {})
-        node[parts[-1]] = value.strip()
+        node[parts[-1]] = value
     ctx.default_map = tree
     return path
 
@@ -361,11 +366,11 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed)
 
 
 def _fit_classifier(records, kind: NgramKind, segmenter, n_min, n_max, cap,
-                    l2, lr, max_epochs, tol):
+                    l2, max_epochs, tol):
     maps = [word_features(r.word, kind, n_min, n_max, segmenter)
             for r in records]
     vocab = fit_vocabulary(maps, kind, cap=cap, n_min=n_min, n_max=n_max)
-    return train_logreg(maps, [r.label for r in records], vocab, l2=l2, lr=lr,
+    return train_logreg(maps, [r.label for r in records], vocab, l2=l2,
                         max_epochs=max_epochs, tol=tol)
 
 
@@ -384,7 +389,8 @@ def run_classes_train(gold_path, out_path, kind, segmenter, seed,
     f1 = weighted_f1([r.label for r in split.test], preds)
     return ({"features": kind.value, "train": len(split.train),
              "test": len(split.test), "vocab": len(model.vocab.features),
-             "test_f1": f1}, split, preds)
+             "test_f1": f1, "stop": model.stop, "iterations": model.iterations},
+            split, preds)
 
 
 @command(classes, "classes.train", "gold", "out_file", "features", "segmenter",

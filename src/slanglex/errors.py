@@ -13,6 +13,7 @@ class SchemaError(SlanglexError):
     """
 
     def __init__(self, message, line=None, field=None):
+        self.reason = message  # without the line prefix
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

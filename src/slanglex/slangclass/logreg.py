@@ -1,27 +1,36 @@
-"""Multinomial logistic regression trained by full-batch gradient descent.
+"""Multinomial logistic regression fitted by L-BFGS.
 
 Written against numpy directly so the gradient can be checked against
 finite differences; no external optimizer is involved. The objective is
 
     L(W) = -(1/n) sum_i log p(y_i | x_i)  +  l2/(2n) * ||W without bias||^2
 
-minimized with backtracking line search. Weights start at zero, so an
-untrained model predicts the uniform distribution.
+minimized by limited-memory BFGS (Liu & Nocedal 1989; Nocedal & Wright,
+Numerical Optimization, ch. 7) from zero weights, so an untrained model
+predicts the uniform distribution. Each iteration takes the two-loop
+direction over the last ten curvature pairs and backtracks from a unit
+step until the Armijo condition holds. A fit stops for one of three
+reasons, recorded on the model: the gradient max-norm reached the
+tolerance (``tol``), no step along the direction lowered the loss
+(``stalled``), or the iteration cap was hit (``max_iter``).
 """
 
 from __future__ import annotations
 
+import zipfile
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import AnalysisError
+from ..errors import AnalysisError, SchemaError, SlanglexError
 from ..labels import SlangClass
 from ..morphology import SegmenterModel
 from .features import FeatureVocabulary, NgramKind, vectorize, word_features
 
 _MODEL_FORMAT_VERSION = 1
+_LBFGS_MEMORY = 10  # curvature pairs kept
 
 
 @dataclass(frozen=True)
@@ -30,6 +39,10 @@ class ClassifierModel:
     classes: tuple[SlangClass, ...]
     weights: np.ndarray  # classes x (|vocab| + 1); last column is the bias
     regularization: float
+    # how the fit ended ("tol", "stalled" or "max_iter") and after how many
+    # iterations; None on a loaded model, since the file does not keep them
+    stop: str | None = None
+    iterations: int | None = None
 
     def __post_init__(self):
         if len(self.classes) < 2:
@@ -64,15 +77,32 @@ def loss_and_gradient(weights: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
     return nll + penalty, grad
 
 
+def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
+    """-H grad, H the inverse-Hessian estimate built by the two-loop
+    recursion from the stored (s, y, 1 / s.y) pairs, oldest first."""
+    q = grad.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * np.vdot(s, q))
+        q -= alphas[-1] * y
+    if pairs:
+        s, y, rho = pairs[-1]
+        q /= rho * np.vdot(y, y)  # initial H = (s.y / y.y) I
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * np.vdot(y, q)) * s
+    return -q
+
+
 def train_logreg(feature_maps: Sequence[Mapping[str, int]],
                  labels: Sequence[SlangClass], vocab: FeatureVocabulary,
-                 l2: float = 1.0, lr: float = 1.0, max_epochs: int = 500,
+                 l2: float = 1.0, max_epochs: int = 500,
                  tol: float = 1e-6) -> ClassifierModel:
     """Fit the classifier on pre-extracted feature maps.
 
     The vocabulary must be fit on training data only. Training is fully
-    deterministic (zero init, full-batch updates). Stops at
-    gradient max-norm <= tol, when line search stalls, or at max_epochs.
+    deterministic (zero init, full-batch L-BFGS). Stops at gradient
+    max-norm <= tol, when the line search stalls, or after ``max_epochs``
+    iterations; the model records which, and the iteration count.
     """
     if len(feature_maps) != len(labels):
         raise AnalysisError(
@@ -89,27 +119,42 @@ def train_logreg(feature_maps: Sequence[Mapping[str, int]],
 
     weights = np.zeros((len(classes), len(vocab.features) + 1))
     loss, grad = loss_and_gradient(weights, x, y_idx, l2)
-    for epoch in range(max_epochs):
+    pairs: deque = deque(maxlen=_LBFGS_MEMORY)
+    iterations = 0
+    while True:
         if not np.isfinite(loss):
-            raise AnalysisError(f"non-finite loss at epoch {epoch}")
+            raise AnalysisError(f"non-finite loss at iteration {iterations}")
         if float(np.max(np.abs(grad))) <= tol:
+            stop = "tol"
             break
-        step = lr
-        sq_norm = float(np.sum(grad * grad))
-        accepted = False
+        if iterations >= max_epochs:
+            stop = "max_iter"
+            break
+        direction = _lbfgs_direction(grad, pairs)
+        slope = np.vdot(grad, direction)
+        if not slope < 0.0:  # not a descent direction: restart from -grad
+            pairs.clear()
+            direction = -grad
+            slope = -np.vdot(grad, grad)
+        step = 1.0
         for _ in range(40):
-            candidate = weights - step * grad
+            candidate = weights + step * direction
             new_loss, new_grad = loss_and_gradient(candidate, x, y_idx, l2)
-            if new_loss <= loss - 1e-4 * step * sq_norm:
-                weights, loss, grad = candidate, new_loss, new_grad
-                accepted = True
+            if new_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5
-        if not accepted:
-            break  # no descent step found at float precision
+        else:
+            stop = "stalled"  # no descent step found at float precision
+            break
+        s, y = candidate - weights, new_grad - grad
+        sy = np.vdot(s, y)
+        if sy > 0.0:  # keeps the inverse-Hessian estimate positive definite
+            pairs.append((s, y, 1.0 / sy))
+        weights, loss, grad = candidate, new_loss, new_grad
+        iterations += 1
 
     return ClassifierModel(vocab=vocab, classes=classes, weights=weights,
-                           regularization=l2)
+                           regularization=l2, stop=stop, iterations=iterations)
 
 
 def predict_proba(model: ClassifierModel, word: str,
@@ -130,26 +175,67 @@ def save_classifier(model: ClassifierModel, path) -> None:
         path,
         format_version=np.array([_MODEL_FORMAT_VERSION]),
         weights=model.weights,
-        classes=np.array([str(c) for c in model.classes]),
+        classes=np.array([str(c) for c in model.classes], dtype=str),
         kind=np.array([model.vocab.kind.value]),
         n_range=np.array([model.vocab.n_min, model.vocab.n_max]),
-        features=np.array(model.vocab.features),
+        features=np.array(model.vocab.features, dtype=str),
         regularization=np.array([model.regularization]),
     )
 
 
+_DTYPE_KINDS = {"i": "an integer", "f": "a float", "U": "a string"}
+
+
+def _array(data, path, name: str, kind: str, shape: tuple) -> np.ndarray:
+    """Array ``name`` of an open archive, which must have numpy dtype kind
+    ``kind`` and shape ``shape`` (None: any length)."""
+    if name not in data.files:
+        raise SchemaError(f"{path}: missing array {name!r}", field=name)
+    try:
+        array = data[name]
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise SchemaError(f"{path}: array {name!r} is unreadable",
+                          field=name) from None
+    if array.dtype.kind != kind or len(array.shape) != len(shape) or any(
+            want is not None and got != want
+            for got, want in zip(array.shape, shape)):
+        raise SchemaError(
+            f"{path}: array {name!r} has dtype {array.dtype} and shape "
+            f"{array.shape}, expected {_DTYPE_KINDS[kind]} array of shape "
+            f"{str(shape).replace('None', 'n')}", field=name)
+    return array
+
+
 def load_classifier(path) -> ClassifierModel:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["format_version"][0])
+    """Read a model written by `save_classifier`. A file that is not an
+    npz archive, a missing array, one of the wrong dtype or shape, or
+    values no model can have, raise a `SchemaError` naming the file and
+    the array."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):  # also a lone .npy array
+        raise SchemaError(f"{path}: not an npz archive")
+    with data:
+        version = int(_array(data, path, "format_version", "i", (1,))[0])
         if version != _MODEL_FORMAT_VERSION:
-            raise AnalysisError(f"unsupported model format version {version}")
-        vocab = FeatureVocabulary(
-            kind=NgramKind(str(data["kind"][0])),
-            n_min=int(data["n_range"][0]),
-            n_max=int(data["n_range"][1]),
-            features=tuple(str(f) for f in data["features"]),
-        )
-        classes = tuple(SlangClass.parse(str(c)) for c in data["classes"])
-        return ClassifierModel(vocab=vocab, classes=classes,
-                               weights=np.array(data["weights"]),
-                               regularization=float(data["regularization"][0]))
+            raise SchemaError(
+                f"{path}: unsupported model format version {version}",
+                field="format_version")
+        classes = _array(data, path, "classes", "U", (None,))
+        features = _array(data, path, "features", "U", (None,))
+        weights = _array(data, path, "weights", "f",
+                         (len(classes), len(features) + 1))
+        kind = _array(data, path, "kind", "U", (1,))
+        n_range = _array(data, path, "n_range", "i", (2,))
+        regularization = _array(data, path, "regularization", "f", (1,))
+    try:
+        vocab = FeatureVocabulary(kind=NgramKind(str(kind[0])),
+                                  n_min=int(n_range[0]), n_max=int(n_range[1]),
+                                  features=tuple(str(f) for f in features))
+        return ClassifierModel(
+            vocab=vocab, classes=tuple(SlangClass.parse(str(c)) for c in classes),
+            weights=weights, regularization=float(regularization[0]))
+    except (ValueError, SlanglexError) as exc:
+        raise SchemaError(f"{path}: {exc}") from None

@@ -3,17 +3,23 @@
 The gradient oracle perturbs every weight coordinate both ways and
 compares the central difference quotient of the loss against the
 analytic gradient. Agreement within 1e-5 relative error over randomized
-instances is the contract.
+instances is the contract. The optimum oracle runs plain fixed-step
+gradient descent to convergence, and the trained model must predict the
+same probabilities.
 """
+import io
+
 import numpy as np
 import pytest
 
-from slanglex.errors import AnalysisError
+from slanglex.errors import AnalysisError, SchemaError
 from slanglex.labels import SlangClass
 from slanglex.slangclass.features import (
+    FeatureVocabulary,
     NgramKind,
     extract_char_ngrams,
     fit_vocabulary,
+    vectorize,
 )
 from slanglex.slangclass.logreg import (
     load_classifier,
@@ -100,6 +106,7 @@ class TestTraining:
     def test_zero_epochs_predict_uniform(self):
         _, labels, maps, vocab = toy_dataset()
         model = train_logreg(maps, labels, vocab, max_epochs=0)
+        assert (model.stop, model.iterations) == ("max_iter", 0)
         probs = predict_proba(model, "aaaa")
         for p in probs.values():
             assert p == pytest.approx(0.5, abs=1e-12)
@@ -131,12 +138,15 @@ class TestTraining:
         b = train_logreg(maps, labels, vocab)
         assert np.array_equal(a.weights, b.weights)
 
-    def test_survives_oversized_learning_rate(self):
+    def test_survives_separable_data_without_regularization(self):
+        # tol=0 cannot be met, so the fit must end cleanly at float precision
         words, labels, maps, vocab = toy_dataset()
-        model = train_logreg(maps, labels, vocab, lr=1e6, l2=0.01)
+        model = train_logreg(maps, labels, vocab, l2=1e-8, tol=0.0)
+        assert model.stop in ("stalled", "max_iter")
         assert np.all(np.isfinite(model.weights))
-        probs = predict_proba(model, words[0])
-        assert max(probs, key=probs.get) is labels[0]
+        for word, label in zip(words, labels):
+            probs = predict_proba(model, word)
+            assert max(probs, key=probs.get) is label
 
     def test_classes_sorted_by_name(self):
         _, labels, maps, vocab = toy_dataset()
@@ -151,6 +161,52 @@ class TestTraining:
             train_logreg([], [], vocab)
         with pytest.raises(AnalysisError):
             train_logreg(maps[:2], [SlangClass.BLEND] * 2, vocab)
+
+
+def probabilities(weights, x):
+    """Row-wise softmax of the class scores, bias column appended."""
+    scores = np.hstack([x, np.ones((len(x), 1))]) @ weights.T
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def gradient_descent_oracle(x, y_idx, n_classes, l2, tol=1e-9):
+    """Plain gradient descent with the fixed step 1/L, L the bound
+    ||[x 1]||^2 / (2n) + l2/n on the gradient's Lipschitz constant, run
+    from zero until the gradient max-norm is at most ``tol``."""
+    n = x.shape[0]
+    lipschitz = (np.linalg.norm(np.hstack([x, np.ones((n, 1))]), 2) ** 2
+                 / (2 * n) + l2 / n)
+    weights = np.zeros((n_classes, x.shape[1] + 1))
+    for _ in range(100_000):
+        _, grad = loss_and_gradient(weights, x, y_idx, l2)
+        if np.max(np.abs(grad)) <= tol:
+            return weights
+        weights = weights - grad / lipschitz
+    raise AssertionError("the gradient-descent oracle did not converge")
+
+
+class TestOptimumOracle:
+    def test_matches_converged_gradient_descent(self):
+        rng = np.random.default_rng(11)
+        for n_classes, n_rows, l2 in ((3, 18, 0.5), (4, 24, 1.0)):
+            counts = rng.integers(0, 4, size=(n_rows, 5))
+            maps = [{f"f{j}": int(c) for j, c in enumerate(row) if c}
+                    for row in counts]
+            labels = [list(SlangClass)[i % n_classes]
+                      for i in rng.permutation(n_rows)]
+            vocab = FeatureVocabulary(kind=NgramKind.CHAR, n_min=1, n_max=1,
+                                      features=tuple(f"f{j}" for j in range(5)))
+            model = train_logreg(maps, labels, vocab, l2=l2, tol=1e-8)
+            x = np.vstack([vectorize(vocab, m) for m in maps])
+            y = np.array([model.classes.index(label) for label in labels])
+            _, grad = loss_and_gradient(model.weights, x, y, l2)
+            assert model.stop == "tol"
+            assert np.max(np.abs(grad)) <= 1e-8
+            oracle = gradient_descent_oracle(x, y, n_classes, l2)
+            np.testing.assert_allclose(probabilities(model.weights, x),
+                                       probabilities(oracle, x),
+                                       rtol=0, atol=1e-6)
 
 
 class TestPrediction:
@@ -174,6 +230,13 @@ class TestPrediction:
             predict_proba(model, "aaaa", segmenter=None)
 
 
+def npy_bytes(array):
+    """A lone array in numpy's .npy format."""
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         words, labels, maps, vocab = toy_dataset()
@@ -187,3 +250,48 @@ class TestPersistence:
         assert loaded.vocab.features == vocab.features
         for word in words:
             assert predict_proba(loaded, word) == predict_proba(model, word)
+
+    @pytest.mark.parametrize("content", [
+        b"x", b"", b"not an archive\n", b"PK\x03\x04not a zip",
+        npy_bytes(np.zeros(3))])
+    def test_non_archive_named(self, tmp_path, content):
+        path = tmp_path / "clf.npz"
+        path.write_bytes(content)
+        with pytest.raises(SchemaError, match="not an npz archive") as info:
+            load_classifier(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda a: a.pop("kind"), "missing array 'kind'"),
+        (lambda a: a.update(weights=a["weights"][:, 1:]),
+         "array 'weights' has dtype float64 and shape (2, 6), expected a "
+         "float array of shape (2, 7)"),
+        (lambda a: a.update(weights=a["weights"].astype(np.int64)),
+         "array 'weights' has dtype int64"),
+        (lambda a: a.update(classes=np.array([0.0, 1.0])),
+         "array 'classes' has dtype float64 and shape (2,), expected a "
+         "string array of shape (n,)"),
+        (lambda a: a.update(n_range=np.array([[1, 2]])), "array 'n_range'"),
+        (lambda a: a.update(kind=np.array(["char"], dtype=object)),
+         "array 'kind' is unreadable"),
+        (lambda a: a.update(kind=np.array(["syllable"])),
+         "'syllable' is not a valid NgramKind"),
+        (lambda a: a.update(classes=np.array(["Blend", "Acronym"])),
+         "unknown slang class 'Acronym'"),
+        (lambda a: a.update(format_version=np.array([2])),
+         "unsupported model format version 2"),
+    ], ids=["missing", "weights-shape", "weights-dtype", "classes-dtype",
+            "n_range-shape", "object-array", "unknown-kind", "unknown-class",
+            "version"])
+    def test_malformed_array_named(self, tmp_path, change, message):
+        _, labels, maps, vocab = toy_dataset()
+        path = tmp_path / "clf.npz"
+        save_classifier(train_logreg(maps, labels, vocab, max_epochs=0), path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        change(arrays)
+        np.savez(path, **arrays)
+        with pytest.raises(SchemaError) as info:
+            load_classifier(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)

@@ -4,6 +4,7 @@ import csv
 import json
 from importlib.resources import files
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -93,6 +94,30 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert message in result.output
+
+    @pytest.mark.parametrize("content, message", [
+        (b"x", "not an npz archive"),
+        (b"not a zip archive\n", "not an npz archive"),
+        (None, "missing array 'kind'"),
+    ])
+    def test_unreadable_model_is_runtime_error(self, runner, tmp_path,
+                                               content, message):
+        model = tmp_path / "model.npz"
+        if content is None:
+            _, _, gold = write_inputs(tmp_path)
+            runner.invoke(main, ["classes", "train", "--gold", str(gold),
+                                 "--out", str(model)])
+            with np.load(model) as data:
+                arrays = {name: data[name] for name in data.files if name != "kind"}
+            np.savez(model, **arrays)
+        else:
+            model.write_bytes(content)
+        result = runner.invoke(main, [
+            "classes", "predict", "--model", str(model), "--words", "lol",
+            "--delta", "0.5"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"{model}: {message}" in result.output
 
     def test_maxprob_delta_range_enforced(self, runner, tmp_path):
         stub = tmp_path / "model.npz"
@@ -229,6 +254,33 @@ class TestClasses:
             "--max-epochs", "80", "--cap", "120", "--seed", "0"])
         assert result.exit_code == 0, result.output
         return model_path
+
+    def test_train_reports_stop_reason(self, runner, tmp_path):
+        _, _, gold = write_inputs(tmp_path)
+        for flags, stop in (([], "stop=tol iterations="),
+                            (["--max-epochs", "0"], "stop=max_iter iterations=0")):
+            result = runner.invoke(main, [
+                "classes", "train", "--gold", str(gold),
+                "--out", str(tmp_path / "m.npz"), *flags])
+            assert result.exit_code == 0, result.output
+            assert stop in result.output
+
+    def test_pipeline_fits_reach_tolerance(self, runner, tmp_path, monkeypatch):
+        # every fit of the fixture pipeline converges; none is cut by the cap
+        import slanglex.cli as cli
+        models = []
+        train_logreg = cli.train_logreg
+
+        def recording(*args, **kwargs):
+            models.append(train_logreg(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(cli, "train_logreg", recording)
+        result = runner.invoke(main, ["pipeline", "--fixtures", "--seed", "7",
+                                      "--out", str(tmp_path / "run")])
+        assert result.exit_code == 0, result.output
+        assert len(models) == 6  # char, morph, four crossclass folds
+        assert [m.stop for m in models] == ["tol"] * 6
 
     def test_predictions_match_library(self, runner, tmp_path):
         from slanglex.slangclass import load_classifier, predict_proba
@@ -522,3 +574,31 @@ class TestConfigFile:
             "--config", str(cfg), "ingest", "--slang", str(slang),
             "--out", str(tmp_path / "x.jsonl")])
         assert result.exit_code == 2
+
+    def test_non_utf8_config_rejected(self, runner, tmp_path):
+        slang, _, _ = write_inputs(tmp_path)
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"ingest.min-votes = 1\n# caf\xe9\n")
+        result = runner.invoke(main, [
+            "--config", str(cfg), "ingest", "--slang", str(slang),
+            "--out", str(tmp_path / "x.jsonl")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"{cfg}:2: not UTF-8 text" in result.output
+
+    def test_classifier_learning_rate_removed(self, runner, tmp_path):
+        # L-BFGS takes unit first steps, so classes train has no --lr;
+        # embed keeps its own
+        _, _, gold = write_inputs(tmp_path)
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text("embed.lr = 0.05\nclasses.train.lr = 1\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "--config", str(cfg), "classes", "train", "--gold", str(gold),
+            "--out", str(tmp_path / "m.npz")])
+        assert result.exit_code == 2
+        assert f"{cfg}:2: unknown config key 'classes.train.lr'" in result.output
+        result = runner.invoke(main, [
+            "classes", "train", "--gold", str(gold), "--lr", "1",
+            "--out", str(tmp_path / "m.npz")])
+        assert result.exit_code == 2
+        assert "No such option '--lr'" in result.output

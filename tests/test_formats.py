@@ -21,7 +21,7 @@ from slanglex.corpus import (
 )
 from slanglex.embeddings import EmbeddingTable, load_embeddings, save_embeddings
 from slanglex.errors import SchemaError
-from slanglex.labels import SubjectLabel
+from slanglex.labels import SlangClass, SubjectLabel
 from slanglex.morphology import (
     SegmenterModel,
     load_segmenter,
@@ -29,6 +29,13 @@ from slanglex.morphology import (
     save_segmenter,
 )
 from slanglex.phonology import FallbackRules, PronouncingTable
+from slanglex.slangclass import (
+    ClassifierModel,
+    FeatureVocabulary,
+    NgramKind,
+    load_classifier,
+    save_classifier,
+)
 from slanglex.social import GenderLexicon, load_bias_lexicons
 
 BIAS_FILES = {
@@ -232,6 +239,11 @@ ENTRIES = st.builds(
 MORPHS = st.text(st.characters(blacklist_categories=("Cs",),
                                blacklist_characters="\t\n\r"),
                  min_size=1, max_size=8)
+# Features as n-gram extraction makes them: non-empty; numpy's string
+# arrays drop trailing NULs.
+FEATURES = st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters="\x00"),
+                   min_size=1, max_size=6)
 # Tokens as build_usage_corpus makes them.
 TOKENS = st.from_regex(r"[a-z0-9_]+(?:'[a-z0-9_]+)*", fullmatch=True)
 
@@ -273,6 +285,29 @@ class TestRoundTrips:
         assert np.array_equal(loaded.matrix,
                               [[float(f"{x:.6f}") for x in row] for row in matrix])
         assert np.abs(loaded.matrix - matrix).max() <= 5e-7 + 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(classes=st.lists(st.sampled_from(SlangClass), min_size=2, unique=True),
+           features=st.lists(FEATURES, max_size=6, unique=True),
+           kind=st.sampled_from(NgramKind), n_range=st.tuples(
+               st.integers(1, 5), st.integers(0, 4)).map(lambda t: (t[0], t[0] + t[1])),
+           regularization=st.floats(0, 1e6), data=st.data())
+    def test_classifier_exact(self, tmp_path_factory, classes, features, kind,
+                              n_range, regularization, data):
+        weights = data.draw(arrays(np.float64, (len(classes), len(features) + 1),
+                                   elements=st.floats(-1e6, 1e6)))
+        vocab = FeatureVocabulary(kind, *n_range, tuple(features))
+        model = ClassifierModel(vocab, tuple(classes), weights, regularization,
+                                stop="tol", iterations=3)
+        path = tmp_path_factory.getbasetemp() / "roundtrip.npz"
+        save_classifier(model, path)
+        loaded = load_classifier(path)
+        assert loaded.vocab == vocab
+        assert loaded.classes == model.classes
+        assert np.array_equal(loaded.weights, weights)
+        assert loaded.regularization == regularization
+        # how the fit ended is not part of the file
+        assert (loaded.stop, loaded.iterations) == (None, None)
 
 
 def test_subject_token_defined_once():
