@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import LexiconEntry
+from .corpus import LexiconEntry, read_records
 from .errors import AnalysisError, SchemaError
 
 # underscore admitted so joined multiword headwords survive the split
@@ -324,7 +324,17 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
 
 def load_embeddings(path) -> EmbeddingTable:
     """Read the text vector format; counts are not stored in this format,
-    so every loaded token gets count 1."""
+    so every loaded token gets count 1. A line that is not UTF-8 raises a
+    `SchemaError` naming it."""
+    try:
+        return _read_embeddings(path)
+    except UnicodeDecodeError:
+        # only now re-read by line, to name the first undecodable one
+        read_records(path, lambda line: None, comment=None)
+        raise
+
+
+def _read_embeddings(path) -> EmbeddingTable:
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().split()
         if len(header) != 2:

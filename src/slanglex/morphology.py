@@ -6,11 +6,29 @@ accepted only when it lowers the total description length
     L = model bits + corpus bits
 
 where, for morph type m with count c over an alphabet A (the characters of
-the training words),
+the training words) and N morph tokens in all,
 
     model bits(m)  = (len(m) + 1) * log2(|A| + 1)      uniform character code
                      + 2 * floor(log2(c)) + 1          Elias gamma count code
     corpus bits    = N * log2(N) - sum_m c * log2(c)   unigram token NLL
+
+``morph_code_length`` is the one definition of L. Training never
+recomputes it per candidate: as in Morfessor Baseline's local search
+(Creutz & Lagus 2002), a candidate analysis of a word is scored by the
+change in L from adding its tokens, which depends only on the counts of
+the morphs it touches and on N. With EG(c) the gamma bits and
+XLX(c) = c * log2(c), adding k tokens of a morph with count c costs
+
+    c = 0:  (len(m) + 1) * log2(|A| + 1) + EG(k) - XLX(k)
+    c > 0:  EG(c + k) - EG(c) - (XLX(c + k) - XLX(c))
+
+plus, once per analysis of j morphs, XLX(N + j * k) - XLX(N). EG and XLX
+are tables indexed by count, built once per fit. Every split candidate
+shares the token-total term, so candidates differ only by sums of a few
+small per-morph changes; the absolute ``_EPS`` compares those changes, not
+totals of 1e5 bits where it would be below float resolution. The costs a
+model reports come from ``morph_code_length`` (a correctly rounded sum),
+so a trained model and its saved-then-loaded copy agree exactly.
 
 Words are lowercased before segmentation; non-alphanumeric characters are
 kept as literal symbols. The ``split_penalty`` knob adds a fixed cost per
@@ -23,6 +41,7 @@ import enum
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import read_records
@@ -44,27 +63,22 @@ def elias_gamma_bits(count: int) -> int:
     """Code length of a positive integer under the Elias gamma code."""
     if count < 1:
         raise AnalysisError(f"counts must be positive, got {count}")
-    return 2 * int(math.log2(count)) + 1
+    return 2 * (int(count).bit_length() - 1) + 1
 
 
 def morph_code_length(morph_counts: Mapping[str, int],
                       alphabet_size: int | None = None) -> float:
-    """Total two-part description length of a morph inventory.
-
-    Recomputable from counts alone; the trainer's incremental bookkeeping
-    must agree with this function.
-    """
+    """Total two-part description length of a morph inventory. Its terms
+    are summed with one rounding (``math.fsum``), so the result does not
+    depend on the order of the counts."""
     if alphabet_size is None:
         alphabet_size = len({ch for m in morph_counts for ch in m})
-    model = 0.0
-    n_tokens = 0
-    sum_clog = 0.0
+    n_tokens = sum(morph_counts.values())
+    terms = [n_tokens * math.log2(n_tokens)] if n_tokens > 0 else []
     for morph, count in morph_counts.items():
-        model += character_bits(morph, alphabet_size) + elias_gamma_bits(count)
-        n_tokens += count
-        sum_clog += count * math.log2(count)
-    corpus = n_tokens * math.log2(n_tokens) - sum_clog if n_tokens > 0 else 0.0
-    return model + corpus
+        terms += (character_bits(morph, alphabet_size), elias_gamma_bits(count),
+                  -count * math.log2(count))
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
@@ -78,6 +92,14 @@ class SegmenterModel:
     def token_count(self) -> int:
         return sum(self.morph_counts.values())
 
+    @cached_property
+    def surprisal(self) -> dict[str, float]:
+        """Unigram surprisal in bits of each inventory morph, computed on
+        first use; ``morph_counts`` must not change after that."""
+        n_tokens = self.token_count
+        return {m: -math.log2(c / n_tokens)
+                for m, c in self.morph_counts.items() if c}
+
 
 @dataclass(frozen=True)
 class Segmentation:
@@ -88,60 +110,6 @@ class Segmentation:
         if "".join(self.morphs) != self.word:
             raise AnalysisError(
                 f"morphs {self.morphs!r} do not concatenate to {self.word!r}")
-
-
-class _CostState:
-    """Incrementally maintained description length of a morph inventory."""
-
-    def __init__(self, alphabet_size: int):
-        self.alphabet_size = alphabet_size
-        self.counts: dict[str, int] = {}
-        self.n_tokens = 0
-        self.sum_clog = 0.0
-        self.model_bits = 0.0
-
-    def add(self, morph: str, k: int = 1):
-        old = self.counts.get(morph, 0)
-        new = old + k
-        self.counts[morph] = new
-        self.n_tokens += k
-        if old > 0:
-            self.sum_clog -= old * math.log2(old)
-            self.model_bits -= elias_gamma_bits(old)
-        else:
-            self.model_bits += character_bits(morph, self.alphabet_size)
-        self.sum_clog += new * math.log2(new)
-        self.model_bits += elias_gamma_bits(new)
-
-    def remove(self, morph: str, k: int = 1):
-        old = self.counts[morph]
-        new = old - k
-        self.sum_clog -= old * math.log2(old)
-        self.model_bits -= elias_gamma_bits(old)
-        if new > 0:
-            self.counts[morph] = new
-            self.sum_clog += new * math.log2(new)
-            self.model_bits += elias_gamma_bits(new)
-        elif new == 0:
-            del self.counts[morph]
-            self.model_bits -= character_bits(morph, self.alphabet_size)
-        else:
-            raise AnalysisError(f"removed more {morph!r} tokens than present")
-        self.n_tokens -= k
-
-    def cost(self) -> float:
-        if self.n_tokens == 0:
-            return 0.0
-        corpus = self.n_tokens * math.log2(self.n_tokens) - self.sum_clog
-        return self.model_bits + corpus
-
-    def cost_with(self, morphs: Sequence[str], k: int) -> float:
-        for m in morphs:
-            self.add(m, k)
-        value = self.cost()
-        for m in morphs:
-            self.remove(m, k)
-        return value
 
 
 def train_segmenter(words: Iterable[str], split_penalty: float = 0.0,
@@ -163,57 +131,94 @@ def train_segmenter(words: Iterable[str], split_penalty: float = 0.0,
         raise AnalysisError("cannot train a segmenter on an empty word list")
 
     alphabet = frozenset(ch for w in multiplicity for ch in w)
-    state = _CostState(len(alphabet))
-    analyses: dict[str, tuple[str, ...]] = {}
-    for word, mult in multiplicity.items():
-        analyses[word] = (word,)
-        state.add(word, mult)
+    letter_bits = math.log2(len(alphabet) + 1)
+    # no count or token total exceeds the training text's character count
+    size = (sum(len(w) * m for w, m in multiplicity.items())
+            + 2 * max(multiplicity.values()))
+    eg = [0] + [elias_gamma_bits(c) for c in range(1, size + 1)]
+    xlx = [0.0] + [c * math.log2(c) for c in range(1, size + 1)]
+
+    counts = dict(multiplicity)
+    analyses = {word: (word,) for word in multiplicity}
+    n_tokens = sum(counts.values())
+
+    def add(morph: str, k: int):
+        nonlocal n_tokens
+        counts[morph] = counts.get(morph, 0) + k
+        n_tokens += k
+
+    def remove(morph: str, k: int):
+        nonlocal n_tokens
+        left = counts[morph] - k
+        if left:
+            counts[morph] = left
+        else:
+            del counts[morph]
+        n_tokens -= k
+
+    def gain(morph: str, k: int) -> float:
+        # bits added by k more tokens of morph, the token-total term aside
+        c = counts.get(morph, 0)
+        if c:
+            return eg[c + k] - eg[c] - (xlx[c + k] - xlx[c])
+        return (len(morph) + 1) * letter_bits + eg[k] - xlx[k]
+
+    def added_bits(morphs: Sequence[str], k: int) -> float:
+        # bits added by k more tokens of each of morphs (repeats allowed)
+        bits = xlx[n_tokens + len(morphs) * k] - xlx[n_tokens]
+        for m in dict.fromkeys(morphs):
+            bits += gain(m, morphs.count(m) * k)
+        return bits
 
     def optimize(piece: str, mult: int) -> list[str]:
-        # piece's tokens are currently absent from the state
-        keep_cost = state.cost_with([piece], mult)
+        # piece's tokens are currently absent from the counts
+        best = gain(piece, mult) + (xlx[n_tokens + mult] - xlx[n_tokens])
+        pair_bits = xlx[n_tokens + 2 * mult] - xlx[n_tokens] + split_penalty
         best_i = None
-        best_cost = keep_cost
         for i in range(1, len(piece)):
-            candidate = state.cost_with([piece[:i], piece[i:]], mult) + split_penalty
-            if candidate < best_cost - _EPS:
-                best_cost = candidate
+            left, right = piece[:i], piece[i:]
+            if left == right:
+                bits = gain(left, 2 * mult)
+            else:
+                bits = gain(left, mult) + gain(right, mult)
+            if bits + pair_bits < best - _EPS:
+                best = bits + pair_bits
                 best_i = i
         if best_i is None:
-            state.add(piece, mult)
+            add(piece, mult)
             return [piece]
         return optimize(piece[:best_i], mult) + optimize(piece[best_i:], mult)
 
     rng = random.Random(seed)
     order = sorted(multiplicity)
-    costs = [state.cost()]
+    costs = [morph_code_length(counts, len(alphabet))]
     for _ in range(max_iters):
         rng.shuffle(order)
         changed = False
         for word in order:
             mult = multiplicity[word]
             old = analyses[word]
-            cost_before = state.cost()
             for m in old:
-                state.remove(m, mult)
+                remove(m, mult)
+            old_bits = added_bits(old, mult)
             new = tuple(optimize(word, mult))
-            if new != old and state.cost() <= cost_before + _EPS:
+            if new == old:
+                continue
+            for m in new:
+                remove(m, mult)
+            if added_bits(new, mult) <= old_bits + _EPS:
                 analyses[word] = new
                 changed = True
-            elif new != old:
-                # greedy re-analysis came out worse; restore the old one
-                for m in new:
-                    state.remove(m, mult)
-                for m in old:
-                    state.add(m, mult)
-        costs.append(state.cost())
+            for m in analyses[word]:
+                add(m, mult)
+        costs.append(morph_code_length(counts, len(alphabet)))
         if not changed:
             break
 
     return SegmenterModel(
-        morph_counts=dict(sorted(state.counts.items())),
+        morph_counts=dict(sorted(counts.items())),
         alphabet=alphabet,
-        total_code_length=state.cost(),
+        total_code_length=costs[-1],
         training_costs=tuple(costs),
     )
 
@@ -229,40 +234,49 @@ def segment(model: SegmenterModel, word: str) -> Segmentation:
     word = normalize_word(word)
     if not word:
         raise AnalysisError("cannot segment an empty word")
-    n_tokens = model.token_count
-    alpha_size = len(model.alphabet)
+    surprisal = model.surprisal
+    letter_bits = math.log2(len(model.alphabet) + 1)
+    unseen_bits = math.log2(model.token_count + 1)
 
-    def morph_cost(m: str) -> float:
-        count = model.morph_counts.get(m)
-        if count:
-            return -math.log2(count / n_tokens)
-        return character_bits(m, alpha_size) + math.log2(n_tokens + 1)
-
-    # dp[j]: best (cost, n_morphs, neg-length key, morphs) for word[:j]
-    dp: list[tuple | None] = [None] * (len(word) + 1)
-    dp[0] = (0.0, 0, (), ())
-    for j in range(1, len(word) + 1):
-        best = None
+    # best analysis of word[:j]: its cost, its morph count and where its
+    # last morph starts
+    n = len(word)
+    cost = [0.0] * (n + 1)
+    n_morphs = [0] * (n + 1)
+    start = [0] * (n + 1)
+    for j in range(1, n + 1):
+        best_i = 0
+        best = math.inf
         for i in range(j):
-            prev = dp[i]
-            if prev is None:
-                continue
             piece = word[i:j]
-            cand = (prev[0] + morph_cost(piece), prev[1] + 1,
-                    prev[2] + (-len(piece),), prev[3] + (piece,))
-            if best is None or _dp_better(cand, best):
-                best = cand
-        dp[j] = best
-    assert dp[len(word)] is not None
-    return Segmentation(word=word, morphs=dp[len(word)][3])
+            bits = surprisal.get(piece)
+            if bits is None:
+                bits = (j - i + 1) * letter_bits + unseen_bits
+            cand = cost[i] + bits
+            if cand < best - _EPS:
+                best, best_i = cand, i
+            elif cand <= best + _EPS and (
+                    n_morphs[i] < n_morphs[best_i] or
+                    n_morphs[i] == n_morphs[best_i] and
+                    _lengths(start, i, j) > _lengths(start, best_i, j)):
+                best, best_i = cand, i
+        cost[j], n_morphs[j], start[j] = best, n_morphs[best_i] + 1, best_i
+    cuts = [n]
+    while cuts[-1]:
+        cuts.append(start[cuts[-1]])
+    cuts.reverse()
+    return Segmentation(word=word, morphs=tuple(
+        word[i:j] for i, j in zip(cuts, cuts[1:])))
 
 
-def _dp_better(cand, best) -> bool:
-    if cand[0] < best[0] - _EPS:
-        return True
-    if cand[0] > best[0] + _EPS:
-        return False
-    return (cand[1], cand[2]) < (best[1], best[2])
+def _lengths(start: list[int], i: int, j: int) -> tuple[int, ...]:
+    """Morph lengths, first to last, of the best analysis of word[:i]
+    followed by the morph word[i:j]; only ties need them."""
+    lengths = [j - i]
+    while i:
+        lengths.append(i - start[i])
+        i = start[i]
+    return tuple(reversed(lengths))
 
 
 class AffixSide(enum.Enum):

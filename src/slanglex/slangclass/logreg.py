@@ -170,7 +170,14 @@ def predict_proba(model: ClassifierModel, word: str,
 
 
 def save_classifier(model: ClassifierModel, path) -> None:
-    """Persist the model in a versioned npz container."""
+    """Persist the model in a versioned npz container. numpy string
+    arrays drop trailing NULs, so a feature ending in U+0000 could not be
+    read back; such a model is refused before anything is written."""
+    for feature in model.vocab.features:
+        if feature.endswith("\x00"):
+            raise AnalysisError(
+                f"feature {feature!r} ends in U+0000, which the model file "
+                "cannot store")
     np.savez(
         path,
         format_version=np.array([_MODEL_FORMAT_VERSION]),

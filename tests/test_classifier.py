@@ -22,6 +22,7 @@ from slanglex.slangclass.features import (
     vectorize,
 )
 from slanglex.slangclass.logreg import (
+    ClassifierModel,
     load_classifier,
     loss_and_gradient,
     predict_proba,
@@ -250,6 +251,17 @@ class TestPersistence:
         assert loaded.vocab.features == vocab.features
         for word in words:
             assert predict_proba(loaded, word) == predict_proba(model, word)
+
+    def test_feature_ending_in_nul_refused_before_writing(self, tmp_path):
+        # numpy string arrays drop trailing NULs: 'a\x00' would load as a
+        # second 'a', so the model is refused rather than saved unloadable
+        vocab = FeatureVocabulary(NgramKind.CHAR, 1, 2, ("a", "a\x00"))
+        model = ClassifierModel(vocab, (SlangClass.BLEND, SlangClass.CLIPPING),
+                                np.zeros((2, 3)), 1.0)
+        path = tmp_path / "clf.npz"
+        with pytest.raises(AnalysisError, match=r"feature 'a\\x00'"):
+            save_classifier(model, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("content", [
         b"x", b"", b"not an archive\n", b"PK\x03\x04not a zip",

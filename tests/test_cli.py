@@ -119,6 +119,33 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"{model}: {message}" in result.output
 
+    def test_non_utf8_vector_table_names_the_line(self, runner, tmp_path):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes(b"2 2\nhe 0.1 0.2\ncaf\xe9 0.3 0.4\n")
+        lexicons = files("slanglex").joinpath("data", "fixtures", "lexicons")
+        result = runner.invoke(main, [
+            "bias", "gender", "--vectors", str(vectors),
+            "--lexicons", str(lexicons), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "line 3: not UTF-8 text" in result.output
+
+    def test_unstorable_classifier_feature_is_runtime_error(self, runner,
+                                                            tmp_path):
+        # every word holds U+0000, so the unigram '\x00' is a feature
+        gold = tmp_path / "gold.csv"
+        gold.write_text("".join(f"{a}\x00{b},{label}\n"
+                                for a, b in ("ab", "bc", "cd", "de")
+                                for label in ("Blend", "Clipping")),
+                        encoding="utf-8")
+        model = tmp_path / "model.npz"
+        result = runner.invoke(main, ["classes", "train", "--gold", str(gold),
+                                      "--out", str(model)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert "feature '\\x00' ends in U+0000" in result.output
+        assert not model.exists()
+
     def test_maxprob_delta_range_enforced(self, runner, tmp_path):
         stub = tmp_path / "model.npz"
         stub.write_text("placeholder", encoding="utf-8")

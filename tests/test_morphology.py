@@ -3,7 +3,10 @@
 The oracle below re-derives the two-part code length from scratch (plain
 Counter arithmetic, no incremental bookkeeping) and exhaustively
 enumerates every joint segmentation of a small lexicon, so the trainer's
-greedy search is validated against the true global minimum.
+greedy search is validated against the true global minimum. Two further
+oracles check the fast paths step for step: a reference trainer that
+scores every candidate by recomputing the whole code length, and an
+exhaustive decoder over every segmentation of a short word.
 """
 import itertools
 import math
@@ -11,6 +14,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slanglex.errors import AnalysisError, SchemaError
 from slanglex.morphology import (
@@ -101,7 +106,7 @@ class TestExhaustiveOracle:
     def test_trained_cost_matches_recomputation(self):
         model = train_segmenter(LEXICON, seed=3)
         recomputed = morph_code_length(model.morph_counts, len(model.alphabet))
-        assert model.total_code_length == pytest.approx(recomputed, abs=1e-9)
+        assert model.total_code_length == recomputed
         independent = oracle_cost(Counter(model.morph_counts), len(model.alphabet))
         assert model.total_code_length == pytest.approx(independent, abs=1e-9)
 
@@ -109,6 +114,11 @@ class TestExhaustiveOracle:
 class TestCodeComponents:
     def test_elias_gamma_values(self):
         assert [elias_gamma_bits(c) for c in (1, 2, 3, 4, 7, 8)] == [1, 3, 3, 5, 5, 7]
+
+    def test_elias_gamma_exact_past_float_precision(self):
+        # float log2 of 2**49 - 1 rounds up to 49.0
+        assert elias_gamma_bits(2**49 - 1) == 97
+        assert elias_gamma_bits(2**53 - 1) == 105
 
     def test_elias_gamma_rejects_zero(self):
         with pytest.raises(AnalysisError):
@@ -127,7 +137,7 @@ class TestTraining:
         assert len(costs) >= 2
         for before, after in zip(costs, costs[1:]):
             assert after <= before + 1e-9
-        assert model.total_code_length == pytest.approx(costs[-1], abs=1e-9)
+        assert model.total_code_length == costs[-1]
 
     def test_deterministic_per_seed(self):
         words = ["looking", "booking", "cooking", "looked", "booked"]
@@ -185,6 +195,15 @@ class TestSegment:
             alphabet=frozenset("abz"),
             total_code_length=0.0)
         assert segment(model, "ab").morphs == ("ab",)
+
+    def test_tie_prefers_fewer_morphs_met_later(self):
+        # N = 16, surprisals a 1, b 2, bb 3, bab 4 bits: a+a+a+b+a+bb and
+        # a+a+a+bab+b both cost 9 bits; the DP meets the six-morph one first
+        model = SegmenterModel(
+            morph_counts={"bab": 1, "aaa": 1, "b": 4, "a": 8, "bb": 2},
+            alphabet=frozenset("ab"),
+            total_code_length=0.0)
+        assert segment(model, "aaababb").morphs == ("a", "a", "a", "bab", "b")
 
     def test_tie_prefers_leftmost_longest(self):
         # cost("aa") == cost("a"); both two-morph splits of "aaa" tie
@@ -247,8 +266,7 @@ class TestPersistence:
         loaded = load_segmenter(path)
         assert loaded.morph_counts == model.morph_counts
         assert loaded.alphabet == model.alphabet
-        assert loaded.total_code_length == pytest.approx(
-            model.total_code_length, abs=1e-9)
+        assert loaded.total_code_length == model.total_code_length
         for word in ("dogcat", "dogfish", "tacocat"):
             assert segment(loaded, word).morphs == segment(model, word).morphs
 
@@ -269,3 +287,132 @@ class TestPersistence:
         path.write_text("", encoding="utf-8")
         with pytest.raises(SchemaError):
             load_segmenter(path)
+
+
+EPS = 1e-12  # the library's tie tolerance
+
+
+def reference_train(words, split_penalty=0.0, max_iters=10, seed=0):
+    """The trainer's search, scoring each candidate by recomputing the
+    whole code length of a copied inventory: same visiting order, same
+    recursive splitting, same tolerance."""
+    multiplicity = Counter(w.lower() for w in words)
+    alphabet_size = len(set("".join(multiplicity)))
+    counts = Counter(multiplicity)
+    analyses = {w: (w,) for w in multiplicity}
+
+    def cost(inventory):
+        return morph_code_length(+inventory, alphabet_size)
+
+    def cost_with(morphs, k):
+        inventory = counts.copy()
+        for m in morphs:
+            inventory[m] += k
+        return cost(inventory)
+
+    def optimize(piece, mult):
+        best, best_i = cost_with([piece], mult), None
+        for i in range(1, len(piece)):
+            candidate = cost_with([piece[:i], piece[i:]], mult) + split_penalty
+            if candidate < best - EPS:
+                best, best_i = candidate, i
+        if best_i is None:
+            counts[piece] += mult
+            return [piece]
+        return optimize(piece[:best_i], mult) + optimize(piece[best_i:], mult)
+
+    rng = random.Random(seed)
+    order = sorted(multiplicity)
+    for _ in range(max_iters):
+        rng.shuffle(order)
+        changed = False
+        for word in order:
+            mult, old = multiplicity[word], analyses[word]
+            before = cost(counts)
+            for m in old:
+                counts[m] -= mult
+            new = tuple(optimize(word, mult))
+            if new != old and cost(counts) <= before + EPS:
+                analyses[word] = new
+                changed = True
+            elif new != old:
+                for m in new:
+                    counts[m] -= mult
+                for m in old:
+                    counts[m] += mult
+        if not changed:
+            break
+    return dict(sorted((+counts).items()))
+
+
+def exhaustive_segment(model, word):
+    """The documented argmin over every segmentation: least cost (within
+    the tolerance), then fewest morphs, then leftmost-longest morphs."""
+    n_tokens = sum(model.morph_counts.values())
+
+    def bits(morph):
+        if morph in model.morph_counts:
+            return -math.log2(model.morph_counts[morph] / n_tokens)
+        return ((len(morph) + 1) * math.log2(len(model.alphabet) + 1)
+                + math.log2(n_tokens + 1))
+
+    scored = []
+    for seg in all_segmentations(word):
+        total = 0.0
+        for morph in seg:
+            total += bits(morph)
+        scored.append((total, seg))
+    least = min(total for total, _ in scored)
+    tied = [seg for total, seg in scored if total <= least + EPS]
+    return min(tied, key=lambda seg: (len(seg), [-len(m) for m in seg]))
+
+
+# words glued from a few shared pieces, so that splits pay off
+LEXICONS = st.lists(st.text("abcd", min_size=1, max_size=3), min_size=1,
+                    max_size=4, unique=True).flatmap(
+    lambda pieces: st.lists(st.lists(st.sampled_from(pieces), min_size=1,
+                                     max_size=3).map("".join),
+                            min_size=1, max_size=8))
+# one count for every morph makes analyses with equal morph counts tie
+INVENTORIES = st.one_of(
+    st.builds(dict.fromkeys, st.sets(st.text("ab", min_size=1, max_size=3),
+                                     min_size=2, max_size=6),
+              st.integers(1, 3)),
+    st.dictionaries(st.text("abc", min_size=1, max_size=3), st.integers(1, 8),
+                    min_size=1, max_size=6))
+
+
+class TestFastPathOracles:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(words=LEXICONS, seed=st.integers(0, 3),
+           split_penalty=st.sampled_from([0.0, 1.5]))
+    # a re-analysis that costs more and is undone; one that costs the same
+    # and is kept
+    @example(words=["aa", "aaa", "a"], seed=0, split_penalty=0.0)
+    @example(words=["abcd", "abcda", "aabcd", "bcdaa", "a", "bcdbcda", "aa"],
+             seed=1, split_penalty=0.0)
+    def test_trainer_matches_full_recomputation(self, words, seed, split_penalty):
+        model = train_segmenter(words, split_penalty=split_penalty, seed=seed)
+        assert model.morph_counts == reference_train(
+            words, split_penalty=split_penalty, seed=seed)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(counts=INVENTORIES, data=st.data())
+    def test_segment_is_the_exhaustive_argmin(self, counts, data):
+        model = SegmenterModel(counts, frozenset("".join(counts)), 0.0)
+        # inventory morphs and an unseen letter, at most 7 letters a word
+        pieces = st.sampled_from(sorted(counts) + ["c", "d"])
+        words = data.draw(st.lists(
+            st.lists(pieces, min_size=1, max_size=4).map("".join).filter(
+                lambda w: len(w) <= 7), min_size=1, max_size=5))
+        for word in words:
+            assert segment(model, word).morphs == exhaustive_segment(model, word)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(words=LEXICONS, seed=st.integers(0, 3))
+    def test_saved_model_reports_the_same_code_length(self, tmp_path_factory,
+                                                      words, seed):
+        model = train_segmenter(words, seed=seed)
+        path = tmp_path_factory.getbasetemp() / "segmenter.tsv"
+        save_segmenter(model, path)
+        assert load_segmenter(path).total_code_length == model.total_code_length
