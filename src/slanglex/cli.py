@@ -202,7 +202,7 @@ def _read_config(ctx, param, path):
     try:
         entries = read_records(path, entry)
     except SchemaError as exc:
-        raise click.UsageError(f"{path}:{exc.line}: {exc.reason}") from None
+        raise click.UsageError(str(exc)) from None
     tree: dict = {}
     for parts, value in entries:
         node = tree

@@ -9,8 +9,8 @@ Two on-disk formats are understood:
     line per definition (a bare word line is accepted as a definition-less
     entry).
 
-Every line-oriented input but the vector table and the CLI's config file
-is read by `read_records`, with the line rules SCHEMA.md states.
+Every line-oriented input, the vector table and the CLI's config file
+included, is read by `read_records`, with the line rules SCHEMA.md states.
 
 All loaded values are immutable and safe to share between parallel
 analysis passes.
@@ -166,20 +166,22 @@ def read_records(path, parse: Callable[[str], T],
     """`parse(line)` for every line that is not blank and does not begin
     with `comment` (None: the format has none) after leading whitespace;
     `parse` sees the line with only its ending stripped. A `SchemaError`
-    from `parse`, or a line that is not UTF-8, is raised naming the line."""
+    from `parse`, or a line that is not UTF-8, is raised naming file and line."""
     records = []
     with open(path, "rb") as handle:
         for lineno, raw in enumerate(handle, 1):
             try:
                 line = raw.decode("utf-8").rstrip("\r\n")
             except UnicodeDecodeError as exc:
-                raise SchemaError(f"not UTF-8 text: {exc.reason}", line=lineno) from None
+                raise SchemaError(f"not UTF-8 text: {exc.reason}", line=lineno,
+                                  path=path) from None
             if not line.strip() or comment and line.lstrip().startswith(comment):
                 continue
             try:
                 records.append(parse(line))
             except SchemaError as exc:
-                raise SchemaError(str(exc), line=lineno, field=exc.field) from exc
+                raise SchemaError(exc.reason, line=lineno, field=exc.field,
+                                  path=path) from exc
     return records
 
 

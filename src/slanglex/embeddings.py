@@ -24,7 +24,8 @@ the seed and the corpus. The published vectors are the input
 
 Persisted tables use the common text format: a `<vocab> <dim>` header
 line, then one `token v1 ... v_d` line per word, which also lets the
-loader read third-party reference embeddings for the bias comparisons;
+loader read third-party reference embeddings for the bias comparisons.
+It is read by the line rules every input shares (no comment lines);
 trailing whitespace on a line, common in word2vec files, is ignored.
 """
 
@@ -323,42 +324,39 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Read the text vector format; counts are not stored in this format,
-    so every loaded token gets count 1. A line that is not UTF-8 raises a
-    `SchemaError` naming it."""
-    try:
-        return _read_embeddings(path)
-    except UnicodeDecodeError:
-        # only now re-read by line, to name the first undecodable one
-        read_records(path, lambda line: None, comment=None)
-        raise
+    """Read the text vector format through `read_records`; a malformed line
+    or table raises a `SchemaError` naming the file. Counts are not stored
+    in this format, so every loaded token gets count 1."""
+    shape = []  # (vocab, dimension), from the header
 
-
-def _read_embeddings(path) -> EmbeddingTable:
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().split()
-        if len(header) != 2:
-            raise SchemaError("expected '<vocab> <dim>' header", line=1)
-        try:
-            n_tokens, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise SchemaError("non-integer header fields", line=1) from None
-        tokens = []
-        rows = []
-        for lineno, line in enumerate(handle, 2):
-            parts = line.rstrip().split(" ")
-            if len(parts) != dim + 1:
-                raise SchemaError(
-                    f"expected token plus {dim} values", line=lineno)
-            tokens.append(parts[0])
+    def parse(line: str):
+        if shape:
+            token, *values = line.rstrip().split(" ")
+            if len(values) != shape[1]:
+                raise SchemaError(f"expected token plus {shape[1]} values")
             try:
-                rows.append([float(x) for x in parts[1:]])
+                return token, list(map(float, values))
             except ValueError:
-                raise SchemaError("non-numeric vector value",
-                                  line=lineno) from None
-    if len(tokens) != n_tokens:
+                raise SchemaError("non-numeric vector value") from None
+        try:
+            vocab, dim = map(int, line.split())
+        except ValueError:
+            raise SchemaError("expected '<vocab> <dim>' header") from None
+        if dim < 1:
+            raise SchemaError(f"dimension must be >= 1, got {dim}")
+        shape.extend((vocab, dim))
+
+    rows = read_records(path, parse, comment=None)[1:]
+    if not shape:
+        raise SchemaError("expected '<vocab> <dim>' header", path=path)
+    if len(rows) != shape[0]:
         raise SchemaError(
-            f"header declared {n_tokens} tokens, file has {len(tokens)}")
-    matrix = np.array(rows, dtype=np.float64).reshape(len(tokens), dim)
-    return EmbeddingTable(tokens=tokens, matrix=matrix,
-                          counts={t: 1 for t in tokens})
+            f"header declared {shape[0]} tokens, file has {len(rows)}", path=path)
+    tokens = [token for token, _ in rows]
+    matrix = np.array([values for _, values in rows],
+                      dtype=np.float64).reshape(len(rows), shape[1])
+    try:
+        return EmbeddingTable(tokens=tokens, matrix=matrix,
+                              counts={t: 1 for t in tokens})
+    except AnalysisError as exc:  # duplicate tokens, non-finite values
+        raise SchemaError(str(exc), path=path) from None

@@ -8,17 +8,17 @@ class SlanglexError(Exception):
 class SchemaError(SlanglexError):
     """An input file violated its declared format or a record invariant.
 
-    Carries enough context (line number, field) to point at the offending
-    record.
+    Its message is the one place an input error's location is written:
+    ``<path>:<line>: <reason>``, or ``<path>: <reason>`` without a line.
     """
 
-    def __init__(self, message, line=None, field=None):
-        self.reason = message  # without the line prefix
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    def __init__(self, reason, line=None, field=None, path=None):
+        where = ":".join(str(part) for part in (path, line) if part is not None)
+        super().__init__(f"{where}: {reason}" if where else reason)
+        self.reason = reason  # without the location
         self.line = line
         self.field = field
+        self.path = path
 
 
 class AnalysisError(SlanglexError):

@@ -346,7 +346,7 @@ def load_segmenter(path) -> SegmenterModel:
     # morphs may begin with "#", so this format has no comment lines
     counts = dict(read_records(path, _morph_count, comment=None))
     if not counts:
-        raise SchemaError("segmenter model file is empty")
+        raise SchemaError("segmenter model file is empty", path=path)
     alphabet = frozenset(ch for m in counts for ch in m)
     return SegmenterModel(
         morph_counts=counts,

@@ -197,19 +197,19 @@ def _array(data, path, name: str, kind: str, shape: tuple) -> np.ndarray:
     """Array ``name`` of an open archive, which must have numpy dtype kind
     ``kind`` and shape ``shape`` (None: any length)."""
     if name not in data.files:
-        raise SchemaError(f"{path}: missing array {name!r}", field=name)
+        raise SchemaError(f"missing array {name!r}", field=name, path=path)
     try:
         array = data[name]
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        raise SchemaError(f"{path}: array {name!r} is unreadable",
-                          field=name) from None
+    except (ValueError, EOFError, NotImplementedError, zipfile.BadZipFile):
+        raise SchemaError(f"array {name!r} is unreadable", field=name,
+                          path=path) from None
     if array.dtype.kind != kind or len(array.shape) != len(shape) or any(
             want is not None and got != want
             for got, want in zip(array.shape, shape)):
         raise SchemaError(
-            f"{path}: array {name!r} has dtype {array.dtype} and shape "
-            f"{array.shape}, expected {_DTYPE_KINDS[kind]} array of shape "
-            f"{str(shape).replace('None', 'n')}", field=name)
+            f"array {name!r} has dtype {array.dtype} and shape {array.shape}, "
+            f"expected {_DTYPE_KINDS[kind]} array of shape "
+            f"{str(shape).replace('None', 'n')}", field=name, path=path)
     return array
 
 
@@ -218,18 +218,17 @@ def load_classifier(path) -> ClassifierModel:
     npz archive, a missing array, one of the wrong dtype or shape, or
     values no model can have, raise a `SchemaError` naming the file and
     the array."""
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):
-        data = None
-    if not isinstance(data, np.lib.npyio.NpzFile):  # also a lone .npy array
-        raise SchemaError(f"{path}: not an npz archive")
-    with data:
+    with open(path, "rb") as handle:  # np.load(path) leaks it on a bad zip
+        try:
+            data = np.load(handle, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            data = None
+        if not isinstance(data, np.lib.npyio.NpzFile):  # also a lone .npy array
+            raise SchemaError("not an npz archive", path=path)
         version = int(_array(data, path, "format_version", "i", (1,))[0])
         if version != _MODEL_FORMAT_VERSION:
-            raise SchemaError(
-                f"{path}: unsupported model format version {version}",
-                field="format_version")
+            raise SchemaError(f"unsupported model format version {version}",
+                              field="format_version", path=path)
         classes = _array(data, path, "classes", "U", (None,))
         features = _array(data, path, "features", "U", (None,))
         weights = _array(data, path, "weights", "f",
@@ -245,4 +244,4 @@ def load_classifier(path) -> ClassifierModel:
             vocab=vocab, classes=tuple(SlangClass.parse(str(c)) for c in classes),
             weights=weights, regularization=float(regularization[0]))
     except (ValueError, SlanglexError) as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+        raise SchemaError(str(exc), path=path) from None

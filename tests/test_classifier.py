@@ -273,6 +273,26 @@ class TestPersistence:
             load_classifier(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.filterwarnings("error::ResourceWarning",
+                                "error::pytest.PytestUnraisableExceptionWarning")
+    def test_corrupt_archive_leaves_no_file_open(self, tmp_path):
+        path = tmp_path / "clf.npz"
+        path.write_bytes(b"PK\x03\x04not a zip")
+        with pytest.raises(SchemaError, match="not an npz archive"):
+            load_classifier(path)
+
+    def test_unsupported_compression_named(self, tmp_path):
+        _, labels, maps, vocab = toy_dataset()
+        path = tmp_path / "clf.npz"
+        save_classifier(train_logreg(maps, labels, vocab, max_epochs=0), path)
+        data = bytearray(path.read_bytes())
+        at = data.index(b"PK\x01\x02") + 10  # first member's compression method
+        data[at:at + 2] = (99).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(SchemaError, match="is unreadable") as info:
+            load_classifier(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     @pytest.mark.parametrize("change, message", [
         (lambda a: a.pop("kind"), "missing array 'kind'"),
         (lambda a: a.update(weights=a["weights"][:, 1:]),

@@ -2,6 +2,7 @@
 and agreement between CLI output and direct library calls."""
 import csv
 import json
+import shutil
 from importlib.resources import files
 
 import numpy as np
@@ -78,12 +79,12 @@ class TestExitCodes:
             "classes", "train", "--gold", str(bad),
             "--out", str(tmp_path / "model.npz")])
         assert result.exit_code == 1
-        assert "line 2" in result.output
+        assert f"{bad}:2: " in result.output
 
     @pytest.mark.parametrize("line, message", [
         (b'{"headword": "a", "subjects": 5}\n',
-         "line 1: subjects must be a list of strings"),
-        (b'{"headword": "caf\xe9"}\n', "line 1: not UTF-8 text"),
+         "subjects must be a list of strings"),
+        (b'{"headword": "caf\xe9"}\n', "not UTF-8 text"),
     ])
     def test_malformed_lexicon_line_is_runtime_error(self, runner, tmp_path,
                                                      line, message):
@@ -93,7 +94,7 @@ class TestExitCodes:
             "ingest", "--slang", str(slang), "--out", str(tmp_path / "out.jsonl")])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
-        assert message in result.output
+        assert f"{slang}:1: {message}" in result.output
 
     @pytest.mark.parametrize("content, message", [
         (b"x", "not an npz archive"),
@@ -128,7 +129,22 @@ class TestExitCodes:
             "--lexicons", str(lexicons), "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # not a traceback
-        assert "line 3: not UTF-8 text" in result.output
+        assert f"{vectors}:3: not UTF-8 text" in result.output
+
+    def test_pipeline_error_names_the_file(self, runner, tmp_path):
+        # of the several inputs a pipeline reads, the error says which
+        lexicons = tmp_path / "lexicons"
+        shutil.copytree(files("slanglex").joinpath("data", "fixtures", "lexicons"),
+                        lexicons)
+        (lexicons / "gender_pairs.txt").write_text("he,she\nhe she\n",
+                                                   encoding="utf-8")
+        result = runner.invoke(main, [
+            "pipeline", "--fixtures", "--lexicons", str(lexicons),
+            "--out", str(tmp_path / "run")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert (f"{lexicons / 'gender_pairs.txt'}:2: expected male,female"
+                in result.output)
 
     def test_unstorable_classifier_feature_is_runtime_error(self, runner,
                                                             tmp_path):

@@ -369,3 +369,25 @@ class TestPersistence:
         path.write_text("3\n", encoding="utf-8")
         with pytest.raises(SchemaError):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("2 1\na 0.5\na 0.25\n", "duplicate tokens in embedding table"),
+        ("1 2\na 0.5 nan\n", "embedding matrix contains non-finite values"),
+        ("1 1\na -inf\n", "embedding matrix contains non-finite values"),
+        ("2 3\na 0.1 0.2 0.3\n", "header declared 2 tokens, file has 1"),
+        ("\n", "expected '<vocab> <dim>' header"),
+    ], ids=["duplicate", "nan", "infinite", "count", "no-header"])
+    def test_table_error_names_the_file(self, tmp_path, text, reason):
+        path = tmp_path / "vectors.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            load_embeddings(path)
+        assert str(err.value) == f"{path}: {reason}"
+
+    @pytest.mark.parametrize("header", ["0 -1", "1 0"])
+    def test_dimension_below_one_rejected(self, tmp_path, header):
+        path = tmp_path / "vectors.txt"
+        path.write_text(f"\n{header}\na\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            load_embeddings(path)
+        assert str(err.value).startswith(f"{path}:2: dimension must be >= 1")

@@ -1,6 +1,6 @@
 """Line-oriented input formats: the rules every loader shares through
-`read_records` (blank lines, comments, line numbers), strict slang-lexicon
-field types, and save/load round trips."""
+`read_records` (blank lines, comments, errors naming file and line),
+strict slang-lexicon field types, and save/load round trips."""
 import json
 
 import numpy as np
@@ -57,6 +57,11 @@ def bias_lexicon(name, attribute):
     return name, load
 
 
+def vector_rows(path):
+    table = load_embeddings(path)
+    return dict(zip(table.tokens, table.matrix.tolist()))
+
+
 # (file name, loader) -> the records it loaded, comment marker (None: the
 # format has none), two good lines and what they load to, and a bad line
 # (None: every non-blank line is a record)
@@ -98,6 +103,9 @@ LINE_FORMATS = [
         bias_lexicon("gender_pairs.txt", "gender_pairs"),
         "#", ["he,she", "Man\tWoman"], (("he", "she"), ("man", "woman")),
         "he she", id="gender-pairs"),
+    pytest.param(
+        ("vectors.txt", vector_rows), None, ["1 2", "a 0.5 -1"],
+        {"a": [0.5, -1.0]}, "b 0.5 oops", id="vectors"),
 ]
 
 
@@ -126,7 +134,8 @@ class TestLineFormats:
         with pytest.raises(SchemaError) as err:
             load(tmp_path / name)
         assert err.value.line == lines.index(bad) + 1
-        assert str(err.value).startswith(f"line {lines.index(bad) + 1}: ")
+        assert str(err.value).startswith(
+            f"{tmp_path / name}:{lines.index(bad) + 1}: ")
 
     def test_comments_are_records_where_the_format_has_none(self, tmp_path):
         path = tmp_path / "seg.tsv"
@@ -144,6 +153,11 @@ class TestLineFormats:
             load_gold_classes(path)
         assert err.value.line == 2
         assert "UTF-8" in str(err.value)
+
+    def test_error_shape(self):
+        assert str(SchemaError("bad", line=3, path="d/f.txt")) == "d/f.txt:3: bad"
+        assert str(SchemaError("bad", path="d/f.txt")) == "d/f.txt: bad"
+        assert str(SchemaError("bad", field="x")) == "bad"
 
     def test_parse_sees_only_the_line_ending_stripped(self, tmp_path):
         path = tmp_path / "x.txt"
@@ -202,7 +216,7 @@ class TestSlangFieldTypes:
         max_leaves=8)
 
     @pytest.mark.parametrize("field", FIELDS)
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(value=JSON_VALUES)
     @example(value=True)
     @example(value="abc")
@@ -249,14 +263,14 @@ TOKENS = st.from_regex(r"[a-z0-9_]+(?:'[a-z0-9_]+)*", fullmatch=True)
 
 
 class TestRoundTrips:
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(entries=st.lists(ENTRIES, max_size=4))
     def test_slang_lexicon_exact(self, tmp_path_factory, entries):
         path = tmp_path_factory.getbasetemp() / "roundtrip.jsonl"
         save_slang_lexicon(entries, path)
         assert load_slang_lexicon(path) == entries
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(counts=st.dictionaries(MORPHS, st.integers(1, 10**9), min_size=1,
                                   max_size=12))
     def test_segmenter_exact(self, tmp_path_factory, counts):
@@ -272,7 +286,7 @@ class TestRoundTrips:
         assert loaded.total_code_length == morph_code_length(
             dict(sorted(counts.items())), len(alphabet))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(tokens=st.lists(TOKENS, min_size=1, max_size=6, unique=True),
            dim=st.integers(1, 4), data=st.data())
     def test_vectors_to_six_decimals(self, tmp_path_factory, tokens, dim, data):
@@ -286,7 +300,7 @@ class TestRoundTrips:
                               [[float(f"{x:.6f}") for x in row] for row in matrix])
         assert np.abs(loaded.matrix - matrix).max() <= 5e-7 + 1e-12
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(classes=st.lists(st.sampled_from(SlangClass), min_size=2, unique=True),
            features=st.lists(FEATURES, max_size=6, unique=True),
            kind=st.sampled_from(NgramKind), n_range=st.tuples(

@@ -288,6 +288,13 @@ class TestPersistence:
         with pytest.raises(SchemaError):
             load_segmenter(path)
 
+    def test_empty_model_error_names_the_file(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("\n  \n", encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            load_segmenter(path)
+        assert str(err.value) == f"{path}: segmenter model file is empty"
+
 
 EPS = 1e-12  # the library's tie tolerance
 
@@ -383,7 +390,7 @@ INVENTORIES = st.one_of(
 
 
 class TestFastPathOracles:
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(words=LEXICONS, seed=st.integers(0, 3),
            split_penalty=st.sampled_from([0.0, 1.5]))
     # a re-analysis that costs more and is undone; one that costs the same
@@ -396,7 +403,7 @@ class TestFastPathOracles:
         assert model.morph_counts == reference_train(
             words, split_penalty=split_penalty, seed=seed)
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(counts=INVENTORIES, data=st.data())
     def test_segment_is_the_exhaustive_argmin(self, counts, data):
         model = SegmenterModel(counts, frozenset("".join(counts)), 0.0)
@@ -408,7 +415,7 @@ class TestFastPathOracles:
         for word in words:
             assert segment(model, word).morphs == exhaustive_segment(model, word)
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
+    @settings(max_examples=30)
     @given(words=LEXICONS, seed=st.integers(0, 3))
     def test_saved_model_reports_the_same_code_length(self, tmp_path_factory,
                                                       words, seed):
