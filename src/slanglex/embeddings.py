@@ -27,6 +27,22 @@ line, then one `token v1 ... v_d` line per word, which also lets the
 loader read third-party reference embeddings for the bias comparisons.
 It is read by the line rules every input shares (no comment lines);
 trailing whitespace on a line, common in word2vec files, is ignored.
+
+Loading parses the table in bulk. The file is read line by line under
+the same rules (lines end at `\n` only, blank ones are dropped), the
+header and each row's token are taken apart in Python, and every value
+is converted by one `np.loadtxt` call. Anything off (a byte that is not
+UTF-8, a bad header, a row without values, a `loadtxt` error, a matrix
+of another shape than the header's) sends the file to the line parser,
+`read_records` with one `parse` per line, which alone words an error.
+The bulk result is exact: numpy's converter takes a subset of what
+`float()` takes (it refuses `1_0` and non-ASCII digits, which `float()`
+takes, and hex, which neither does) and both round correctly, so when
+it succeeds it gives the same bits. The one exception is the ASCII
+separators U+001C-U+001F, which numpy strips around a value as
+whitespace and `float()` refuses; a table with one in a value goes to
+the line parser. A header of zero tokens skips `loadtxt`, which warns
+when it finds no data.
 """
 
 from __future__ import annotations
@@ -44,6 +60,9 @@ from .errors import AnalysisError, SchemaError
 _TOKEN_RE = re.compile(r"[a-z0-9_]+(?:'[a-z0-9_]+)*")
 # pairs per chunk, further capped at the vocabulary size (module docstring)
 _MAX_CHUNK = 128
+# the ASCII separators: numpy strips them around a value as whitespace,
+# float() refuses them
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass(frozen=True)
@@ -323,10 +342,52 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
             handle.write(f"{token} {row}\n")
 
 
-def load_embeddings(path) -> EmbeddingTable:
-    """Read the text vector format through `read_records`; a malformed line
-    or table raises a `SchemaError` naming the file. Counts are not stored
-    in this format, so every loaded token gets count 1."""
+def _header(line: str) -> tuple[int, int]:
+    try:
+        vocab, dim = map(int, line.split())
+    except ValueError:
+        raise SchemaError("expected '<vocab> <dim>' header") from None
+    if dim < 1:
+        raise SchemaError(f"dimension must be >= 1, got {dim}")
+    return vocab, dim
+
+
+def _parse_bulk(path) -> tuple[list[str], np.ndarray] | None:
+    """The table in one `np.loadtxt` call, or None where anything is off
+    and the line parser must decide (module docstring)."""
+    with open(path, "rb") as handle:
+        try:
+            # lines end at \n only, as in read_records; the header's split()
+            # and each row's rstrip() drop the ending, \r included
+            lines = (line for line in map(bytes.decode, handle) if line.strip())
+            header = next(lines, "")
+            rows = [line.rstrip().partition(" ") for line in lines]
+        except UnicodeDecodeError:
+            return None
+    try:
+        vocab, dim = _header(header)
+    except SchemaError:
+        return None
+    values = [part for _, _, part in rows]
+    # loadtxt skips an empty line, and warns when it finds no data at all
+    if (len(rows) != vocab or not all(values)
+            or any(sep in part for part in values for sep in _SEPARATORS)):
+        return None
+    if not rows:
+        return [], np.empty((0, dim))
+    try:  # a row of the wrong width is a ValueError or the wrong shape
+        matrix = np.loadtxt(values, dtype=np.float64, delimiter=" ",
+                            comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if matrix.shape != (vocab, dim):
+        return None
+    return [token for token, _, _ in rows], matrix
+
+
+def _parse_lines(path) -> tuple[list[str], np.ndarray]:
+    """The table line by line through `read_records`: the one judge of a
+    malformed table, and the one place its errors are worded."""
     shape = []  # (vocab, dimension), from the header
 
     def parse(line: str):
@@ -338,13 +399,7 @@ def load_embeddings(path) -> EmbeddingTable:
                 return token, list(map(float, values))
             except ValueError:
                 raise SchemaError("non-numeric vector value") from None
-        try:
-            vocab, dim = map(int, line.split())
-        except ValueError:
-            raise SchemaError("expected '<vocab> <dim>' header") from None
-        if dim < 1:
-            raise SchemaError(f"dimension must be >= 1, got {dim}")
-        shape.extend((vocab, dim))
+        shape.extend(_header(line))
 
     rows = read_records(path, parse, comment=None)[1:]
     if not shape:
@@ -355,6 +410,14 @@ def load_embeddings(path) -> EmbeddingTable:
     tokens = [token for token, _ in rows]
     matrix = np.array([values for _, values in rows],
                       dtype=np.float64).reshape(len(rows), shape[1])
+    return tokens, matrix
+
+
+def load_embeddings(path) -> EmbeddingTable:
+    """Read the text vector format (module docstring); a malformed line or
+    table raises a `SchemaError` naming the file. Counts are not stored in
+    this format, so every loaded token gets count 1."""
+    tokens, matrix = _parse_bulk(path) or _parse_lines(path)
     try:
         return EmbeddingTable(tokens=tokens, matrix=matrix,
                               counts={t: 1 for t in tokens})

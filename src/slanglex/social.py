@@ -24,7 +24,7 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -199,13 +199,13 @@ class BiasLexicons:
     gender_pairs: tuple[tuple[str, str], ...]  # (male, female)
 
     def __post_init__(self):
-        for name in ("prejudice_terms", "religious_terms", "trait_terms",
-                     "occupations", "gender_pairs"):
+        for name in (f.name for f in fields(self)):
             values = getattr(self, name)
             if not values:
-                raise AnalysisError(f"bias lexicon {name} is empty")
+                raise SchemaError(f"bias lexicon {name} is empty", field=name)
             if len(set(values)) != len(values):
-                raise AnalysisError(f"bias lexicon {name} has duplicates")
+                raise SchemaError(f"bias lexicon {name} has duplicates",
+                                  field=name)
 
 
 def _read_terms(path: Path) -> tuple[str, ...]:
@@ -220,15 +220,18 @@ def _gender_pair(line: str) -> tuple[str, str]:
 
 
 def load_bias_lexicons(directory) -> BiasLexicons:
-    """Load the five plain-text lexicon files from a directory."""
+    """Load the five plain-text lexicon files, one per field and named
+    after it (`occupations.txt`), from a directory; an empty or repeated
+    list is a `SchemaError` naming its file."""
     directory = Path(directory)
-    return BiasLexicons(
-        prejudice_terms=_read_terms(directory / "prejudice_terms.txt"),
-        religious_terms=_read_terms(directory / "religious_terms.txt"),
-        trait_terms=_read_terms(directory / "trait_terms.txt"),
-        occupations=_read_terms(directory / "occupations.txt"),
-        gender_pairs=tuple(read_records(directory / "gender_pairs.txt", _gender_pair)),
-    )
+    lists = {name: _read_terms(directory / f"{name}.txt") for name in
+             ("prejudice_terms", "religious_terms", "trait_terms", "occupations")}
+    lists["gender_pairs"] = tuple(read_records(directory / "gender_pairs.txt",
+                                               _gender_pair))
+    try:
+        return BiasLexicons(**lists)
+    except SchemaError as exc:
+        raise SchemaError(exc.reason, path=directory / f"{exc.field}.txt") from None
 
 
 def gender_direction(embedding: EmbeddingTable,

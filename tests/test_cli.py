@@ -146,6 +146,25 @@ class TestExitCodes:
         assert (f"{lexicons / 'gender_pairs.txt'}:2: expected male,female"
                 in result.output)
 
+    @pytest.mark.parametrize("text, problem", [
+        ("", "is empty"), ("# none yet\n", "is empty"),
+        ("nurse\nhe\nNurse\n", "has duplicates")])
+    def test_bad_bias_lexicon_names_the_file(self, runner, tmp_path, text,
+                                             problem):
+        lexicons = tmp_path / "lexicons"
+        shutil.copytree(files("slanglex").joinpath("data", "fixtures", "lexicons"),
+                        lexicons)
+        (lexicons / "occupations.txt").write_text(text, encoding="utf-8")
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("2 2\nhe 0.1 0.2\nshe 0.3 0.4\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "bias", "gender", "--vectors", str(vectors),
+            "--lexicons", str(lexicons), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output == (f"Error: {lexicons / 'occupations.txt'}: "
+                                 f"bias lexicon occupations {problem}\n")
+
     def test_unstorable_classifier_feature_is_runtime_error(self, runner,
                                                             tmp_path):
         # every word holds U+0000, so the unigram '\x00' is a feature

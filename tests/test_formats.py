@@ -1,7 +1,9 @@
 """Line-oriented input formats: the rules every loader shares through
 `read_records` (blank lines, comments, errors naming file and line),
-strict slang-lexicon field types, and save/load round trips."""
+strict slang-lexicon field types, save/load round trips, and the vector
+table's bulk parse against its line parser."""
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,6 +324,106 @@ class TestRoundTrips:
         assert loaded.regularization == regularization
         # how the fit ended is not part of the file
         assert (loaded.stop, loaded.iterations) == (None, None)
+
+
+# Vector values as tables hold them, and near misses: values float() takes
+# and numpy's converter refuses (underscores, non-ASCII digits), values
+# both take or both refuse, an empty field, inner whitespace and line
+# breaks, and the ASCII separators \x1c-\x1f, which numpy strips around a
+# value as whitespace and float() refuses.
+GOOD_VALUES = (st.floats(-1e3, 1e3).map(lambda x: f"{x:.6f}")
+               | st.floats(allow_nan=False).map(repr))
+ODD_VALUES = st.sampled_from([
+    "1_0", "\u0661", "+1", "-2e3", "0x10", "nan", "inf", '"1"', "", "1\t",
+    "\t1", "1\r5", "\r1", "1\x0b", "\x0c1", "\x1c1", "1\x1f", "1\x00",
+    "\xa01", "1\u2028", "1e400", ".5", "1e", "Infinity", "-NaN"])
+VECTOR_TOKENS = st.text(alphabet="ab#\u00e9\u4e2d_'\t\x1d\x85", max_size=3)
+SPACES = st.sampled_from(["", " ", "\t", " \r", "\x0b", "\x1e", "\u3000"])
+
+
+@st.composite
+def vector_tables(draw):
+    """Bytes of a text vector table: well formed, or with one fault or a
+    few near misses that the line parser and numpy might judge apart."""
+    dim = draw(st.integers(1, 3))
+    tokens = draw(st.lists(VECTOR_TOKENS, max_size=4))
+    fault = draw(st.sampled_from([None, None, None, "count", "header",
+                                  "width", "byte"]))
+    vocab = len(tokens) + (draw(st.sampled_from([-1, 1])) if fault == "count"
+                           else 0)
+    header = (draw(st.sampled_from(["x 2", f"{vocab}", f"{vocab} {dim} 1",
+                                    f"{vocab} 0", f"+{vocab} \u0661"]))
+              if fault == "header" else f"{vocab} {dim}")
+    values = GOOD_VALUES | ODD_VALUES if draw(st.booleans()) else GOOD_VALUES
+    lines = [header]
+    for token in tokens:
+        width = dim + (draw(st.sampled_from([-1, 1])) if fault == "width"
+                       else 0)
+        row = [token, *draw(st.lists(values, min_size=width, max_size=width))]
+        lines.append(" ".join(row) + draw(SPACES))
+        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "\t", "\r"]),
+                                   max_size=1)))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    data = ending.join(lines).encode("utf-8") + draw(
+        st.sampled_from([b"", ending.encode()]))
+    if fault == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9"])) + data[at:]
+    return data
+
+
+def loaded_or_error(path):
+    """A vector table's tokens, shape and matrix bytes, or its error text."""
+    try:
+        table = load_embeddings(path)
+    except SchemaError as exc:
+        return str(exc)
+    return table.tokens, table.matrix.shape, table.matrix.tobytes()
+
+
+class TestVectorTableParse:
+    """`load_embeddings` converts a table in one numpy call and, where
+    anything is off, leaves the verdict to the line parser."""
+
+    @settings(max_examples=300)
+    @given(data=vector_tables())
+    @example(data=b"2 2\na 1_0 2\nb 1 2\n")
+    @example(data="1 1\na \u0661\n".encode("utf-8"))
+    @example(data=b"1 1\na 0x10\n")
+    @example(data=b"1 2\na 1\x1c 2\n")
+    @example(data=b"1 2\na 1\r5 2\n")
+    @example(data=b"1 2\na 1  2\n")
+    @example(data=b"2 1\na 1\n\xff 2\n")
+    @example(data=b"x 1\na 1\n")
+    @example(data=b"2 1\na 1\n")
+    @example(data=b"1 1\na\n")
+    @example(data=b"2 1\na 1\na 2\n")
+    @example(data=b"1 2\na nan 1\n")
+    @example(data=b"0 3\n")
+    def test_bulk_parse_agrees_with_the_line_parser(self, tmp_path_factory,
+                                                    data):
+        path = tmp_path_factory.getbasetemp() / "vectors.txt"
+        path.write_bytes(data)
+        with mock.patch.object(embeddings, "_parse_bulk", lambda path: None):
+            by_lines = loaded_or_error(path)
+        assert loaded_or_error(path) == by_lines
+
+    def test_saved_table_skips_the_line_parser(self, tmp_path, monkeypatch):
+        # a silent fallback would cost the bulk parse's speed and nothing else
+        def line_parser(*args, **kwargs):
+            raise AssertionError("the line parser read a well-formed table")
+        monkeypatch.setattr(embeddings, "read_records", line_parser)
+        tokens = ["he", "she", "holy_roller", "don't", "x1"]
+        matrix = np.random.default_rng(0).normal(size=(len(tokens), 100))
+        path = tmp_path / "vectors.txt"
+        for rows in (tokens, []):
+            saved = matrix[:len(rows)]
+            save_embeddings(EmbeddingTable(rows, saved, {t: 1 for t in rows}),
+                            path)
+            loaded = load_embeddings(path)
+            assert loaded.tokens == tuple(rows)
+            assert np.array_equal(loaded.matrix, np.reshape(
+                [float(f"{x:.6f}") for x in saved.flat], saved.shape))
 
 
 def test_subject_token_defined_once():
