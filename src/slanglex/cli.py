@@ -73,6 +73,7 @@ from .slangclass import (
     fit_vocabulary,
     load_classifier,
     predict_proba,
+    predict_proba_batch,
     predict_with_reject,
     save_classifier,
     split_pair,
@@ -113,7 +114,7 @@ OPTIONS = {
                  dict(required=True, type=click.Path(exists=True, file_okay=False))),
     "model": (("--model", "model_path"), dict(required=True, type=IN_FILE)),
     "segmenter": (("--segmenter", "segmenter_path"), dict(
-        type=IN_FILE, help="Saved segmenter TSV; required for morph features.")),
+        type=IN_FILE, help="Saved segmenter TSV; for morph features only.")),
     "words": (("--words", "words_csv"), dict(help="Comma-separated words to label.")),
     "in": (("--in", "in_path"),
            dict(type=IN_FILE, help="File with one word per line.")),
@@ -244,6 +245,15 @@ def _score(score_name: str, delta: float) -> ScoreType:
         raise click.UsageError(
             "NegEntropy delta must be <= 0 (scores are negated entropy in nats)")
     return score
+
+
+def _check_segmenter(kind: NgramKind, segmenter_path) -> None:
+    """--segmenter goes with morph features and with nothing else."""
+    if kind is NgramKind.MORPHEME and segmenter_path is None:
+        raise click.UsageError(f"{kind.value} features require --segmenter")
+    if kind is not NgramKind.MORPHEME and segmenter_path is not None:
+        raise click.UsageError(
+            f"--segmenter applies only to morph features, not {kind.value}")
 
 
 def _letters(word: str) -> str:
@@ -384,8 +394,8 @@ def run_classes_train(gold_path, out_path, kind, segmenter, seed,
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         save_classifier(model, out_path)
-    preds = [argmax_label(predict_proba(model, r.word, segmenter))
-             for r in split.test]
+    probs = predict_proba_batch(model, [r.word for r in split.test], segmenter)
+    preds = [argmax_label(dict(zip(model.classes, p))) for p in probs.tolist()]
     f1 = weighted_f1([r.label for r in split.test], preds)
     return ({"features": kind.value, "train": len(split.train),
              "test": len(split.test), "vocab": len(model.vocab.features),
@@ -397,8 +407,10 @@ def run_classes_train(gold_path, out_path, kind, segmenter, seed,
          *FIT, "test_fraction", "seed")
 def classes_train(kind, segmenter_path, **params):
     """Fit the four-class detector on labeled words."""
+    kind = NgramKind(kind)
+    _check_segmenter(kind, segmenter_path)
     segmenter = None if segmenter_path is None else load_segmenter(segmenter_path)
-    return run_classes_train(kind=NgramKind(kind), segmenter=segmenter, **params)
+    return run_classes_train(kind=kind, segmenter=segmenter, **params)
 
 
 @command(classes, "classes.predict", "model", "words", "in", "delta", "score",
@@ -411,6 +423,7 @@ def classes_predict(model_path, words_csv, in_path, delta, score_name,
     if (words_csv is None) == (in_path is None):
         raise click.UsageError("provide exactly one of --words or --in")
     model = load_classifier(model_path)
+    _check_segmenter(model.vocab.kind, segmenter_path)
     segmenter = None if segmenter_path is None else load_segmenter(segmenter_path)
     if words_csv is not None:
         words = [w.strip() for w in words_csv.split(",") if w.strip()]
@@ -418,13 +431,17 @@ def classes_predict(model_path, words_csv, in_path, delta, score_name,
         words = read_records(in_path, str.strip, comment=None)
     if not words:
         raise SlanglexError("no words to label")
-    dists = [predict_proba(model, word, segmenter) for word in words]
-    labels = predict_with_reject(list(model.classes), lambda dist: dist, dists,
-                                 delta, score)
-    rows = [[word, str(label), fnum(confidence_score(dist, score))]
-            + [fnum(dist[cls]) for cls in model.classes]
-            for word, label, dist in zip(words, labels, dists)]
-    fields = ["word", "prediction", "score"] + [f"p_{c}" for c in model.classes]
+    names = [str(c) for c in model.classes]
+    probs = predict_proba_batch(model, words, segmenter)
+
+    def dist(row) -> dict:
+        return dict(zip(names, row.tolist()))
+
+    labels = predict_with_reject(names, dist, probs, delta, score)
+    rows = [[word, str(label), fnum(confidence_score(dist(row), score)),
+             *map(fnum, row.tolist())]
+            for word, label, row in zip(words, labels, probs)]
+    fields = ["word", "prediction", "score"] + [f"p_{name}" for name in names]
     if out_path is not None:
         write_csv(out_path, fields, rows,
                   provenance_lines(None, [("model", model_path)]))

@@ -6,6 +6,7 @@ from .features import (
     FeatureVocabulary,
     extract_char_ngrams,
     extract_morpheme_ngrams,
+    feature_matrix,
     fit_vocabulary,
     vectorize,
     word_features,
@@ -15,6 +16,7 @@ from .logreg import (
     loss_and_gradient,
     train_logreg,
     predict_proba,
+    predict_proba_batch,
     save_classifier,
     load_classifier,
 )
@@ -43,6 +45,7 @@ __all__ = [
     "FeatureVocabulary",
     "extract_char_ngrams",
     "extract_morpheme_ngrams",
+    "feature_matrix",
     "fit_vocabulary",
     "vectorize",
     "word_features",
@@ -50,6 +53,7 @@ __all__ = [
     "loss_and_gradient",
     "train_logreg",
     "predict_proba",
+    "predict_proba_batch",
     "save_classifier",
     "load_classifier",
     "ScoreType",

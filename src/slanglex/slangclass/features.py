@@ -2,13 +2,32 @@
 
 Case and punctuation are preserved: periods and capitals are exactly the
 cues that identify alphabetisms, so no normalization happens here.
+
+`feature_matrix` counts a whole word list's vocabulary features at once.
+For char features it walks a trie of the vocabulary, built on first use:
+depth d holds the sorted keys ``parent_state * BASE + code_point`` of its
+edges and the child state of each, and a state that ends a feature maps
+to that feature's column. ``BASE`` is 0x110001, one more than the code
+points, so a key is below ``#states * BASE``: within int64 for any trie
+under 8e12 states, whatever the n-gram range, where one integer per
+n-gram would overflow past a few characters.
+Every word position advances one depth at a time, by one ``searchsorted``
+per depth, until its next character has no edge; each word is followed by
+0x110000, which no edge has, so no position runs into the next word. A
+position that reaches a feature's state at a depth within
+``n_min..n_max`` counts one hit, so the counts equal `vectorize` of
+`extract_char_ngrams` exactly. Characters come from one UTF-32 encoding
+of the joined words, one code unit per character as ``len`` counts them;
+a numpy ``U`` array would drop a word's trailing U+0000.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import cached_property
+from itertools import accumulate
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,12 +42,16 @@ class NgramKind(enum.Enum):
     MORPHEME = "morph"
 
 
+def _check_range(n_min: int, n_max: int) -> None:
+    if not 1 <= n_min <= n_max:
+        raise AnalysisError(f"bad n-gram range ({n_min}, {n_max})")
+
+
 def extract_char_ngrams(word: str, n_min: int = 1, n_max: int = 5) -> dict[str, int]:
     """All contiguous substrings of length n_min..n_max, with multiplicity."""
     if not word:
         raise AnalysisError("cannot extract features from an empty word")
-    if not 1 <= n_min <= n_max:
-        raise AnalysisError(f"bad n-gram range ({n_min}, {n_max})")
+    _check_range(n_min, n_max)
     counts: dict[str, int] = {}
     for n in range(n_min, n_max + 1):
         for i in range(len(word) - n + 1):
@@ -40,8 +63,7 @@ def extract_char_ngrams(word: str, n_min: int = 1, n_max: int = 5) -> dict[str, 
 def extract_morpheme_ngrams(seg: Segmentation, n_min: int = 1,
                             n_max: int = 5) -> dict[str, int]:
     """Contiguous morph subsequences joined with a reserved separator."""
-    if not 1 <= n_min <= n_max:
-        raise AnalysisError(f"bad n-gram range ({n_min}, {n_max})")
+    _check_range(n_min, n_max)
     counts: dict[str, int] = {}
     morphs = seg.morphs
     for n in range(n_min, n_max + 1):
@@ -79,6 +101,10 @@ class FeatureVocabulary:
     def __len__(self) -> int:
         return len(self.features)
 
+    @cached_property
+    def _trie(self) -> "_CharTrie":
+        return _CharTrie(self.features)
+
 
 def fit_vocabulary(feature_maps: Iterable[Mapping[str, int]], kind: NgramKind,
                    cap: int = 200, n_min: int = 1,
@@ -105,4 +131,83 @@ def vectorize(vocab: FeatureVocabulary, fmap: Mapping[str, int]) -> np.ndarray:
         col = vocab.index.get(feature)
         if col is not None:
             x[col] = count
+    return x
+
+
+class _CharTrie:
+    """The features as a trie over code points, one sorted key array per
+    depth (see the module docstring)."""
+
+    BASE = 0x110001  # one more than the code points; 0x110000 ends a word
+
+    def __init__(self, features: Sequence[str]):
+        self.n_columns = len(features)
+        edges: list[dict[int, int]] = []  # per depth: key -> child state
+        # per state: the column of the feature it ends; other states count
+        # into a spare last column, which is dropped
+        column = [self.n_columns]
+        for col, feature in enumerate(features):
+            state = 0
+            for depth, ch in enumerate(feature):
+                if depth == len(edges):
+                    edges.append({})
+                key = state * self.BASE + ord(ch)
+                if key not in edges[depth]:
+                    edges[depth][key] = len(column)
+                    column.append(self.n_columns)
+                state = edges[depth][key]
+            column[state] = col
+        # each key array ends in a value above every key, so the slot
+        # searchsorted returns is always in range; children are stored
+        # premultiplied by BASE, ready for the next depth's keys
+        self.keys = [np.array(sorted(level) + [np.iinfo(np.int64).max],
+                              dtype=np.int64) for level in edges]
+        self.children = [np.array([level[k] for k in keys[:-1]],
+                                  dtype=np.int64) * self.BASE
+                         for level, keys in zip(edges, self.keys)]
+        self.column = np.array(column, dtype=np.int64)
+
+    def counts(self, words: Sequence[str], n_min: int, n_max: int) -> np.ndarray:
+        width = self.n_columns + 1
+        ends = np.fromiter(accumulate(len(w) + 1 for w in words), np.int64,
+                           len(words)) - 1  # where each word's separator is
+        text = np.frombuffer(("\0".join(words) + "\0").encode(
+            "utf-32-le", "surrogatepass"), dtype="<u4").astype(np.int64)
+        text[ends] = self.BASE - 1
+        pos = np.arange(len(text))  # where each surviving n-gram starts
+        state = 0  # times BASE, as the key arrays want it
+        found_pos, found_state = [pos[:0]], [pos[:0]]
+        for n in range(min(n_max, len(self.keys))):
+            keys = self.keys[n]
+            key = state + text[n:][pos]
+            slot = keys.searchsorted(key)
+            hit = keys[slot] == key
+            pos, state = pos[hit], self.children[n][slot[hit]]
+            if n + 1 >= n_min:
+                found_pos.append(pos)
+                found_state.append(state)
+        flat = (ends.searchsorted(np.concatenate(found_pos)) * width
+                + self.column[np.concatenate(found_state) // self.BASE])
+        # counted in float64 from the start: a first int-to-float cast in
+        # the process would page in another 128 kB of numpy
+        counts = np.zeros((len(words), width))
+        np.add.at(counts.reshape(-1), flat, 1.0)
+        return counts[:, :-1]
+
+
+def feature_matrix(vocab: FeatureVocabulary, words: Sequence[str],
+                   segmenter: SegmenterModel | None = None) -> np.ndarray:
+    """The ``(len(words), len(vocab))`` count matrix of the words'
+    vocabulary features: row i equals `vectorize` of `word_features` of
+    word i. Char features take the trie walk; morph features segment each
+    word."""
+    _check_range(vocab.n_min, vocab.n_max)
+    if vocab.kind is NgramKind.CHAR:
+        if not all(words):
+            raise AnalysisError("cannot extract features from an empty word")
+        return vocab._trie.counts(words, vocab.n_min, vocab.n_max)
+    x = np.zeros((len(words), len(vocab)))
+    for row, word in zip(x, words):
+        row[:] = vectorize(vocab, word_features(word, vocab.kind, vocab.n_min,
+                                                vocab.n_max, segmenter))
     return x

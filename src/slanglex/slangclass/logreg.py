@@ -13,6 +13,13 @@ step until the Armijo condition holds. A fit stops for one of three
 reasons, recorded on the model: the gradient max-norm reached the
 tolerance (``tol``), no step along the direction lowered the loss
 (``stalled``), or the iteration cap was hit (``max_iter``).
+
+Words are scored by one function, `predict_proba_batch`; `predict_proba`
+is its one-word call. It takes each block's features as one matrix but
+computes each word's scores as its own matrix-vector product,
+``weights @ append(x, 1)``: a matrix-matrix product sums in another order
+and can differ in the last bit, and the reports print these
+probabilities.
 """
 
 from __future__ import annotations
@@ -27,10 +34,12 @@ import numpy as np
 from ..errors import AnalysisError, SchemaError, SlanglexError
 from ..labels import SlangClass
 from ..morphology import SegmenterModel
-from .features import FeatureVocabulary, NgramKind, vectorize, word_features
+from .features import FeatureVocabulary, NgramKind, feature_matrix, vectorize
 
 _MODEL_FORMAT_VERSION = 1
 _LBFGS_MEMORY = 10  # curvature pairs kept
+_SCORE_BLOCK = 256  # words per feature matrix, which bounds its memory
+_BIAS_INPUT = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -157,16 +166,27 @@ def train_logreg(feature_maps: Sequence[Mapping[str, int]],
                            regularization=l2, stop=stop, iterations=iterations)
 
 
+def predict_proba_batch(model: ClassifierModel, words: Sequence[str],
+                        segmenter: SegmenterModel | None = None) -> np.ndarray:
+    """The ``(len(words), len(model.classes))`` class probabilities of the
+    words, in ``model.classes`` order; unknown features are ignored."""
+    probs = np.empty((len(words), len(model.classes)))
+    for start in range(0, len(words), _SCORE_BLOCK):
+        x = feature_matrix(model.vocab, words[start:start + _SCORE_BLOCK],
+                           segmenter)
+        # np.append(row, 1.0), without its argument conversions
+        scores = np.array([model.weights @ np.concatenate((row, _BIAS_INPUT))
+                           for row in x])
+        probs[start:start + len(x)] = _softmax_rows(scores)
+    return probs
+
+
 def predict_proba(model: ClassifierModel, word: str,
                   segmenter: SegmenterModel | None = None
                   ) -> dict[SlangClass, float]:
-    """Class distribution for one word; unknown features are ignored."""
-    vocab = model.vocab
-    x = vectorize(vocab, word_features(word, vocab.kind, vocab.n_min,
-                                       vocab.n_max, segmenter))
-    scores = model.weights @ np.append(x, 1.0)
-    probs = _softmax_rows(scores[None, :])[0]
-    return {c: float(p) for c, p in zip(model.classes, probs)}
+    """Class distribution for one word."""
+    probs = predict_proba_batch(model, [word], segmenter)[0]
+    return dict(zip(model.classes, probs.tolist()))
 
 
 def save_classifier(model: ClassifierModel, path) -> None:

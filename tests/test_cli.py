@@ -308,6 +308,12 @@ class TestMorphology:
             assert "".join(analysis.split("+")) == word
 
 
+# feature kind, whether --segmenter is given, and the usage error
+SEGMENTER_MISMATCHES = [
+    ("char", True, "--segmenter applies only to morph features, not char"),
+    ("morph", False, "morph features require --segmenter")]
+
+
 class TestClasses:
     def train(self, runner, tmp_path, gold):
         model_path = tmp_path / "model.npz"
@@ -384,18 +390,55 @@ class TestClasses:
         _, _, gold = write_inputs(tmp_path)
         model_path = self.train(runner, tmp_path, gold)
         scored = []
-        predict_proba = cli.predict_proba
+        predict_proba_batch = cli.predict_proba_batch
 
-        def counting(model, word, segmenter=None):
-            scored.append(word)
-            return predict_proba(model, word, segmenter)
+        def counting(model, words, segmenter=None):
+            scored.extend(words)
+            return predict_proba_batch(model, words, segmenter)
 
-        monkeypatch.setattr(cli, "predict_proba", counting)
+        monkeypatch.setattr(cli, "predict_proba_batch", counting)
         result = runner.invoke(main, [
             "classes", "predict", "--model", str(model_path),
             "--words", "w.a.c,aoo-aoo,clia", "--delta", "0.1"])
         assert result.exit_code == 0, result.output
         assert scored == ["w.a.c", "aoo-aoo", "clia"]
+
+    @pytest.mark.parametrize("features, segmenter, message",
+                             SEGMENTER_MISMATCHES)
+    def test_train_segmenter_must_match_features(self, runner, tmp_path,
+                                                 features, segmenter, message):
+        _, _, gold = write_inputs(tmp_path)
+        seg = tmp_path / "seg.tsv"
+        seg.write_text("b\t2\nbr\t1\n", encoding="utf-8")
+        result = runner.invoke(main, [
+            "classes", "train", "--gold", str(gold), "--features", features,
+            *(["--segmenter", str(seg)] if segmenter else []),
+            "--out", str(tmp_path / "m.npz")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not (tmp_path / "m.npz").exists()
+
+    @pytest.mark.parametrize("features, segmenter, message",
+                             SEGMENTER_MISMATCHES)
+    def test_predict_segmenter_must_match_model(self, runner, tmp_path,
+                                                monkeypatch, features,
+                                                segmenter, message):
+        import slanglex.cli as cli
+        _, _, gold = write_inputs(tmp_path)
+        seg = tmp_path / "seg.tsv"
+        seg.write_text("b\t2\nbr\t1\n", encoding="utf-8")
+        model_path = tmp_path / "m.npz"
+        result = runner.invoke(main, [
+            "classes", "train", "--gold", str(gold), "--features", features,
+            *(["--segmenter", str(seg)] if features == "morph" else []),
+            "--out", str(model_path)])
+        assert result.exit_code == 0, result.output
+        monkeypatch.setattr(cli, "predict_proba_batch", None)  # no scoring
+        result = runner.invoke(main, [
+            "classes", "predict", "--model", str(model_path), "--words", "lol",
+            "--delta", "0.5", *(["--segmenter", str(seg)] if segmenter else [])])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
 
     def test_delta_one_rejects_all(self, runner, tmp_path):
         _, _, gold = write_inputs(tmp_path)
