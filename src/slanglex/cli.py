@@ -72,7 +72,6 @@ from .slangclass import (
     cross_class_validate,
     fit_vocabulary,
     load_classifier,
-    predict_proba,
     predict_proba_batch,
     predict_with_reject,
     save_classifier,
@@ -461,7 +460,8 @@ def run_classes_eval(gold_path, delta, score_name, seed, test_fraction,
 
     def train(records, known_classes, seed):
         model = _fit_classifier(records, NgramKind.CHAR, None, **fit)
-        return lambda word: predict_proba(model, word)
+        return lambda words: (model.classes,
+                              predict_proba_batch(model, words).tolist())
 
     report = cross_class_validate(load_gold_classes(gold_path), train, delta,
                                   score, seed, test_fraction=test_fraction)

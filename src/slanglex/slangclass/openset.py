@@ -100,10 +100,12 @@ class CrossClassReport:
     score: ScoreType
 
 
+# a fold's model scores all its test words in one call: it returns the
+# labels its columns stand for and one probability row per word
+BatchModel = Callable[[Sequence[str]],
+                      tuple[Sequence[SlangClass], Sequence[Sequence[float]]]]
 TrainingProcedure = Callable[
-    [list[GoldClassRecord], list[SlangClass], int],
-    Callable[[str], Mapping[SlangClass, float]],
-]
+    [list[GoldClassRecord], list[SlangClass], int], BatchModel]
 
 
 def cross_class_validate(gold: Sequence[GoldClassRecord],
@@ -113,9 +115,9 @@ def cross_class_validate(gold: Sequence[GoldClassRecord],
     """Hold out each class in turn as the unknown set.
 
     The model for a fold is trained on the other classes' training split
-    and evaluated on the full test split, where instances of the held-out
-    class carry the true label Rejected. Returns per-fold and mean
-    weighted F1.
+    and evaluated on the full test split, scored in one batch, where
+    instances of the held-out class carry the true label Rejected.
+    Returns per-fold and mean weighted F1.
     """
     classes = sorted({r.label for r in gold}, key=str)
     if len(classes) < 3:
@@ -127,8 +129,9 @@ def cross_class_validate(gold: Sequence[GoldClassRecord],
         known = [c for c in classes if c != held]
         train_records = [r for r in split.train if r.label != held]
         model = h_factory(train_records, known, seed)
+        labels, rows = model([r.word for r in split.test])
         predictions = predict_with_reject(
-            known, model, [r.word for r in split.test], delta, score)
+            known, lambda row: dict(zip(labels, row)), rows, delta, score)
         truth = [REJECTED if r.label == held else r.label for r in split.test]
         fold_f1[held] = weighted_f1(truth, predictions)
     mean = sum(fold_f1.values()) / len(fold_f1)

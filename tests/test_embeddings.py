@@ -1,14 +1,19 @@
 """Corpus building, SGNS gradients (finite-difference oracle), training
 behavior, similarity queries and the text vector format."""
+import collections
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from slanglex.corpus import LexiconEntry
 from slanglex.embeddings import (
     EmbeddingTable,
     TrainingConfig,
+    _window_pairs,
     build_usage_corpus,
     cosine,
     cosines,
@@ -214,6 +219,121 @@ class TestTraining:
                 TrainingConfig(**kwargs)
 
 
+def reference_skipgram(corpus, config):
+    """SGNS training written one chunk at a time: each chunk draws its own
+    negatives and keep mask, and each descent sorts the chunk's rows with
+    argsort. The reference the trainer must equal bit for bit."""
+    counts = {}
+    for sentence in corpus:
+        for token in sentence:
+            counts[token] = counts.get(token, 0) + 1
+    vocab = sorted((t for t, c in counts.items() if c >= config.min_count),
+                   key=lambda t: (-counts[t], t))
+    index = {t: i for i, t in enumerate(vocab)}
+    vocab_counts = np.array([counts[t] for t in vocab], dtype=np.float64)
+    keep_prob = np.ones(len(vocab))
+    if config.subsample_threshold > 0:
+        freq = vocab_counts / vocab_counts.sum()
+        with np.errstate(divide="ignore"):
+            keep_prob = np.minimum(
+                1.0, np.sqrt(config.subsample_threshold / freq))
+    noise = vocab_counts ** 0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+    rng = np.random.default_rng(config.seed)
+    d = config.dimension
+    vectors = (rng.random((len(vocab), d)) - 0.5) / d
+    context = np.zeros((len(vocab), d))
+    sentences = [[index[t] for t in sent if t in index] for sent in corpus]
+    tokens = np.array([w for sent in sentences for w in sent], dtype=np.intp)
+    sentence_ids = np.repeat(np.arange(len(sentences)),
+                             [len(sent) for sent in sentences])
+
+    def descend(matrix, rows, grads, lr):
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        matrix[rows[starts]] -= lr * np.add.reduceat(grads[order], starts,
+                                                     axis=0)
+
+    chunk = min(len(vocab), 128)
+    epoch_losses = []
+    for epoch in range(config.epochs):
+        lr = max(config.initial_lr * (1.0 - epoch / config.epochs),
+                 config.initial_lr * 1e-4)
+        kept = rng.random(len(tokens)) < keep_prob[tokens]
+        reach = rng.integers(1, config.window + 1, size=int(kept.sum()))
+        centers, contexts = _window_pairs(tokens[kept], sentence_ids[kept],
+                                          reach, config.window)
+        loss_sum = 0.0
+        for lo in range(0, len(centers), chunk):
+            c_ids = centers[lo:lo + chunk]
+            p_ids = contexts[lo:lo + chunk]
+            n_ids = noise_cdf.searchsorted(
+                rng.random((len(c_ids), config.negatives)))
+            loss, g_c, g_p, g_n = sgns_pair_gradients(
+                vectors[c_ids], context[p_ids], context[n_ids],
+                keep=n_ids != p_ids[:, None])
+            descend(vectors, c_ids, g_c, lr)
+            descend(context, p_ids, g_p, lr)
+            descend(context, n_ids.ravel(), g_n.reshape(-1, d), lr)
+            loss_sum += float(loss.sum())
+        epoch_losses.append(loss_sum / len(centers) if len(centers) else 0.0)
+    return vocab, vectors, tuple(epoch_losses)
+
+
+@st.composite
+def corpora(draw):
+    """Every one of 1-170 types at least once plus repeats, shuffled and
+    cut into sentences: vocabularies on both sides of the 128-pair chunk
+    bound."""
+    types = draw(st.integers(1, 170))
+    ids = list(range(types)) + draw(
+        st.lists(st.integers(0, types - 1), max_size=150))
+    ids = draw(st.permutations(ids))
+    cuts = draw(st.lists(st.integers(1, len(ids)), max_size=20))
+    bounds = sorted({0, len(ids), *cuts})
+    return [[f"w{i}" for i in ids[a:b]] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestTrainingOracle:
+    @settings(max_examples=100)
+    @given(corpus=corpora(), negatives=st.integers(1, 15),
+           dimension=st.integers(1, 40), window=st.integers(1, 5),
+           epochs=st.integers(1, 3), min_count=st.integers(1, 2),
+           subsample=st.sampled_from([0.0, 1e-3, 0.05]),
+           seed=st.integers(0, 2**32 - 1))
+    # three types: every row repeats within each chunk of 3 pairs, and
+    # the 360 pairs of an epoch span two 64-chunk stretches
+    @example(corpus=[["ab", "cd", "ef"]] * 60, negatives=5, dimension=10,
+             window=2, epochs=3, min_count=1, subsample=0.0, seed=3)
+    # 12 pairs in chunks of 4 (a window of 1 always reaches 1): no
+    # partial chunk
+    @example(corpus=[["a", "b", "c", "d"]] * 2, negatives=3, dimension=4,
+             window=1, epochs=2, min_count=1, subsample=0.0, seed=0)
+    # 160 types: 128-pair chunks and a partial last chunk
+    @example(corpus=[[f"w{i}" for i in range(160)]], negatives=15,
+             dimension=40, window=5, epochs=3, min_count=1, subsample=1e-3,
+             seed=9)
+    def test_equals_chunk_by_chunk_training(self, corpus, negatives, dimension,
+                                            window, epochs, min_count,
+                                            subsample, seed):
+        config = TrainingConfig(dimension=dimension, window=window,
+                                negatives=negatives, epochs=epochs,
+                                min_count=min_count,
+                                subsample_threshold=subsample, seed=seed)
+        counts = collections.Counter(t for sentence in corpus for t in sentence)
+        if max(counts.values()) < min_count:
+            with pytest.raises(AnalysisError):
+                train_skipgram(corpus, config)
+            return
+        table = train_skipgram(corpus, config)
+        vocab, matrix, epoch_losses = reference_skipgram(corpus, config)
+        assert table.tokens == tuple(vocab)
+        assert table.matrix.tobytes() == matrix.tobytes()
+        assert np.array(table.epoch_losses).tobytes() == \
+            np.array(epoch_losses).tobytes()
+
+
 class TestCosine:
     def test_identities(self):
         v = np.array([1.0, 2.0, -3.0])
@@ -327,6 +447,25 @@ class TestPersistence:
         assert loaded.dimension == 4
         assert np.allclose(loaded.matrix, matrix, atol=5e-7)
         assert loaded.counts == {t: 1 for t in tokens}
+
+    @settings(max_examples=100)
+    @given(matrix=arrays(
+        np.float64, st.tuples(st.integers(0, 4), st.integers(1, 6)),
+        elements=st.floats(allow_nan=False, allow_infinity=False)
+        # negative zero, values that round to -0.000000, values near and
+        # at a tie in the sixth decimal (2**-7 ends in 5 at the seventh)
+        | st.sampled_from([-0.0, -1e-9, -4.9e-7, 5e-7, -5e-7, 2.0**-7,
+                           -(2.0**-7), 3 * 2.0**-7, 1e300, -1e300])))
+    @example(matrix=np.array([[-0.0], [5e-7], [-5e-7], [1e300]]))
+    def test_rows_formatted_value_by_value(self, tmp_path_factory, matrix):
+        tokens = [f"t{i}" for i in range(len(matrix))]
+        table = EmbeddingTable(tokens, matrix, {t: 1 for t in tokens})
+        path = tmp_path_factory.getbasetemp() / "vectors.txt"
+        save_embeddings(table, path)
+        expected = f"{len(tokens)} {matrix.shape[1]}\n" + "".join(
+            f"{token} {' '.join(f'{x:.6f}' for x in row)}\n"
+            for token, row in zip(tokens, matrix))
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_trailing_whitespace_accepted(self, tmp_path):
         # word2vec text files often end every vector line with a space

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from slanglex.corpus import GoldClassRecord
+from slanglex.corpus import GoldClassRecord, split_gold
 from slanglex.errors import AnalysisError
 from slanglex.labels import REJECTED, SlangClass
 from slanglex.slangclass.openset import (
@@ -149,6 +149,12 @@ def oracle_gold():
             for label, ws in words.items() for w in ws]
 
 
+def batch(known_classes, model):
+    """A one-word model as the batch model cross-class validation calls."""
+    return lambda words: (known_classes,
+                          [[model(w)[c] for c in known_classes] for w in words])
+
+
 class TestCrossClassValidation:
     def test_oracle_model_scores_perfect_f1(self):
         gold = oracle_gold()
@@ -163,7 +169,7 @@ class TestCrossClassValidation:
                     return dist
                 # held-out class: the oracle is maximally unsure
                 return {c: 1.0 / len(known_classes) for c in known_classes}
-            return model
+            return batch(known_classes, model)
 
         # two known classes per fold: unsure means maxprob 0.5 <= delta
         report = cross_class_validate(gold, h_factory, delta=0.5,
@@ -186,7 +192,7 @@ class TestCrossClassValidation:
                 dist = {c: 0.0 for c in known_classes}
                 dist[label] = 1.0
                 return dist
-            return model
+            return batch(known_classes, model)
 
         report = cross_class_validate(gold, h_factory, delta=0.5,
                                       score=ScoreType.MAX_PROB, seed=0)
@@ -196,6 +202,30 @@ class TestCrossClassValidation:
         # (1/3)(2/3) + (1/3)(1) + (1/3)(0) = 5/9
         for f1 in report.fold_f1.values():
             assert f1 == pytest.approx(5 / 9)
+
+    def test_each_fold_scores_its_test_words_in_one_call(self):
+        gold = oracle_gold()
+        truth_of = {r.word: r.label for r in gold}
+        calls = []
+
+        def h_factory(train_records, known_classes, seed):
+            labels = known_classes[::-1]  # columns need not follow known
+
+            def model(words):
+                calls.append(list(words))
+                return labels, [[1.0 if truth_of[w] == c else 0.0
+                                 for c in labels]
+                                if truth_of[w] in labels
+                                else [1.0 / len(labels)] * len(labels)
+                                for w in words]
+            return model
+
+        report = cross_class_validate(gold, h_factory, delta=0.5,
+                                      score=ScoreType.MAX_PROB, seed=0)
+        test_words = [r.word for r in split_gold(gold, test_fraction=0.10,
+                                                 seed=0).test]
+        assert calls == [test_words] * 3
+        assert report.mean_f1 == pytest.approx(1.0)
 
     def test_requires_three_classes(self):
         gold = [GoldClassRecord(f"a{i}", SlangClass.BLEND) for i in range(5)]
