@@ -4,7 +4,9 @@ Subcommands mirror the library modules one to one; ``pipeline`` chains
 their stage functions end to end, optionally on the bundled fixture
 corpus. Every option is defined once, in ``OPTIONS``. Reports are CSV with
 provenance headers; every subcommand takes ``--seed`` where randomness is
-involved and is run-to-run deterministic.
+involved and is run-to-run deterministic. A pipeline run parses each input
+once: its stages load through a per-run `store`, keyed by loader and path,
+which drops a path when the pipeline writes it; subcommands never use it.
 
 Config files use flat ``section.key = value`` lines (dots select the
 subcommand, e.g. ``embed.dimension = 50``); explicit flags win over the
@@ -63,6 +65,7 @@ from .reports import csv_text, fnum, provenance_lines, summary_line, write_csv
 from .slangclass import (
     LabelSampler,
     NgramKind,
+    NgramTable,
     ScoreType,
     argmax_label,
     blend_suffix_stats,
@@ -70,7 +73,6 @@ from .slangclass import (
     classify_reduplicative,
     confidence_score,
     cross_class_validate,
-    fit_vocabulary,
     load_classifier,
     predict_proba_batch,
     predict_with_reject,
@@ -78,7 +80,6 @@ from .slangclass import (
     split_pair,
     substitution_stats,
     train_logreg,
-    word_features,
 )
 from .social import (
     GenderLexicon,
@@ -94,6 +95,7 @@ from .social import (
     religious_prejudice_matrix,
 )
 from .stats import weighted_f1
+from .store import forget, load, shared, sharing
 
 IN_FILE = click.Path(exists=True, dir_okay=False)
 OUT_FILE = click.Path(dir_okay=False)
@@ -288,7 +290,7 @@ def bias():
 @command(main, "ingest", "slang", "min_votes", "out_file")
 def run_ingest(slang_path, min_votes, out_path) -> dict:
     """Filter a slang lexicon by community vote count."""
-    entries = load_slang_lexicon(slang_path)
+    entries = load(load_slang_lexicon, slang_path)
     kept = filter_by_votes(entries, min_votes)
     save_slang_lexicon(kept, out_path)
     return {"read": len(entries), "kept": len(kept),
@@ -298,8 +300,8 @@ def run_ingest(slang_path, min_votes, out_path) -> dict:
 @command(main, "phonology", "slang", "standard", "out_dir", "smoothing")
 def run_phonology(slang_path, standard_path, out_dir, smoothing) -> dict:
     """Phoneme distributions and slang-vs-standard odds ratios."""
-    entries = load_slang_lexicon(slang_path)
-    standard = load_standard_lexicon(standard_path)
+    entries = load(load_slang_lexicon, slang_path)
+    standard = load(load_standard_lexicon, standard_path)
     table = load_bundled_pronouncing_table()
     rules = load_bundled_fallback_rules()
 
@@ -337,8 +339,8 @@ def run_phonology(slang_path, standard_path, out_dir, smoothing) -> dict:
          "affix_k", "seed")
 def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed):
     """Train code-length segmenters and compare affix inventories."""
-    entries = load_slang_lexicon(slang_path)
-    standard = load_standard_lexicon(standard_path)
+    entries = load(load_slang_lexicon, slang_path)
+    standard = load(load_standard_lexicon, standard_path)
     slang_words = sorted({w for w in (_letters(e.headword) for e in entries) if w})
     std_words = sorted({w for w in (_letters(w) for w in standard.words) if w})
 
@@ -354,12 +356,9 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed)
                                                       seed=seed)
         save_segmenter(model, out / f"segmenter_{corpus_name}.tsv")
         segs = [segment(model, w) for w in words]
-        with open(out / f"segmentations_{corpus_name}.tsv", "w",
-                  encoding="utf-8") as handle:
-            for line in header:
-                handle.write(line + "\n")
-            for seg in segs:
-                handle.write(f"{seg.word}\t{'+'.join(seg.morphs)}\n")
+        lines = header + [f"{seg.word}\t{'+'.join(seg.morphs)}" for seg in segs]
+        (out / f"segmentations_{corpus_name}.tsv").write_text(
+            "".join(line + "\n" for line in lines), encoding="utf-8")
         for side in (AffixSide.PREFIX, AffixSide.SUFFIX):
             dist = affix_distribution(segs, side, k=affix_k)
             affix_rows += [(corpus_name, side.value, rank, affix, fnum(share),
@@ -376,10 +375,13 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed)
 
 def _fit_classifier(records, kind: NgramKind, segmenter, n_min, n_max, cap,
                     l2, max_epochs, tol):
-    maps = [word_features(r.word, kind, n_min, n_max, segmenter)
-            for r in records]
-    vocab = fit_vocabulary(maps, kind, cap=cap, n_min=n_min, n_max=n_max)
-    return train_logreg(maps, [r.label for r in records], vocab, l2=l2,
+    words = [r.word for r in records]
+    table = shared((NgramTable, kind, n_min, n_max),
+                   lambda: NgramTable.of_words(words, kind, n_min, n_max, segmenter),
+                   lambda held: held.holds(words, segmenter))
+    rows = table.rows(words)
+    return train_logreg([table.maps[i] for i in rows], [r.label for r in records],
+                        table.vocabulary(rows, cap), l2=l2,
                         max_epochs=max_epochs, tol=tol)
 
 
@@ -387,7 +389,7 @@ def run_classes_train(gold_path, out_path, kind, segmenter, seed,
                       test_fraction, **fit):
     """Fit on the gold training split; returns the summary, the split and
     the test-split predictions."""
-    split = split_gold(load_gold_classes(gold_path),
+    split = split_gold(load(load_gold_classes, gold_path),
                        test_fraction=test_fraction, seed=seed)
     model = _fit_classifier(split.train, kind, segmenter, **fit)
     if out_path is not None:
@@ -463,7 +465,7 @@ def run_classes_eval(gold_path, delta, score_name, seed, test_fraction,
         return lambda words: (model.classes,
                               predict_proba_batch(model, words).tolist())
 
-    report = cross_class_validate(load_gold_classes(gold_path), train, delta,
+    report = cross_class_validate(load(load_gold_classes, gold_path), train, delta,
                                   score, seed, test_fraction=test_fraction)
     folds = sorted(report.fold_f1.items(), key=lambda i: str(i[0]))
     if out_path is not None:
@@ -477,7 +479,7 @@ def run_classes_eval(gold_path, delta, score_name, seed, test_fraction,
 @command(classes, "classes.patterns", "gold", "out_dir", "suffix_k")
 def run_classes_patterns(gold_path, out_dir, suffix_k, seed=None) -> dict:
     """Rule-based formation analyses over labeled words."""
-    records = load_gold_classes(gold_path)
+    records = load(load_gold_classes, gold_path)
     write = _reports(out_dir, seed, [("gold", gold_path)])
 
     clips = [r for r in records if r.label is SlangClass.CLIPPING]
@@ -513,11 +515,10 @@ def run_classes_patterns(gold_path, out_dir, suffix_k, seed=None) -> dict:
 def run_embed(slang_path, out_path, dimension, window, negatives, min_count,
               subsample, epochs, lr, seed, min_votes) -> dict:
     """Train skip-gram vectors on usage examples."""
-    config = TrainingConfig(dimension=dimension, window=window,
-                            negatives=negatives, epochs=epochs,
-                            initial_lr=lr, min_count=min_count,
+    config = TrainingConfig(dimension=dimension, window=window, negatives=negatives,
+                            epochs=epochs, initial_lr=lr, min_count=min_count,
                             subsample_threshold=subsample, seed=seed)
-    entries = load_slang_lexicon(slang_path)
+    entries = load(load_slang_lexicon, slang_path)
     if min_votes > 0:
         entries = filter_by_votes(entries, min_votes)
     corpus = build_usage_corpus(entries)
@@ -536,14 +537,14 @@ def run_embed(slang_path, out_path, dimension, window, negatives, min_count,
 def run_subjects(slang_path, vectors_path, out_dir, k, metric_name,
                  test_fraction, seed) -> dict:
     """Nearest-neighbor subject classification over trained vectors."""
-    tagged = [e for e in load_slang_lexicon(slang_path) if e.subjects]
+    tagged = [e for e in load(load_slang_lexicon, slang_path) if e.subjects]
     labeled = [(e.headword, next(iter(e.subjects))) for e in tagged
                if len(e.subjects) == 1]
     if not labeled:
         raise SlanglexError("no entry carries exactly one subject tag")
     train, test = stratified_split(labeled, lambda item: item[1],
                                    test_fraction, seed)
-    embedding = load_embeddings(vectors_path)
+    embedding = load(load_embeddings, vectors_path)
     model, skipped_train = knn_from_embedding(embedding, train, k=k,
                                               metric=KnnMetric(metric_name))
     evaluation = evaluate_subject_model(model, test, embedding)
@@ -567,8 +568,8 @@ def run_subjects(slang_path, vectors_path, out_dir, k, metric_name,
 @command(bias, "bias.gender", "vectors", "lexicons", "out_dir", "strictness")
 def run_bias_gender(vectors_path, lexicons_dir, out_dir, strictness) -> dict:
     """Gender direction, direct bias, and occupation projections."""
-    embedding = load_embeddings(vectors_path)
-    lexicons = load_bias_lexicons(lexicons_dir)
+    embedding = load(load_embeddings, vectors_path)
+    lexicons = load(load_bias_lexicons, lexicons_dir)
     present = [pair for pair in lexicons.gender_pairs
                if all(lookup(embedding, pair)[0])]
     if not present:
@@ -593,8 +594,8 @@ def run_bias_gender(vectors_path, lexicons_dir, out_dir, strictness) -> dict:
 def run_bias_sexprej(vectors_path, lexicons_dir, names_path, out_dir, n_perms,
                      seed) -> dict:
     """Sexual-prejudice proximity of personal names, by gender."""
-    embedding = load_embeddings(vectors_path)
-    terms = load_bias_lexicons(lexicons_dir).prejudice_terms
+    embedding = load(load_embeddings, vectors_path)
+    terms = load(load_bias_lexicons, lexicons_dir).prejudice_terms
     genders = GenderLexicon.from_csv(names_path)
     report = name_prejudice_comparison(embedding, genders.names, genders, terms,
                                        n_permutations=n_perms, seed=seed)
@@ -617,8 +618,8 @@ def run_bias_sexprej(vectors_path, lexicons_dir, names_path, out_dir, n_perms,
 @command(bias, "bias.religion", "vectors", "lexicons", "out_dir")
 def run_bias_religion(vectors_path, lexicons_dir, out_dir) -> dict:
     """Religion-to-trait cosine matrix, column standardized."""
-    embedding = load_embeddings(vectors_path)
-    lexicons = load_bias_lexicons(lexicons_dir)
+    embedding = load(load_embeddings, vectors_path)
+    lexicons = load(load_bias_lexicons, lexicons_dir)
     report = religious_prejudice_matrix(embedding, lexicons.religious_terms,
                                         lexicons.trait_terms)
     write = _reports(out_dir, None, [("vectors", vectors_path)])
@@ -640,8 +641,7 @@ def _compare_classifiers(gold_path, out: Path, segmenter, seed) -> dict:
     predictions = []
     for kind in NgramKind:
         info, split, preds = run_classes_train(
-            gold_path, None, kind, segmenter, seed, DEFAULT["test_fraction"],
-            **FIT)
+            gold_path, None, kind, segmenter, seed, DEFAULT["test_fraction"], **FIT)
         f1[kind.value] = info["test_f1"]
         predictions.append(preds)
     truth = [r.label for r in split.test]
@@ -658,6 +658,7 @@ def _compare_classifiers(gold_path, out: Path, segmenter, seed) -> dict:
     return {f"{model}_f1": value for model, value in f1.items()}
 
 
+@sharing()
 def run_pipeline(slang_path, standard_path, gold_path, lexicons_dir,
                  names_path, out_dir, seed, min_votes, delta, score_name, k,
                  echo=click.echo, **sgns) -> None:
@@ -666,11 +667,10 @@ def run_pipeline(slang_path, standard_path, gold_path, lexicons_dir,
         echo(summary_line(f"pipeline.{stage}", **info))
 
     out = Path(out_dir)
-    filtered = out / "filtered.jsonl"
-    vectors = out / "vectors.txt"
+    filtered, vectors = out / "filtered.jsonl", out / "vectors.txt"
     info = run_ingest(slang_path, min_votes, filtered)
-    del info["dropped"]
-    done("ingest", info)
+    forget(filtered)
+    done("ingest", {key: info[key] for key in ("read", "kept", "min_votes")})
     done("phonology", run_phonology(filtered, standard_path, out,
                                     DEFAULT["smoothing"]))
     info, segmenter = run_morphology(filtered, standard_path, out,
@@ -682,9 +682,9 @@ def run_pipeline(slang_path, standard_path, gold_path, lexicons_dir,
                             DEFAULT["test_fraction"], out / "crossclass_f1.csv",
                             **FIT)
     done("crossclass", {"mean_f1": info["mean_f1"]})
-    done("patterns", run_classes_patterns(gold_path, out, DEFAULT["suffix_k"],
-                                          seed))
+    done("patterns", run_classes_patterns(gold_path, out, DEFAULT["suffix_k"], seed))
     done("embed", run_embed(filtered, vectors, seed=seed, min_votes=0, **sgns))
+    forget(vectors)
     done("subjects", run_subjects(filtered, vectors, out, k, DEFAULT["metric"],
                                   DEFAULT["test_fraction"], seed))
     done("bias.gender", run_bias_gender(vectors, lexicons_dir, out,

@@ -3,6 +3,16 @@
 Case and punctuation are preserved: periods and capitals are exactly the
 cues that identify alphabetisms, so no normalization happens here.
 
+An `NgramTable` holds the feature maps of many rows (words) as one count
+table: its columns are the distinct grams in gram (code point) order,
+and each row's nonzero counts are kept in compressed sparse row arrays.
+A vocabulary has one rule, `NgramTable.vocabulary`: the `cap` grams with
+the largest column totals over the chosen rows (one ``np.bincount``),
+ties broken by gram order. `fit_vocabulary` is that rule over a table of
+its maps. Fits on subsets of one word list therefore extract each word's
+n-grams once and share the table. `count_matrix` turns feature maps into
+the dense matrix a model trains on, with one scatter.
+
 `feature_matrix` counts a whole word list's vocabulary features at once.
 For char features it walks a trie of the vocabulary, built on first use:
 depth d holds the sorted keys ``parent_state * BASE + code_point`` of its
@@ -106,32 +116,99 @@ class FeatureVocabulary:
         return _CharTrie(self.features)
 
 
+class NgramTable:
+    """The feature maps of a list of rows as one count table (module
+    docstring); with ``words``, row i holds the features of ``words[i]``."""
+
+    def __init__(self, feature_maps: Iterable[Mapping[str, int]],
+                 kind: NgramKind, n_min: int, n_max: int,
+                 words: Sequence[str] = (),
+                 segmenter: SegmenterModel | None = None):
+        self.maps = list(feature_maps)
+        self.kind, self.n_min, self.n_max = kind, n_min, n_max
+        self.segmenter = segmenter
+        self._row = {word: i for i, word in enumerate(words)}
+        self.grams = sorted({gram for fmap in self.maps for gram in fmap})
+        column = {gram: j for j, gram in enumerate(self.grams)}
+        sizes = np.array([len(fmap) for fmap in self.maps], dtype=np.int64)
+        self.starts = np.concatenate(([0], np.cumsum(sizes)))  # CSR row starts
+        self.columns = np.fromiter((column[g] for fmap in self.maps for g in fmap),
+                                   np.int64, self.starts[-1])
+        self.counts = np.fromiter((c for fmap in self.maps for c in fmap.values()),
+                                  np.float64, self.starts[-1])
+
+    @classmethod
+    def of_words(cls, words: Iterable[str], kind: NgramKind, n_min: int,
+                 n_max: int, segmenter: SegmenterModel | None = None
+                 ) -> "NgramTable":
+        """One row per distinct word, holding its `word_features`."""
+        distinct = list(dict.fromkeys(words))
+        return cls([word_features(w, kind, n_min, n_max, segmenter)
+                    for w in distinct], kind, n_min, n_max, distinct, segmenter)
+
+    def holds(self, words: Iterable[str],
+              segmenter: SegmenterModel | None = None) -> bool:
+        """Whether every word has a row holding the features it has under
+        ``segmenter``, which char features do not use."""
+        return ((self.kind is NgramKind.CHAR or segmenter is self.segmenter)
+                and all(word in self._row for word in words))
+
+    def rows(self, words: Iterable[str]) -> list[int]:
+        """The row of each word, repeats included."""
+        return [self._row[word] for word in words]
+
+    def vocabulary(self, rows: Sequence[int], cap: int) -> FeatureVocabulary:
+        """The `cap` grams with the largest totals over ``rows`` (repeats
+        count again), ties broken by gram order. A gram counts as observed
+        when a row's map holds it, whatever its count."""
+        if cap < 1:
+            raise AnalysisError(f"vocabulary cap must be positive, got {cap}")
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        starts = self.starts[rows]
+        sizes = self.starts[rows + 1] - starts
+        # the cells of the rows, row after row
+        cells = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) \
+            + np.arange(sizes.sum())
+        columns = self.columns[cells]
+        observed = np.flatnonzero(np.bincount(columns, minlength=len(self.grams)))
+        if not len(observed):
+            raise AnalysisError("no features observed in training data")
+        totals = np.bincount(columns, weights=self.counts[cells],
+                             minlength=len(self.grams))[observed]
+        ranked = observed[np.argsort(-totals, kind="stable")[:cap]]
+        return FeatureVocabulary(kind=self.kind, n_min=self.n_min,
+                                 n_max=self.n_max,
+                                 features=tuple(self.grams[j] for j in ranked))
+
+
 def fit_vocabulary(feature_maps: Iterable[Mapping[str, int]], kind: NgramKind,
                    cap: int = 200, n_min: int = 1,
                    n_max: int = 5) -> FeatureVocabulary:
-    """Select the `cap` most frequent features, ties broken lexicographically."""
-    if cap < 1:
-        raise AnalysisError(f"vocabulary cap must be positive, got {cap}")
-    totals: dict[str, int] = {}
-    for fmap in feature_maps:
-        for feature, count in fmap.items():
-            totals[feature] = totals.get(feature, 0) + count
-    if not totals:
-        raise AnalysisError("no features observed in training data")
-    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
-    features = tuple(feature for feature, _ in ranked[:cap])
-    return FeatureVocabulary(kind=kind, n_min=n_min, n_max=n_max,
-                             features=features)
+    """Select the `cap` most frequent features, ties broken lexicographically:
+    `NgramTable.vocabulary` over every map."""
+    table = NgramTable(feature_maps, kind, n_min, n_max)
+    return table.vocabulary(range(len(table.maps)), cap)
+
+
+def count_matrix(vocab: FeatureVocabulary,
+                 feature_maps: Sequence[Mapping[str, int]]) -> np.ndarray:
+    """The ``(len(feature_maps), len(vocab))`` count matrix of the maps'
+    vocabulary features, filled by one scatter; unknown features are
+    ignored."""
+    index = vocab.index
+    cells = [(row, index[feature], count)
+             for row, fmap in enumerate(feature_maps)
+             for feature, count in fmap.items() if feature in index]
+    x = np.zeros((len(feature_maps), len(vocab)))
+    if cells:
+        rows, columns, counts = zip(*cells)
+        x[rows, columns] = counts
+    return x
 
 
 def vectorize(vocab: FeatureVocabulary, fmap: Mapping[str, int]) -> np.ndarray:
     """Dense count vector over the vocabulary; unknown features are ignored."""
-    x = np.zeros(len(vocab.features), dtype=np.float64)
-    for feature, count in fmap.items():
-        col = vocab.index.get(feature)
-        if col is not None:
-            x[col] = count
-    return x
+    return count_matrix(vocab, [fmap])[0]
 
 
 class _CharTrie:
@@ -206,8 +283,6 @@ def feature_matrix(vocab: FeatureVocabulary, words: Sequence[str],
         if not all(words):
             raise AnalysisError("cannot extract features from an empty word")
         return vocab._trie.counts(words, vocab.n_min, vocab.n_max)
-    x = np.zeros((len(words), len(vocab)))
-    for row, word in zip(x, words):
-        row[:] = vectorize(vocab, word_features(word, vocab.kind, vocab.n_min,
-                                                vocab.n_max, segmenter))
-    return x
+    return count_matrix(vocab, [word_features(w, vocab.kind, vocab.n_min,
+                                              vocab.n_max, segmenter)
+                                for w in words])

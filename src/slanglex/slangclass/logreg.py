@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import AnalysisError, SchemaError, SlanglexError
 from ..labels import SlangClass
 from ..morphology import SegmenterModel
-from .features import FeatureVocabulary, NgramKind, feature_matrix, vectorize
+from .features import FeatureVocabulary, NgramKind, count_matrix, feature_matrix
 
 _MODEL_FORMAT_VERSION = 1
 _LBFGS_MEMORY = 10  # curvature pairs kept
@@ -123,7 +123,7 @@ def train_logreg(feature_maps: Sequence[Mapping[str, int]],
         raise AnalysisError("training data must contain at least 2 classes")
 
     class_index = {c: i for i, c in enumerate(classes)}
-    x = np.vstack([vectorize(vocab, fmap) for fmap in feature_maps])
+    x = count_matrix(vocab, feature_maps)
     y_idx = np.array([class_index[label] for label in labels], dtype=np.int64)
 
     weights = np.zeros((len(classes), len(vocab.features) + 1))

@@ -1,4 +1,6 @@
 """Character/morpheme n-gram extraction and vocabulary fitting."""
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,15 +8,18 @@ from hypothesis import strategies as st
 
 from slanglex.errors import AnalysisError
 from slanglex.labels import SlangClass
-from slanglex.morphology import Segmentation
+from slanglex.morphology import Segmentation, SegmenterModel
 from slanglex.slangclass.features import (
     FeatureVocabulary,
     NgramKind,
+    NgramTable,
+    count_matrix,
     extract_char_ngrams,
     extract_morpheme_ngrams,
     feature_matrix,
     fit_vocabulary,
     vectorize,
+    word_features,
 )
 from slanglex.slangclass.logreg import (
     ClassifierModel,
@@ -184,3 +189,156 @@ class TestBatchScoring:
         with pytest.raises(AnalysisError, match="bad n-gram range"):
             feature_matrix(bad, ["a"])
         assert feature_matrix(model.vocab, []).shape == (0, 1)
+
+
+def _old_vocabulary(maps, kind, cap, n_min, n_max):
+    """The vocabulary rule as it was written over feature maps: the
+    reference for the table's ranking."""
+    totals = {}
+    for fmap in maps:
+        for feature, count in fmap.items():
+            totals[feature] = totals.get(feature, 0) + count
+    ranked = sorted(totals.items(), key=lambda item: (-item[1], item[0]))
+    return FeatureVocabulary(kind=kind, n_min=n_min, n_max=n_max,
+                             features=tuple(f for f, _ in ranked[:cap]))
+
+
+def _old_rows(vocab, maps):
+    """Count rows as they were built, one dense vector per map."""
+    x = np.zeros((len(maps), len(vocab.features)))
+    for row, fmap in zip(x, maps):
+        for feature, count in fmap.items():
+            col = vocab.index.get(feature)
+            if col is not None:
+                row[col] = count
+    return x
+
+
+# morphs for the morph-feature rows; letters outside them segment alone
+SEGMENTER = SegmenterModel(morph_counts={"ab": 4, "ba": 3, "c": 2, "abc": 1},
+                           alphabet=frozenset("abcd"), total_code_length=0.0)
+WORDS = st.text("abcdAB.-", min_size=1, max_size=7)
+
+
+class TestNgramTable:
+    @settings(max_examples=120)
+    @given(words=st.lists(WORDS, min_size=1, max_size=10),
+           picks=st.lists(st.integers(0, 50), min_size=1, max_size=16),
+           kind=st.sampled_from(NgramKind),
+           n_range=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(sorted),
+           cap=st.integers(1, 30))
+    # a tie at the cap: "a" and "b" both total 2
+    @example(words=["ab", "ba"], picks=[0, 1], kind=NgramKind.CHAR,
+             n_range=[1, 1], cap=1)
+    # a cap above the number of distinct grams, over a repeated word
+    @example(words=["ab", "ab"], picks=[0, 1, 1], kind=NgramKind.CHAR,
+             n_range=[1, 2], cap=30)
+    @example(words=["abab", "cab"], picks=[1, 0], kind=NgramKind.MORPHEME,
+             n_range=[1, 2], cap=2)
+    def test_table_equals_per_word_path(self, words, picks, kind, n_range, cap):
+        segmenter = SEGMENTER if kind is NgramKind.MORPHEME else None
+        table = NgramTable.of_words(words, kind, *n_range, segmenter)
+        # a row subset, with repeats, of a word list that may hold duplicates
+        chosen = [words[p % len(words)] for p in picks]
+        maps = [word_features(w, kind, *n_range, segmenter) for w in chosen]
+        rows = table.rows(chosen)
+        assert [table.maps[i] for i in rows] == maps
+        if not any(maps):  # every word shorter than n_min
+            with pytest.raises(AnalysisError, match="no features observed"):
+                table.vocabulary(rows, cap)
+            return
+        vocab = table.vocabulary(rows, cap)
+        assert vocab == _old_vocabulary(maps, kind, cap, *n_range)
+        assert fit_vocabulary(maps, kind, cap, *n_range) == vocab
+        x = count_matrix(vocab, [table.maps[i] for i in rows])
+        assert np.array_equal(x, _old_rows(vocab, maps))
+        assert table.holds(chosen, segmenter)
+
+    @settings(max_examples=80)
+    @given(maps=st.lists(st.dictionaries(GRAMS, st.integers(0, 4), max_size=6),
+                         min_size=1, max_size=6),
+           cap=st.integers(1, 12))
+    # a feature seen only with count 0 still ranks, after the others
+    @example(maps=[{"b": 1}, {"a": 0}], cap=5)
+    def test_any_maps_keep_the_old_rule(self, maps, cap):
+        if not any(maps):
+            with pytest.raises(AnalysisError, match="no features observed"):
+                fit_vocabulary(maps, NgramKind.CHAR, cap)
+            return
+        vocab = fit_vocabulary(maps, NgramKind.CHAR, cap)
+        assert vocab == _old_vocabulary(maps, NgramKind.CHAR, cap, 1, 5)
+        assert np.array_equal(count_matrix(vocab, maps), _old_rows(vocab, maps))
+        assert all(np.array_equal(vectorize(vocab, m), row)
+                   for m, row in zip(maps, _old_rows(vocab, maps)))
+
+    def test_holds_only_its_words_under_its_segmenter(self):
+        table = NgramTable.of_words(["ab"], NgramKind.CHAR, 1, 2)
+        assert table.holds(["ab"], SEGMENTER)  # char features use none
+        assert not table.holds(["ab", "ba"])
+        with pytest.raises(KeyError):
+            table.rows(["ba"])
+        morph = NgramTable.of_words(["ab"], NgramKind.MORPHEME, 1, 2, SEGMENTER)
+        assert morph.holds(["ab"], SEGMENTER)
+        assert not morph.holds(["ab"], None)
+
+
+def test_pipeline_models_equal_per_word_path(tmp_path, monkeypatch):
+    """The six fits of the fixture pipeline, against the same fits built
+    the old way: per-word maps, the dict ranking and one vector per row."""
+    from importlib.resources import files
+
+    from click.testing import CliRunner
+
+    import slanglex.cli as cli
+    from slanglex.corpus import load_gold_classes, split_gold
+    from slanglex.morphology import load_segmenter
+    from slanglex.slangclass import features, logreg
+
+    fits = []
+    train_logreg = cli.train_logreg
+    extracted = collections.Counter()
+    word_features = features.word_features
+
+    def counting(word, kind, *args):
+        extracted[kind, word] += 1
+        return word_features(word, kind, *args)
+
+    monkeypatch.setattr(features, "word_features", counting)
+
+    def recording(maps, labels, vocab, **kwargs):
+        fits.append((list(labels), kwargs, train_logreg(maps, labels, vocab,
+                                                        **kwargs)))
+        return fits[-1][-1]
+
+    monkeypatch.setattr(cli, "train_logreg", recording)
+    out = tmp_path / "run"
+    result = CliRunner().invoke(cli.main, ["pipeline", "--fixtures", "--seed",
+                                           "7", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+
+    gold = load_gold_classes(files("slanglex").joinpath(
+        "data", "fixtures", "gold_classes.csv"))
+    split = split_gold(gold, test_fraction=0.10, seed=7)
+    segmenter = load_segmenter(out / "segmenter_slang.tsv")
+    folds = [[r for r in split.train if r.label != held]
+             for held in sorted({r.label for r in gold}, key=str)]
+    expected = [(split.train, NgramKind.CHAR, None),
+                (split.train, NgramKind.MORPHEME, segmenter),
+                *((records, NgramKind.CHAR, None) for records in folds)]
+    assert len(fits) == len(expected) == 6
+    # every fit of a kind reads one table: each word's n-grams are
+    # extracted once (morph test words once more, to be scored)
+    assert extracted == {**{(NgramKind.CHAR, r.word): 1 for r in split.train},
+                         **{(NgramKind.MORPHEME, r.word): 1 for r in gold}}
+    monkeypatch.setattr(features, "word_features", word_features)
+    monkeypatch.setattr(logreg, "count_matrix", _old_rows)
+    for (labels, kwargs, model), (records, kind, seg) in zip(fits, expected):
+        n_min, n_max, cap = (cli.FIT[key] for key in ("n_min", "n_max", "cap"))
+        maps = [word_features(r.word, kind, n_min, n_max, seg) for r in records]
+        vocab = _old_vocabulary(maps, kind, cap, n_min, n_max)
+        assert labels == [r.label for r in records]
+        old = train_logreg(maps, labels, vocab, **kwargs)
+        assert model.vocab == vocab
+        assert model.classes == old.classes
+        assert model.weights.tobytes() == old.weights.tobytes()
+        assert (model.stop, model.iterations) == (old.stop, old.iterations)
