@@ -1,14 +1,19 @@
 """Character/morpheme n-gram extraction and vocabulary fitting."""
 import collections
+from importlib.resources import files
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slanglex.cli as cli
+from slanglex.corpus import load_gold_classes, split_gold
 from slanglex.errors import AnalysisError
 from slanglex.labels import SlangClass
-from slanglex.morphology import Segmentation, SegmenterModel
+from slanglex.morphology import Segmentation, SegmenterModel, load_segmenter
+from slanglex.slangclass import features, logreg
 from slanglex.slangclass.features import (
     FeatureVocabulary,
     NgramKind,
@@ -285,19 +290,9 @@ class TestNgramTable:
 def test_pipeline_models_equal_per_word_path(tmp_path, monkeypatch):
     """The six fits of the fixture pipeline, against the same fits built
     the old way: per-word maps, the dict ranking and one vector per row."""
-    from importlib.resources import files
-
-    from click.testing import CliRunner
-
-    import slanglex.cli as cli
-    from slanglex.corpus import load_gold_classes, split_gold
-    from slanglex.morphology import load_segmenter
-    from slanglex.slangclass import features, logreg
-
     fits = []
     train_logreg = cli.train_logreg
     extracted = collections.Counter()
-    word_features = features.word_features
 
     def counting(word, kind, *args):
         extracted[kind, word] += 1
@@ -326,8 +321,9 @@ def test_pipeline_models_equal_per_word_path(tmp_path, monkeypatch):
                 (split.train, NgramKind.MORPHEME, segmenter),
                 *((records, NgramKind.CHAR, None) for records in folds)]
     assert len(fits) == len(expected) == 6
-    # every fit of a kind reads one table: each word's n-grams are
-    # extracted once (morph test words once more, to be scored)
+    # the fits of a kind read one table, so each word's n-grams are
+    # extracted once per kind: char for the training words, morph for the
+    # training words (the table) and the test words (scoring)
     assert extracted == {**{(NgramKind.CHAR, r.word): 1 for r in split.train},
                          **{(NgramKind.MORPHEME, r.word): 1 for r in gold}}
     monkeypatch.setattr(features, "word_features", word_features)

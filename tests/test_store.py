@@ -12,6 +12,8 @@ from click.testing import CliRunner
 import slanglex.cli as cli
 from slanglex import store
 from slanglex.cli import main
+from slanglex.morphology import SegmenterModel
+from slanglex.slangclass import NgramKind, load_classifier
 
 FIXTURES = Path(str(files("slanglex").joinpath("data", "fixtures")))
 LOADERS = ("load_slang_lexicon", "load_standard_lexicon", "load_gold_classes",
@@ -76,9 +78,6 @@ class TestSharedTables:
     def test_table_is_shared_only_when_it_holds_the_fit(self, tmp_path):
         # fits on other words, or with another segmenter, get a table of
         # their own: each model equals the one fitted outside a run
-        from slanglex.morphology import SegmenterModel
-        from slanglex.slangclass import NgramKind, load_classifier
-
         other = tmp_path / "other.csv"
         other.write_text("".join(
             f"{word}x,{rest}\n" for word, rest in (
