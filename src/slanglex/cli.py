@@ -4,9 +4,9 @@ Subcommands mirror the library modules one to one; ``pipeline`` chains
 their stage functions end to end, optionally on the bundled fixture
 corpus. Every option is defined once, in ``OPTIONS``. Reports are CSV with
 provenance headers; every subcommand takes ``--seed`` where randomness is
-involved and is run-to-run deterministic. A pipeline run parses each input
-once: its stages load through a per-run `store`, keyed by loader and path,
-which drops a path when the pipeline writes it; subcommands never use it.
+involved and is run-to-run deterministic. A command run parses each input
+once: it runs in a `store.sharing` block and loads inputs, and what derives
+from them, through `store.load`; the pipeline forgets a path it writes.
 
 Config files use flat ``section.key = value`` lines (dots select the
 subcommand, e.g. ``embed.dimension = 50``); explicit flags win over the
@@ -95,7 +95,7 @@ from .social import (
     religious_prejudice_matrix,
 )
 from .stats import weighted_f1
-from .store import forget, load, shared, sharing
+from .store import forget, load, sharing
 
 IN_FILE = click.Path(exists=True, dir_okay=False)
 OUT_FILE = click.Path(dir_okay=False)
@@ -154,8 +154,6 @@ OPTIONS = {
     "subsample": (("--subsample",), dict(default=1e-3)),
     "epochs": (("--epochs",), dict(default=5)),
     "sgns_lr": (("--lr",), dict(default=0.025)),
-    "embed_min_votes": (("--min-votes",), dict(
-        default=0, help="Vote filter applied before corpus extraction.")),
     "k": (("--k",), dict(default=5)),
     "metric": (("--metric", "metric_name"), dict(
         default="cosine", type=click.Choice([m.value for m in KnnMetric]))),
@@ -218,12 +216,13 @@ def _read_config(ctx, param, path):
 def command(group, name: str, *keys: str, **overrides):
     """Register the decorated stage function, unchanged, as subcommand
     ``name``: it gets the ``keys`` options (``overrides[key]`` replaces
-    attributes) as keyword arguments, a SlanglexError or OSError exits 1,
-    and its summary dict (or the first item of a returned tuple) is echoed."""
+    attributes) as keyword arguments, in a `sharing()` block; a SlanglexError
+    or OSError exits 1, and its summary dict (or a tuple's first item) is echoed."""
     def register(fn):
         def callback(**params):
             try:
-                info = fn(**params)
+                with sharing():
+                    info = fn(**params)
             except (SlanglexError, OSError) as exc:
                 raise click.ClickException(str(exc)) from exc
             if isinstance(info, tuple):
@@ -248,13 +247,14 @@ def _score(score_name: str, delta: float) -> ScoreType:
     return score
 
 
-def _check_segmenter(kind: NgramKind, segmenter_path) -> None:
-    """--segmenter goes with morph features and with nothing else."""
+def _segmenter(kind: NgramKind, segmenter_path):
+    """The --segmenter model; it goes with morph features and nothing else."""
     if kind is NgramKind.MORPHEME and segmenter_path is None:
         raise click.UsageError(f"{kind.value} features require --segmenter")
     if kind is not NgramKind.MORPHEME and segmenter_path is not None:
         raise click.UsageError(
             f"--segmenter applies only to morph features, not {kind.value}")
+    return None if segmenter_path is None else load_segmenter(segmenter_path)
 
 
 def _letters(word: str) -> str:
@@ -373,16 +373,20 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed)
     return info, models["slang"]
 
 
-def _fit_classifier(records, kind: NgramKind, segmenter, n_min, n_max, cap,
-                    l2, max_epochs, tol):
+def _char_table(gold_path, n_min, n_max) -> NgramTable:
+    """The char n-grams of every gold word, for every char fit on the gold."""
+    return NgramTable.of_words((r.word for r in load(load_gold_classes, gold_path)),
+                               NgramKind.CHAR, n_min, n_max)
+
+
+def _fit_classifier(gold_path, records, kind: NgramKind, segmenter, n_min,
+                    n_max, cap, **fit):
     words = [r.word for r in records]
-    table = shared((NgramTable, kind, n_min, n_max),
-                   lambda: NgramTable.of_words(words, kind, n_min, n_max, segmenter),
-                   lambda held: held.holds(words, segmenter))
+    table = (load(_char_table, gold_path, n_min, n_max) if kind is NgramKind.CHAR
+             else NgramTable.of_words(words, kind, n_min, n_max, segmenter))
     rows = table.rows(words)
     return train_logreg([table.maps[i] for i in rows], [r.label for r in records],
-                        table.vocabulary(rows, cap), l2=l2,
-                        max_epochs=max_epochs, tol=tol)
+                        table.vocabulary(rows, cap), **fit)
 
 
 def run_classes_train(gold_path, out_path, kind, segmenter, seed,
@@ -391,7 +395,7 @@ def run_classes_train(gold_path, out_path, kind, segmenter, seed,
     the test-split predictions."""
     split = split_gold(load(load_gold_classes, gold_path),
                        test_fraction=test_fraction, seed=seed)
-    model = _fit_classifier(split.train, kind, segmenter, **fit)
+    model = _fit_classifier(gold_path, split.train, kind, segmenter, **fit)
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         save_classifier(model, out_path)
@@ -409,8 +413,7 @@ def run_classes_train(gold_path, out_path, kind, segmenter, seed,
 def classes_train(kind, segmenter_path, **params):
     """Fit the four-class detector on labeled words."""
     kind = NgramKind(kind)
-    _check_segmenter(kind, segmenter_path)
-    segmenter = None if segmenter_path is None else load_segmenter(segmenter_path)
+    segmenter = _segmenter(kind, segmenter_path)
     return run_classes_train(kind=kind, segmenter=segmenter, **params)
 
 
@@ -424,8 +427,7 @@ def classes_predict(model_path, words_csv, in_path, delta, score_name,
     if (words_csv is None) == (in_path is None):
         raise click.UsageError("provide exactly one of --words or --in")
     model = load_classifier(model_path)
-    _check_segmenter(model.vocab.kind, segmenter_path)
-    segmenter = None if segmenter_path is None else load_segmenter(segmenter_path)
+    segmenter = _segmenter(model.vocab.kind, segmenter_path)
     if words_csv is not None:
         words = [w.strip() for w in words_csv.split(",") if w.strip()]
     else:
@@ -461,7 +463,7 @@ def run_classes_eval(gold_path, delta, score_name, seed, test_fraction,
     score = _score(score_name, delta)
 
     def train(records, known_classes, seed):
-        model = _fit_classifier(records, NgramKind.CHAR, None, **fit)
+        model = _fit_classifier(gold_path, records, NgramKind.CHAR, None, **fit)
         return lambda words: (model.classes,
                               predict_proba_batch(model, words).tolist())
 
@@ -511,16 +513,14 @@ def run_classes_patterns(gold_path, out_dir, suffix_k, seed=None) -> dict:
             "blends": len(blends), "blends_skipped": skipped_blends}
 
 
-@command(main, "embed", "slang", "out_file", *SGNS, "seed", "embed_min_votes")
+@command(main, "embed", "slang", "out_file", *SGNS, "seed")
 def run_embed(slang_path, out_path, dimension, window, negatives, min_count,
-              subsample, epochs, lr, seed, min_votes) -> dict:
+              subsample, epochs, lr, seed) -> dict:
     """Train skip-gram vectors on usage examples."""
     config = TrainingConfig(dimension=dimension, window=window, negatives=negatives,
                             epochs=epochs, initial_lr=lr, min_count=min_count,
                             subsample_threshold=subsample, seed=seed)
     entries = load(load_slang_lexicon, slang_path)
-    if min_votes > 0:
-        entries = filter_by_votes(entries, min_votes)
     corpus = build_usage_corpus(entries)
     table = train_skipgram(corpus, config)
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
@@ -683,7 +683,7 @@ def run_pipeline(slang_path, standard_path, gold_path, lexicons_dir,
                             **FIT)
     done("crossclass", {"mean_f1": info["mean_f1"]})
     done("patterns", run_classes_patterns(gold_path, out, DEFAULT["suffix_k"], seed))
-    done("embed", run_embed(filtered, vectors, seed=seed, min_votes=0, **sgns))
+    done("embed", run_embed(filtered, vectors, seed=seed, **sgns))
     forget(vectors)
     done("subjects", run_subjects(filtered, vectors, out, k, DEFAULT["metric"],
                                   DEFAULT["test_fraction"], seed))

@@ -31,8 +31,7 @@ model reports come from ``morph_code_length`` (a correctly rounded sum),
 so a trained model and its saved-then-loaded copy agree exactly.
 
 Words are lowercased before segmentation; non-alphanumeric characters are
-kept as literal symbols. The ``split_penalty`` knob adds a fixed cost per
-split during training (0 = pure MDL).
+kept as literal symbols.
 """
 
 from __future__ import annotations
@@ -112,8 +111,8 @@ class Segmentation:
                 f"morphs {self.morphs!r} do not concatenate to {self.word!r}")
 
 
-def train_segmenter(words: Iterable[str], split_penalty: float = 0.0,
-                    max_iters: int = 10, seed: int = 0) -> SegmenterModel:
+def train_segmenter(words: Iterable[str], max_iters: int = 10,
+                    seed: int = 0) -> SegmenterModel:
     """Learn a morph inventory from a word list.
 
     Each pass re-analyzes every word (in seeded random order) by recursive
@@ -173,7 +172,7 @@ def train_segmenter(words: Iterable[str], split_penalty: float = 0.0,
     def optimize(piece: str, mult: int) -> list[str]:
         # piece's tokens are currently absent from the counts
         best = gain(piece, mult) + (xlx[n_tokens + mult] - xlx[n_tokens])
-        pair_bits = xlx[n_tokens + 2 * mult] - xlx[n_tokens] + split_penalty
+        pair_bits = xlx[n_tokens + 2 * mult] - xlx[n_tokens]
         best_i = None
         for i in range(1, len(piece)):
             left, right = piece[:i], piece[i:]

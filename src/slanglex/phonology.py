@@ -267,9 +267,11 @@ def odds_ratio_ranking(p_slang: Mapping[str, float], p_std: Mapping[str, float],
                        smoothing: float = 1e-6) -> OddsRatioReport:
     """Rank phonemes by their slang-vs-standard odds ratio, descending.
 
-    Additive smoothing keeps ratios finite when a phoneme is absent from
-    one distribution. Ties break alphabetically.
+    Additive smoothing, finite and positive, keeps ratios finite when a
+    phoneme is absent from one distribution. Ties break alphabetically.
     """
+    if not 0.0 < smoothing < float("inf"):
+        raise AnalysisError(f"smoothing must be finite and > 0, got {smoothing}")
     inventory = sorted(set(p_slang) | set(p_std))
     scored = [
         (symbol, (p_slang.get(symbol, 0.0) + smoothing) / (p_std.get(symbol, 0.0) + smoothing))

@@ -9,9 +9,11 @@ and each row's nonzero counts are kept in compressed sparse row arrays.
 A vocabulary has one rule, `NgramTable.vocabulary`: the `cap` grams with
 the largest column totals over the chosen rows (one ``np.bincount``),
 ties broken by gram order. `fit_vocabulary` is that rule over a table of
-its maps. Fits on subsets of one word list therefore extract each word's
-n-grams once and share the table. `count_matrix` turns feature maps into
-the dense matrix a model trains on, with one scatter.
+its maps. A gram no chosen row holds is never ranked, so a table over more
+words than a fit trains on gives the fit the same vocabulary and rows: the
+char fits on one gold file share one table of all its words, each word's
+n-grams extracted once. `count_matrix` turns feature maps into the dense
+matrix a model trains on, with one scatter.
 
 `feature_matrix` counts a whole word list's vocabulary features at once.
 For char features it walks a trie of the vocabulary, built on first use:
@@ -122,11 +124,9 @@ class NgramTable:
 
     def __init__(self, feature_maps: Iterable[Mapping[str, int]],
                  kind: NgramKind, n_min: int, n_max: int,
-                 words: Sequence[str] = (),
-                 segmenter: SegmenterModel | None = None):
+                 words: Sequence[str] = ()):
         self.maps = list(feature_maps)
         self.kind, self.n_min, self.n_max = kind, n_min, n_max
-        self.segmenter = segmenter
         self._row = {word: i for i, word in enumerate(words)}
         self.grams = sorted({gram for fmap in self.maps for gram in fmap})
         column = {gram: j for j, gram in enumerate(self.grams)}
@@ -144,14 +144,7 @@ class NgramTable:
         """One row per distinct word, holding its `word_features`."""
         distinct = list(dict.fromkeys(words))
         return cls([word_features(w, kind, n_min, n_max, segmenter)
-                    for w in distinct], kind, n_min, n_max, distinct, segmenter)
-
-    def holds(self, words: Iterable[str],
-              segmenter: SegmenterModel | None = None) -> bool:
-        """Whether every word has a row holding the features it has under
-        ``segmenter``, which char features do not use."""
-        return ((self.kind is NgramKind.CHAR or segmenter is self.segmenter)
-                and all(word in self._row for word in words))
+                    for w in distinct], kind, n_min, n_max, distinct)
 
     def rows(self, words: Iterable[str]) -> list[int]:
         """The row of each word, repeats included."""

@@ -118,6 +118,8 @@ def train_logreg(feature_maps: Sequence[Mapping[str, int]],
             f"{len(feature_maps)} feature maps vs {len(labels)} labels")
     if not labels:
         raise AnalysisError("cannot train on an empty dataset")
+    if max_epochs < 0:
+        raise AnalysisError(f"max_epochs must be >= 0, got {max_epochs}")
     classes = tuple(sorted(set(labels), key=str))
     if len(classes) < 2:
         raise AnalysisError("training data must contain at least 2 classes")

@@ -265,6 +265,8 @@ def gender_direction(embedding: EmbeddingTable,
 def direct_bias(embedding: EmbeddingTable, neutral_words: Sequence[str],
                 g: np.ndarray, c: float = 1.0) -> float:
     """Mean |cosine(w, g)|^c over the words present in the vocabulary."""
+    if not c >= 0.0:
+        raise AnalysisError(f"strictness c must be >= 0, got {c}")
     _, rows = lookup(embedding, neutral_words)
     if not len(rows):
         raise AnalysisError("no neutral word is in the embedding vocabulary")
@@ -312,6 +314,9 @@ def permutation_test_means(group_a: Sequence[float], group_b: Sequence[float],
     n_permutations shuffles with the add-one Monte Carlo estimator.
     Returns (p_value, exhaustive).
     """
+    if n_permutations < 1:
+        raise AnalysisError(
+            f"number of permutations must be at least 1, got {n_permutations}")
     if len(group_a) < 2 or len(group_b) < 2:
         raise AnalysisError("each group needs at least 2 values")
     pooled = list(group_a) + list(group_b)

@@ -1,17 +1,16 @@
-"""Objects shared by the stages of one pipeline run.
+"""Objects shared within one command run.
 
-A run's stages are the subcommands' own functions, whose parameters are
+One rule: a command run parses each input once. Every subcommand runs
+inside a `sharing()` block (``run_pipeline`` opens one of its own too),
+and the stages are the subcommands' own functions, whose parameters are
 exactly their command-line options, so the store is not passed to them:
-it exists for the extent of a `sharing()` block (``run_pipeline`` is
-wrapped in one) and is gone when the block returns or raises. Inside it,
-`load(loader, path)` gives every caller the object that ``loader``
-returned the first time for that path (resolved, so ``a/./b`` and
-``a/b`` are one key), and `shared(key, make, usable)` shares any other
-object under a tuple key of the caller's choosing. `forget(path)` drops
-what was loaded from a path that the run has just rewritten, so the next
-`load` parses the new file.
-Outside a `sharing()` block, which is how every subcommand runs, `load`
-calls the loader and `shared` makes a fresh object: nothing is kept.
+it exists for the extent of the block and is gone when the block returns
+or raises. Inside it, `load(fn, path, *args)` gives every caller the
+object that ``fn(path, *args)`` returned the first time, keyed by the
+resolved path (``a/./b`` and ``a/b`` are one key), ``fn`` and ``args``.
+`forget(path)` drops every object derived from a path that the run has
+just rewritten, so the next `load` reads the new file.
+Outside a block `load` calls ``fn`` and keeps nothing.
 """
 from __future__ import annotations
 
@@ -22,8 +21,7 @@ from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
-# tuple key -> object, for the innermost `sharing()` block; the key of a
-# loaded object is (resolved path, loader)
+# (resolved path, fn, *args) -> object, for the innermost `sharing()` block
 _objects: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "slanglex_run_store", default=None)
 
@@ -38,30 +36,21 @@ def sharing():
         _objects.reset(token)
 
 
-def shared(key: tuple, make: Callable[[], T],
-           usable: Callable[[T], bool] | None = None) -> T:
-    """The object kept under ``key`` in this run if there is one and
-    ``usable`` (when given) accepts it; otherwise ``make()``, which is kept
-    under ``key`` in its place."""
+def load(fn: Callable[..., T], path, *args) -> T:
+    """``fn(path, *args)``, or in a run what it returned the first time."""
     objects = _objects.get()
     if objects is None:
-        return make()
-    if key not in objects or usable is not None and not usable(objects[key]):
-        objects[key] = make()
+        return fn(path, *args)
+    key = (Path(path).resolve(), fn, *args)
+    if key not in objects:
+        objects[key] = fn(path, *args)
     return objects[key]
 
 
-def load(loader: Callable[[Path], T], path) -> T:
-    """``loader(path)``, or in a run what it returned the first time."""
-    if _objects.get() is None:
-        return loader(path)
-    return shared((Path(path).resolve(), loader), lambda: loader(path))
-
-
 def forget(path) -> None:
-    """Drop every object loaded from ``path`` in this run."""
+    """Drop every object derived from ``path`` in this run."""
     objects = _objects.get()
     if objects is not None:
         resolved = Path(path).resolve()
-        for key in [k for k in objects if k[:1] == (resolved,)]:
+        for key in [k for k in objects if k[0] == resolved]:
             del objects[key]

@@ -53,6 +53,30 @@ def write_inputs(directory):
     return slang, standard, gold
 
 
+def write_bias_inputs(directory):
+    """A random 3-d vector table covering a small set of bias lexicons and
+    two names of each gender."""
+    tokens = ["he", "she", "him", "her", "doctor", "nurse", "slut", "muslim",
+              "christian", "terrorist", "evil", "anna", "bella", "carl", "dave"]
+    rng = np.random.default_rng(0)
+    vectors = directory / "v.txt"
+    vectors.write_text(f"{len(tokens)} 3\n" + "".join(
+        f"{t} {' '.join(f'{x:.6f}' for x in rng.normal(size=3))}\n"
+        for t in tokens), encoding="utf-8")
+    lexicons = directory / "lex"
+    lexicons.mkdir()
+    for name, text in (("prejudice_terms", "slut\n"),
+                       ("religious_terms", "muslim\nchristian\n"),
+                       ("trait_terms", "terrorist\nevil\n"),
+                       ("occupations", "doctor\nnurse\n"),
+                       ("gender_pairs", "he,she\nhim,her\n")):
+        (lexicons / f"{name}.txt").write_text(text, encoding="utf-8")
+    names = directory / "names.csv"
+    names.write_text("anna,female\nbella,female\ncarl,male\ndave,male\n",
+                     encoding="utf-8")
+    return vectors, lexicons, names
+
+
 def read_report(path):
     """Rows of a report CSV, skipping provenance comment lines."""
     lines = [line for line in path.read_text(encoding="utf-8").splitlines()
@@ -216,6 +240,53 @@ class TestExitCodes:
         result = runner.invoke(main, ["pipeline", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "--fixtures" in result.output
+
+
+class TestRefusedSettings:
+    """A setting outside its domain ends in an error naming it (exit 1, no
+    traceback) before any report or model is written."""
+
+    @pytest.fixture
+    def commands(self, tmp_path):
+        slang, standard, gold = write_inputs(tmp_path)
+        vectors, lexicons, names = write_bias_inputs(tmp_path)
+        out = tmp_path / "out"
+        bias = ["--vectors", str(vectors), "--lexicons", str(lexicons),
+                "--out", str(out)]
+        return {
+            "smoothing": ["phonology", "--slang", str(slang), "--standard",
+                          str(standard), "--out", str(out)],
+            "n-perms": ["bias", "sexprej", *bias, "--names", str(names)],
+            "strictness": ["bias", "gender", *bias],
+            "max-epochs": ["classes", "train", "--gold", str(gold),
+                           "--out", str(out / "model.npz")],
+        }
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("smoothing", "0", "smoothing must be finite and > 0, got 0.0"),
+        ("smoothing", "-0.01", "smoothing must be finite and > 0, got -0.01"),
+        ("smoothing", "nan", "smoothing must be finite and > 0, got nan"),
+        ("smoothing", "inf", "smoothing must be finite and > 0, got inf"),
+        ("n-perms", "0", "number of permutations must be at least 1, got 0"),
+        ("n-perms", "-5", "number of permutations must be at least 1, got -5"),
+        ("strictness", "-1", "strictness c must be >= 0, got -1.0"),
+        ("strictness", "nan", "strictness c must be >= 0, got nan"),
+        ("max-epochs", "-3", "max_epochs must be >= 0, got -3"),
+    ])
+    def test_setting_refused(self, runner, tmp_path, commands, flag, value,
+                             message):
+        result = runner.invoke(main, [*commands[flag], f"--{flag}", value])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert f"Error: {message}\n" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("smoothing", "0.5"), ("n-perms", "1"), ("strictness", "0"),
+        ("max-epochs", "0")])
+    def test_boundary_accepted(self, runner, commands, flag, value):
+        result = runner.invoke(main, [*commands[flag], f"--{flag}", value])
+        assert result.exit_code == 0, result.output
 
 
 class TestIngest:
@@ -690,6 +761,23 @@ class TestConfigFile:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert f"{cfg}:2: not UTF-8 text" in result.output
+
+    def test_embed_vote_filter_removed(self, runner, tmp_path):
+        # ingest --min-votes is the one vote filter
+        slang, _, _ = write_inputs(tmp_path)
+        cfg = tmp_path / "votes.cfg"
+        cfg.write_text("ingest.min_votes = 1\nembed.min_votes = 1\n",
+                       encoding="utf-8")
+        out = ["--out", str(tmp_path / "v.txt")]
+        result = runner.invoke(main, ["--config", str(cfg), "embed", "--slang",
+                                      str(slang), *out])
+        assert result.exit_code == 2
+        assert f"{cfg}:2: unknown config key 'embed.min_votes'" in result.output
+        result = runner.invoke(main, ["embed", "--slang", str(slang),
+                                      "--min-votes", "1", *out])
+        assert result.exit_code == 2
+        assert "No such option '--min-votes'" in result.output
+        assert not (tmp_path / "v.txt").exists()
 
     def test_classifier_learning_rate_removed(self, runner, tmp_path):
         # L-BFGS takes unit first steps, so classes train has no --lr;

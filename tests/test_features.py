@@ -257,7 +257,7 @@ class TestNgramTable:
         assert fit_vocabulary(maps, kind, cap, *n_range) == vocab
         x = count_matrix(vocab, [table.maps[i] for i in rows])
         assert np.array_equal(x, _old_rows(vocab, maps))
-        assert table.holds(chosen, segmenter)
+        assert rows == [list(dict.fromkeys(words)).index(w) for w in chosen]
 
     @settings(max_examples=80)
     @given(maps=st.lists(st.dictionaries(GRAMS, st.integers(0, 4), max_size=6),
@@ -276,22 +276,15 @@ class TestNgramTable:
         assert all(np.array_equal(vectorize(vocab, m), row)
                    for m, row in zip(maps, _old_rows(vocab, maps)))
 
-    def test_holds_only_its_words_under_its_segmenter(self):
-        table = NgramTable.of_words(["ab"], NgramKind.CHAR, 1, 2)
-        assert table.holds(["ab"], SEGMENTER)  # char features use none
-        assert not table.holds(["ab", "ba"])
+    def test_rows_are_of_its_words_only(self):
+        table = NgramTable.of_words(["ab", "ba", "ab"], NgramKind.CHAR, 1, 2)
+        assert table.rows(["ba", "ab", "ba"]) == [1, 0, 1]
         with pytest.raises(KeyError):
-            table.rows(["ba"])
-        morph = NgramTable.of_words(["ab"], NgramKind.MORPHEME, 1, 2, SEGMENTER)
-        assert morph.holds(["ab"], SEGMENTER)
-        assert not morph.holds(["ab"], None)
+            table.rows(["c"])
 
 
-def test_pipeline_models_equal_per_word_path(tmp_path, monkeypatch):
-    """The six fits of the fixture pipeline, against the same fits built
-    the old way: per-word maps, the dict ranking and one vector per row."""
-    fits = []
-    train_logreg = cli.train_logreg
+def count_extractions(monkeypatch) -> collections.Counter:
+    """The `word_features` calls from now on, by (kind, word)."""
     extracted = collections.Counter()
 
     def counting(word, kind, *args):
@@ -299,6 +292,15 @@ def test_pipeline_models_equal_per_word_path(tmp_path, monkeypatch):
         return word_features(word, kind, *args)
 
     monkeypatch.setattr(features, "word_features", counting)
+    return extracted
+
+
+def test_pipeline_models_equal_per_word_path(tmp_path, monkeypatch):
+    """The six fits of the fixture pipeline, against the same fits built
+    the old way: per-word maps, the dict ranking and one vector per row."""
+    fits = []
+    train_logreg = cli.train_logreg
+    extracted = count_extractions(monkeypatch)
 
     def recording(maps, labels, vocab, **kwargs):
         fits.append((list(labels), kwargs, train_logreg(maps, labels, vocab,
@@ -321,10 +323,10 @@ def test_pipeline_models_equal_per_word_path(tmp_path, monkeypatch):
                 (split.train, NgramKind.MORPHEME, segmenter),
                 *((records, NgramKind.CHAR, None) for records in folds)]
     assert len(fits) == len(expected) == 6
-    # the fits of a kind read one table, so each word's n-grams are
-    # extracted once per kind: char for the training words, morph for the
-    # training words (the table) and the test words (scoring)
-    assert extracted == {**{(NgramKind.CHAR, r.word): 1 for r in split.train},
+    # the char fits read one table of every gold word, so each word's char
+    # n-grams are extracted once; morph n-grams once for the training words
+    # (the morph fit's table) and once for the test words (scoring)
+    assert extracted == {**{(NgramKind.CHAR, r.word): 1 for r in gold},
                          **{(NgramKind.MORPHEME, r.word): 1 for r in gold}}
     monkeypatch.setattr(features, "word_features", word_features)
     monkeypatch.setattr(logreg, "count_matrix", _old_rows)
@@ -338,3 +340,15 @@ def test_pipeline_models_equal_per_word_path(tmp_path, monkeypatch):
         assert model.classes == old.classes
         assert model.weights.tobytes() == old.weights.tobytes()
         assert (model.stop, model.iterations) == (old.stop, old.iterations)
+
+
+def test_classes_eval_extracts_each_gold_word_once(monkeypatch):
+    """Its four folds' char fits read one table of every gold word; fold
+    scoring walks the vocabulary trie and extracts nothing."""
+    extracted = count_extractions(monkeypatch)
+    gold = files("slanglex").joinpath("data", "fixtures", "gold_classes.csv")
+    result = CliRunner().invoke(cli.main, ["classes", "eval", "--gold", str(gold),
+                                           "--delta", "0.5", "--seed", "7"])
+    assert result.exit_code == 0, result.output
+    assert extracted == {(NgramKind.CHAR, r.word): 1
+                         for r in load_gold_classes(gold)}

@@ -157,13 +157,6 @@ class TestTraining:
         with pytest.raises(AnalysisError):
             train_segmenter(["dog", ""])
 
-    def test_split_penalty_discourages_splitting(self):
-        words = ["dogcat", "catdog", "dog", "cat"]
-        free = train_segmenter(words, split_penalty=0.0)
-        taxed = train_segmenter(words, split_penalty=1000.0)
-        assert free.morph_counts == {"cat": 3, "dog": 3}
-        assert set(taxed.morph_counts) == set(words)
-
 
 @pytest.fixture(scope="module")
 def model():
@@ -299,7 +292,7 @@ class TestPersistence:
 EPS = 1e-12  # the library's tie tolerance
 
 
-def reference_train(words, split_penalty=0.0, max_iters=10, seed=0):
+def reference_train(words, max_iters=10, seed=0):
     """The trainer's search, scoring each candidate by recomputing the
     whole code length of a copied inventory: same visiting order, same
     recursive splitting, same tolerance."""
@@ -320,7 +313,7 @@ def reference_train(words, split_penalty=0.0, max_iters=10, seed=0):
     def optimize(piece, mult):
         best, best_i = cost_with([piece], mult), None
         for i in range(1, len(piece)):
-            candidate = cost_with([piece[:i], piece[i:]], mult) + split_penalty
+            candidate = cost_with([piece[:i], piece[i:]], mult)
             if candidate < best - EPS:
                 best, best_i = candidate, i
         if best_i is None:
@@ -391,17 +384,15 @@ INVENTORIES = st.one_of(
 
 class TestFastPathOracles:
     @settings(max_examples=100)
-    @given(words=LEXICONS, seed=st.integers(0, 3),
-           split_penalty=st.sampled_from([0.0, 1.5]))
+    @given(words=LEXICONS, seed=st.integers(0, 3))
     # a re-analysis that costs more and is undone; one that costs the same
     # and is kept
-    @example(words=["aa", "aaa", "a"], seed=0, split_penalty=0.0)
+    @example(words=["aa", "aaa", "a"], seed=0)
     @example(words=["abcd", "abcda", "aabcd", "bcdaa", "a", "bcdbcda", "aa"],
-             seed=1, split_penalty=0.0)
-    def test_trainer_matches_full_recomputation(self, words, seed, split_penalty):
-        model = train_segmenter(words, split_penalty=split_penalty, seed=seed)
-        assert model.morph_counts == reference_train(
-            words, split_penalty=split_penalty, seed=seed)
+             seed=1)
+    def test_trainer_matches_full_recomputation(self, words, seed):
+        model = train_segmenter(words, seed=seed)
+        assert model.morph_counts == reference_train(words, seed=seed)
 
     @settings(max_examples=100)
     @given(counts=INVENTORIES, data=st.data())

@@ -1,5 +1,5 @@
-"""The per-run store: a pipeline run parses each input once, and no stage,
-later run or later subcommand gets an object loaded from a file that has
+"""The per-run store: a command run parses each input once, and no stage,
+later run or later subcommand gets an object derived from a file that has
 changed since."""
 import collections
 import shutil
@@ -12,8 +12,9 @@ from click.testing import CliRunner
 import slanglex.cli as cli
 from slanglex import store
 from slanglex.cli import main
+from slanglex.corpus import load_gold_classes
 from slanglex.morphology import SegmenterModel
-from slanglex.slangclass import NgramKind, load_classifier
+from slanglex.slangclass import NgramKind, NgramTable, load_classifier
 
 FIXTURES = Path(str(files("slanglex").joinpath("data", "fixtures")))
 LOADERS = ("load_slang_lexicon", "load_standard_lexicon", "load_gold_classes",
@@ -33,7 +34,7 @@ def invoke(runner, *args):
 
 def assert_no_store():
     """Outside a run nothing is kept: each call makes a fresh object."""
-    assert store.shared(("probe",), list) is not store.shared(("probe",), list)
+    assert store.load(list, "probe") is not store.load(list, "probe")
 
 
 def reports(directory: Path) -> dict:
@@ -59,11 +60,20 @@ class TestStore:
         assert store.load(loader, path) is not first
         assert len(calls) == 5
 
-    def test_shared_object_is_remade_when_unusable(self):
+    def test_key_is_path_fn_and_args_and_forget_drops_derived(self, tmp_path):
+        def derived(path, n):
+            return [path, n]
+
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         with store.sharing():
-            first = store.shared(("k",), lambda: [1])
-            assert store.shared(("k",), lambda: [2]) is first
-            assert store.shared(("k",), lambda: [3], lambda held: 3 in held) == [3]
+            first = store.load(derived, a, 1)
+            assert store.load(derived, a, 1) is first
+            assert store.load(derived, a, 2) == [a, 2]
+            assert store.load(lambda path, n: [path, n], a, 1) is not first
+            other = store.load(derived, b, 1)
+            store.forget(a)
+            assert store.load(derived, a, 1) is not first
+            assert store.load(derived, b, 1) is other
         assert_no_store()
 
     def test_block_ends_on_error(self, tmp_path):
@@ -76,8 +86,9 @@ class TestStore:
 
 class TestSharedTables:
     def test_table_is_shared_only_when_it_holds_the_fit(self, tmp_path):
-        # fits on other words, or with another segmenter, get a table of
-        # their own: each model equals the one fitted outside a run
+        # char fits on another gold file get that file's table, and morph
+        # fits a table of their own: each model equals the one fitted
+        # outside a run
         other = tmp_path / "other.csv"
         other.write_text("".join(
             f"{word}x,{rest}\n" for word, rest in (
@@ -100,6 +111,20 @@ class TestSharedTables:
         alone = weights(tmp_path / "alone")
         with store.sharing():
             assert weights(tmp_path / "run") == alone
+
+    def test_forget_gold_rebuilds_the_char_table(self, tmp_path):
+        gold = tmp_path / "gold.csv"
+        shutil.copy(FIXTURES / "gold_classes.csv", gold)
+        with store.sharing():
+            first = store.load(cli._char_table, gold, 1, 5)
+            assert store.load(cli._char_table, gold, 1, 5) is first
+            lines = gold.read_text(encoding="utf-8").splitlines()
+            gold.write_text("\n".join(lines[::2]) + "\n", encoding="utf-8")
+            store.forget(gold)
+            table = store.load(cli._char_table, gold, 1, 5)
+        words = [r.word for r in load_gold_classes(gold)]
+        assert table is not first and len(table.maps) < len(first.maps)
+        assert table.maps == NgramTable.of_words(words, NgramKind.CHAR, 1, 5).maps
 
 
 class TestPipelineLoads:
