@@ -62,24 +62,27 @@ from .phonology import (
     to_phonemes,
 )
 from .reports import csv_text, fnum, provenance_lines, summary_line, write_csv
-from .slangclass import (
+from .slangclass.features import NgramKind, NgramTable
+from .slangclass.logreg import (
+    load_classifier,
+    predict_proba_batch,
+    save_classifier,
+    train_logreg,
+)
+from .slangclass.openset import (
     LabelSampler,
-    NgramKind,
-    NgramTable,
     ScoreType,
     argmax_label,
+    confidence_score,
+    cross_class_validate,
+    predict_with_reject,
+)
+from .slangclass.patterns import (
     blend_suffix_stats,
     classify_clipping,
     classify_reduplicative,
-    confidence_score,
-    cross_class_validate,
-    load_classifier,
-    predict_proba_batch,
-    predict_with_reject,
-    save_classifier,
     split_pair,
     substitution_stats,
-    train_logreg,
 )
 from .social import (
     GenderLexicon,
@@ -123,7 +126,7 @@ OPTIONS = {
                 dict(required=True, type=click.Path(file_okay=False))),
     "out_file": (("--out", "out_path"), dict(required=True, type=OUT_FILE)),
     "out_csv": (("--out", "out_path"), dict(type=OUT_FILE)),
-    "seed": (("--seed",), dict(default=0)),
+    "seed": (("--seed",), dict(default=0, type=click.IntRange(min=0))),
     "min_votes": (("--min-votes",), dict(
         default=100, help="Keep entries with at least this many total votes.")),
     "smoothing": (("--smoothing",), dict(
@@ -217,7 +220,7 @@ def command(group, name: str, *keys: str, **overrides):
     """Register the decorated stage function, unchanged, as subcommand
     ``name``: it gets the ``keys`` options (``overrides[key]`` replaces
     attributes) as keyword arguments, in a `sharing()` block; a SlanglexError
-    or OSError exits 1, and its summary dict (or a tuple's first item) is echoed."""
+    or OSError exits 1, and the summary dict it returns is echoed."""
     def register(fn):
         def callback(**params):
             try:
@@ -225,8 +228,6 @@ def command(group, name: str, *keys: str, **overrides):
                     info = fn(**params)
             except (SlanglexError, OSError) as exc:
                 raise click.ClickException(str(exc)) from exc
-            if isinstance(info, tuple):
-                info = info[0]
             click.echo(summary_line(name, **info))
         for key in reversed(keys):
             decls, attrs = OPTIONS[key]
@@ -306,7 +307,7 @@ def run_phonology(slang_path, standard_path, out_dir, smoothing) -> dict:
     rules = load_bundled_fallback_rules()
 
     slang_seqs = [to_phonemes(e.headword, table, rules) for e in entries]
-    std_seqs = [to_phonemes(w, table, rules) for w in sorted(standard.words)]
+    std_seqs = [to_phonemes(w, table, rules) for w in sorted(standard)]
     fallback = sum(1 for s in slang_seqs
                    if s.source is ConversionSource.RULE_FALLBACK)
     p_slang = phoneme_distribution(slang_seqs)
@@ -319,17 +320,17 @@ def run_phonology(slang_path, standard_path, out_dir, smoothing) -> dict:
           ["rank", "phoneme", "manner", "odds_ratio", "p_slang", "p_standard"],
           [(e.rank, e.symbol, manner_of(e.symbol).value, fnum(e.ratio),
             fnum(p_slang.get(e.symbol, 0.0)), fnum(p_std.get(e.symbol, 0.0)))
-           for e in ranking.entries])
+           for e in ranking])
     rows = []
     for corpus_name, seqs in (("slang", slang_seqs), ("standard", std_seqs)):
         for position in (WordPosition.FIRST, WordPosition.FINAL):
             dist = positional_manner_distribution(seqs, position)
             rows += [(corpus_name, position.value, manner.value,
-                      fnum(dist.probabilities.get(manner, 0.0)))
+                      fnum(dist.get(manner, 0.0)))
                      for manner in sorted(Manner, key=lambda m: m.value)]
     write("manner_positions.csv", ["corpus", "position", "manner", "share"], rows)
 
-    top = ranking.entries[0]
+    top = ranking[0]
     return {"slang_words": len(slang_seqs), "standard_words": len(std_seqs),
             "fallback_conversions": fallback,
             "top_phoneme": top.symbol, "top_odds": top.ratio}
@@ -342,18 +343,16 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed)
     entries = load(load_slang_lexicon, slang_path)
     standard = load(load_standard_lexicon, standard_path)
     slang_words = sorted({w for w in (_letters(e.headword) for e in entries) if w})
-    std_words = sorted({w for w in (_letters(w) for w in standard.words) if w})
+    std_words = sorted({w for w in map(_letters, standard) if w})
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     header = provenance_lines(seed, [("slang", slang_path),
                                      ("standard", standard_path)])
     info: dict = {}
-    models = {}
     affix_rows = []
     for corpus_name, words in (("slang", slang_words), ("standard", std_words)):
-        model = models[corpus_name] = train_segmenter(words, max_iters=max_iters,
-                                                      seed=seed)
+        model = train_segmenter(words, max_iters=max_iters, seed=seed)
+        out.mkdir(parents=True, exist_ok=True)
         save_segmenter(model, out / f"segmenter_{corpus_name}.tsv")
         segs = [segment(model, w) for w in words]
         lines = header + [f"{seg.word}\t{'+'.join(seg.morphs)}" for seg in segs]
@@ -370,7 +369,7 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed)
     write_csv(out / "affix_shares.csv",
               ["corpus", "side", "rank", "affix", "share", "cumulative"],
               affix_rows, header)
-    return info, models["slang"]
+    return info
 
 
 def _char_table(gold_path, n_min, n_max) -> NgramTable:
@@ -414,7 +413,7 @@ def classes_train(kind, segmenter_path, **params):
     """Fit the four-class detector on labeled words."""
     kind = NgramKind(kind)
     segmenter = _segmenter(kind, segmenter_path)
-    return run_classes_train(kind=kind, segmenter=segmenter, **params)
+    return run_classes_train(kind=kind, segmenter=segmenter, **params)[0]
 
 
 @command(classes, "classes.predict", "model", "words", "in", "delta", "score",
@@ -673,10 +672,10 @@ def run_pipeline(slang_path, standard_path, gold_path, lexicons_dir,
     done("ingest", {key: info[key] for key in ("read", "kept", "min_votes")})
     done("phonology", run_phonology(filtered, standard_path, out,
                                     DEFAULT["smoothing"]))
-    info, segmenter = run_morphology(filtered, standard_path, out,
-                                     DEFAULT["max_iters"], DEFAULT["affix_k"],
-                                     seed)
-    done("morphology", info)
+    done("morphology", run_morphology(filtered, standard_path, out,
+                                      DEFAULT["max_iters"], DEFAULT["affix_k"],
+                                      seed))
+    segmenter = load(load_segmenter, out / "segmenter_slang.tsv")
     done("classes", _compare_classifiers(gold_path, out, segmenter, seed))
     info = run_classes_eval(gold_path, delta, score_name, seed,
                             DEFAULT["test_fraction"], out / "crossclass_f1.csv",

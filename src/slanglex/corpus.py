@@ -7,7 +7,7 @@ Two on-disk formats are understood:
     and optional ``subjects`` / ``year_added`` (see SCHEMA.md);
   * standard-English lexicons as TSV, ``word<TAB>definition`` with one
     line per definition (a bare word line is accepted as a definition-less
-    entry).
+    entry); only the word set is kept.
 
 Every line-oriented input, the vector table and the CLI's config file
 included, is read by `read_records`, with the line rules SCHEMA.md states.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -70,26 +70,6 @@ class LexiconEntry:
 
 
 @dataclass(frozen=True)
-class StandardLexicon:
-    """Reference lexicon of standard-English words and their definitions."""
-
-    words: frozenset[str]
-    definitions: dict[str, tuple[str, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        stray = set(self.definitions) - set(self.words)
-        if stray:
-            raise SchemaError(
-                f"definitions for words missing from the word set: {sorted(stray)[:5]}")
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-@dataclass(frozen=True)
 class GoldClassRecord:
     """A manually labeled word for the slang-class detector.
 
@@ -106,7 +86,6 @@ class GoldClassRecord:
 class DatasetSplit:
     train: tuple
     test: tuple
-    seed: int
 
 
 _STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
@@ -190,25 +169,22 @@ def load_slang_lexicon(path) -> list[LexiconEntry]:
     return read_records(path, _entry_from_json, comment=None)
 
 
-def _standard_row(line: str) -> tuple[str, str]:
-    """(word, definition), the definition "" on a bare word line."""
+def _standard_word(line: str) -> str:
+    """The word of a word<TAB>definition line or of a bare word line."""
     word, *definition = line.split("\t")
     if not word.strip():
         raise SchemaError("empty word", field="word")
     if len(definition) > 1:
         raise SchemaError(
             f"expected word<TAB>definition, got {len(definition) + 1} fields")
-    return word.strip(), "".join(definition)
+    return word.strip()
 
 
-def load_standard_lexicon(path) -> StandardLexicon:
-    """Read a TSV standard lexicon (word<TAB>definition, one per line)."""
-    rows = read_records(path, _standard_row)
-    definitions: dict[str, tuple[str, ...]] = {}
-    for word, definition in rows:
-        if definition:
-            definitions[word] = definitions.get(word, ()) + (definition,)
-    return StandardLexicon(frozenset(word for word, _ in rows), definitions)
+def load_standard_lexicon(path) -> frozenset[str]:
+    """The words of a TSV standard lexicon (word<TAB>definition, one per
+    line). Definitions are checked for shape but not kept: no analysis
+    reads them."""
+    return frozenset(read_records(path, _standard_word))
 
 
 def save_slang_lexicon(entries: Iterable[LexiconEntry], path) -> None:
@@ -289,4 +265,4 @@ def split_gold(records: Sequence[GoldClassRecord], test_fraction: float = 0.10,
     """Stratified train/test split of gold class records."""
     train, test = stratified_split(records, lambda r: r.label,
                                    test_fraction, seed)
-    return DatasetSplit(train=train, test=test, seed=seed)
+    return DatasetSplit(train=train, test=test)

@@ -120,6 +120,8 @@ def train_segmenter(words: Iterable[str], max_iters: int = 10,
     total cost; training stops when a pass changes nothing or after
     ``max_iters`` passes. The total cost is non-increasing across passes.
     """
+    if max_iters < 0:
+        raise AnalysisError(f"max_iters must be >= 0, got {max_iters}")
     multiplicity: dict[str, int] = {}
     for word in words:
         word = normalize_word(word)
@@ -287,12 +289,11 @@ class AffixSide(enum.Enum):
 class AffixDistribution:
     """Top-k first/last morph frequencies with cumulative mass per rank."""
 
-    side: AffixSide
     entries: tuple[tuple[str, float], ...]
     covered_mass_at_k: dict[int, float]
 
 
-def ranked_shares(counts: Mapping[str, int], total: int, side: AffixSide,
+def ranked_shares(counts: Mapping[str, int], total: int,
                   k: int) -> AffixDistribution:
     """Top-k affixes by count (ties alphabetical), each with its share of
     ``total``, and the running sum of those shares at every rank 1..k."""
@@ -304,7 +305,7 @@ def ranked_shares(counts: Mapping[str, int], total: int, side: AffixSide,
         if rank <= len(entries):
             running += entries[rank - 1][1]
         mass[rank] = running
-    return AffixDistribution(side=side, entries=entries, covered_mass_at_k=mass)
+    return AffixDistribution(entries=entries, covered_mass_at_k=mass)
 
 
 def affix_distribution(segmentations: Sequence[Segmentation], side: AffixSide,
@@ -318,7 +319,7 @@ def affix_distribution(segmentations: Sequence[Segmentation], side: AffixSide,
     for seg in segmentations:
         affix = seg.morphs[0] if side is AffixSide.PREFIX else seg.morphs[-1]
         counts[affix] = counts.get(affix, 0) + 1
-    return ranked_shares(counts, len(segmentations), side, k)
+    return ranked_shares(counts, len(segmentations), k)
 
 
 def save_segmenter(model: SegmenterModel, path) -> None:

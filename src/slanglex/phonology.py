@@ -52,8 +52,6 @@ MANNER_BY_SYMBOL: dict[str, Manner] = {
     symbol: manner for manner, symbols in _MANNER_GROUPS.items() for symbol in symbols
 }
 
-ARPABET_INVENTORY = frozenset(MANNER_BY_SYMBOL)
-
 
 def strip_stress(symbol: str) -> str:
     return symbol.rstrip("012")
@@ -91,9 +89,6 @@ class PhonemeSequence:
     phonemes: tuple[Phoneme, ...]
     source: ConversionSource
 
-    def symbols(self) -> tuple[str, ...]:
-        return tuple(p.symbol for p in self.phonemes)
-
 
 class PronouncingTable:
     """ARPAbet pronunciations keyed by uppercase word.
@@ -108,12 +103,6 @@ class PronouncingTable:
             word.upper(): tuple(phoneme(s) for s in symbols)
             for word, symbols in entries.items()
         }
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, word: str) -> bool:
-        return word.upper() in self._entries
 
     def lookup(self, word: str) -> tuple[Phoneme, ...] | None:
         return self._entries.get(word.upper())
@@ -139,11 +128,12 @@ class FallbackRules:
 
     Applied greedily left to right, always consuming the longest cluster
     with a rule. The bundled table covers every single letter, so any
-    alphabetic input converts.
+    alphabetic input converts. Symbols are validated, and turned into
+    phonemes, once at construction.
     """
 
     def __init__(self, rules: Mapping[str, Sequence[str]]):
-        self._rules = {cluster.lower(): tuple(symbols)
+        self._rules = {cluster.lower(): tuple(phoneme(s) for s in symbols)
                        for cluster, symbols in rules.items()}
         if not self._rules:
             raise AnalysisError("fallback rule table is empty")
@@ -157,7 +147,7 @@ class FallbackRules:
             for width in range(min(self._max_len, len(letters) - i), 0, -1):
                 cluster = letters[i:i + width]
                 if cluster in self._rules:
-                    result.extend(phoneme(s) for s in self._rules[cluster])
+                    result.extend(self._rules[cluster])
                     i += width
                     break
             else:
@@ -222,28 +212,10 @@ def to_phonemes(word: str, table: PronouncingTable,
 
 
 @dataclass(frozen=True)
-class MannerDistribution:
-    probabilities: dict[Manner, float]
-    sample_size: int
-
-
-@dataclass(frozen=True)
 class OddsRatioEntry:
     symbol: str
     ratio: float
     rank: int
-
-
-@dataclass(frozen=True)
-class OddsRatioReport:
-    entries: tuple[OddsRatioEntry, ...]
-    smoothing: float
-
-    def ratio(self, symbol: str) -> float:
-        for entry in self.entries:
-            if entry.symbol == symbol:
-                return entry.ratio
-        raise KeyError(symbol)
 
 
 def phoneme_distribution(corpus: Iterable[PhonemeSequence]) -> dict[str, float]:
@@ -264,7 +236,7 @@ def phoneme_distribution(corpus: Iterable[PhonemeSequence]) -> dict[str, float]:
 
 
 def odds_ratio_ranking(p_slang: Mapping[str, float], p_std: Mapping[str, float],
-                       smoothing: float = 1e-6) -> OddsRatioReport:
+                       smoothing: float = 1e-6) -> tuple[OddsRatioEntry, ...]:
     """Rank phonemes by their slang-vs-standard odds ratio, descending.
 
     Additive smoothing, finite and positive, keeps ratios finite when a
@@ -278,9 +250,8 @@ def odds_ratio_ranking(p_slang: Mapping[str, float], p_std: Mapping[str, float],
         for symbol in inventory
     ]
     scored.sort(key=lambda item: (-item[1], item[0]))
-    entries = tuple(OddsRatioEntry(symbol, ratio, rank)
-                    for rank, (symbol, ratio) in enumerate(scored, 1))
-    return OddsRatioReport(entries=entries, smoothing=smoothing)
+    return tuple(OddsRatioEntry(symbol, ratio, rank)
+                 for rank, (symbol, ratio) in enumerate(scored, 1))
 
 
 class WordPosition(enum.Enum):
@@ -289,8 +260,9 @@ class WordPosition(enum.Enum):
 
 
 def positional_manner_distribution(corpus: Sequence[PhonemeSequence],
-                                   position: WordPosition) -> MannerDistribution:
-    """Distribution of articulation manners at a word edge.
+                                   position: WordPosition) -> dict[Manner, float]:
+    """Distribution of articulation manners at a word edge, over the
+    manners that occur there.
 
     FIRST looks at the first phoneme of each word, FINAL at the last (for
     multiword headwords these come from the first and last token
@@ -306,6 +278,4 @@ def positional_manner_distribution(corpus: Sequence[PhonemeSequence],
         n += 1
     if n == 0:
         raise AnalysisError("empty corpus: no words with phonemes")
-    probabilities = {manner: counts.get(manner, 0) / n
-                     for manner in Manner if manner in counts}
-    return MannerDistribution(probabilities=probabilities, sample_size=n)
+    return {manner: counts[manner] / n for manner in Manner if manner in counts}

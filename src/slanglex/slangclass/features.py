@@ -27,10 +27,10 @@ Every word position advances one depth at a time, by one ``searchsorted``
 per depth, until its next character has no edge; each word is followed by
 0x110000, which no edge has, so no position runs into the next word. A
 position that reaches a feature's state at a depth within
-``n_min..n_max`` counts one hit, so the counts equal `vectorize` of
-`extract_char_ngrams` exactly. Characters come from one UTF-32 encoding
-of the joined words, one code unit per character as ``len`` counts them;
-a numpy ``U`` array would drop a word's trailing U+0000.
+``n_min..n_max`` counts one hit, so the counts equal `count_matrix` of
+the `extract_char_ngrams` maps exactly. Characters come from one UTF-32
+encoding of the joined words, one code unit per character as ``len``
+counts them; a numpy ``U`` array would drop a word's trailing U+0000.
 """
 
 from __future__ import annotations
@@ -199,11 +199,6 @@ def count_matrix(vocab: FeatureVocabulary,
     return x
 
 
-def vectorize(vocab: FeatureVocabulary, fmap: Mapping[str, int]) -> np.ndarray:
-    """Dense count vector over the vocabulary; unknown features are ignored."""
-    return count_matrix(vocab, [fmap])[0]
-
-
 class _CharTrie:
     """The features as a trie over code points, one sorted key array per
     depth (see the module docstring)."""
@@ -268,9 +263,8 @@ class _CharTrie:
 def feature_matrix(vocab: FeatureVocabulary, words: Sequence[str],
                    segmenter: SegmenterModel | None = None) -> np.ndarray:
     """The ``(len(words), len(vocab))`` count matrix of the words'
-    vocabulary features: row i equals `vectorize` of `word_features` of
-    word i. Char features take the trie walk; morph features segment each
-    word."""
+    vocabulary features, equal to `count_matrix` of their `word_features`.
+    Char features take the trie walk; morph features segment each word."""
     _check_range(vocab.n_min, vocab.n_max)
     if vocab.kind is NgramKind.CHAR:
         if not all(words):

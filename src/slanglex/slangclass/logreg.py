@@ -120,6 +120,9 @@ def train_logreg(feature_maps: Sequence[Mapping[str, int]],
         raise AnalysisError("cannot train on an empty dataset")
     if max_epochs < 0:
         raise AnalysisError(f"max_epochs must be >= 0, got {max_epochs}")
+    for name, value in (("l2", l2), ("tol", tol)):
+        if not value >= 0.0:  # NaN fails this too
+            raise AnalysisError(f"{name} must be >= 0, got {value}")
     classes = tuple(sorted(set(labels), key=str))
     if len(classes) < 2:
         raise AnalysisError("training data must contain at least 2 classes")

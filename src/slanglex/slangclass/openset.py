@@ -82,8 +82,6 @@ class LabelSampler:
             counts[label] = counts.get(label, 0) + 1
         self._labels = sorted(counts, key=str)
         self._weights = [counts[lab] for lab in self._labels]
-        total = len(labels)
-        self.distribution = {lab: counts[lab] / total for lab in self._labels}
         self._rng = random.Random(seed)
 
     def draw(self, n: int) -> list:
@@ -96,8 +94,6 @@ class LabelSampler:
 class CrossClassReport:
     fold_f1: dict[SlangClass, float]
     mean_f1: float
-    delta: float
-    score: ScoreType
 
 
 # a fold's model scores all its test words in one call: it returns the
@@ -135,5 +131,4 @@ def cross_class_validate(gold: Sequence[GoldClassRecord],
         truth = [REJECTED if r.label == held else r.label for r in split.test]
         fold_f1[held] = weighted_f1(truth, predictions)
     mean = sum(fold_f1.values()) / len(fold_f1)
-    return CrossClassReport(fold_f1=fold_f1, mean_f1=mean, delta=delta,
-                            score=score)
+    return CrossClassReport(fold_f1=fold_f1, mean_f1=mean)

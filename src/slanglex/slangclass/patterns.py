@@ -1,7 +1,7 @@
 """Rule-based analyzers for clipping, reduplicative, and blend formation.
 
-All comparisons are case-insensitive. Vowels default to {a,e,i,o,u}; 'y'
-counts as a consonant unless the caller flips the flag.
+All comparisons are case-insensitive. Vowels are {a,e,i,o,u}; 'y' counts
+as a consonant.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Sequence
 
 from ..corpus import GoldClassRecord
 from ..errors import AnalysisError
-from ..morphology import AffixDistribution, AffixSide, ranked_shares
+from ..morphology import AffixDistribution, ranked_shares
 
 _VOWELS = frozenset("aeiou")
 _PAIR_SPLIT = re.compile(r"[-\s]+")
@@ -64,8 +64,7 @@ def split_pair(pair: str) -> tuple[str, str]:
     return parts[0], parts[1]
 
 
-def classify_reduplicative(pair: str,
-                           y_is_vowel: bool = False) -> ReduplicativeType:
+def classify_reduplicative(pair: str) -> ReduplicativeType:
     """Type an echo pair like "boo-boo" or "flip flop".
 
     Precedence: DUP > SHM > EX_VOW > EX_CONS > UNK. EX_VOW/EX_CONS require
@@ -80,12 +79,11 @@ def classify_reduplicative(pair: str,
         if second.startswith(prefix) and tail and first.endswith(tail):
             return ReduplicativeType.SHM
     if len(first) == len(second):
-        vowels = _VOWELS | {"y"} if y_is_vowel else _VOWELS
         diffs = [i for i in range(len(first)) if first[i] != second[i]]
         if diffs:
-            if all(first[i] in vowels and second[i] in vowels for i in diffs):
+            if all(first[i] in _VOWELS and second[i] in _VOWELS for i in diffs):
                 return ReduplicativeType.EX_VOW
-            if all(first[i] not in vowels and second[i] not in vowels
+            if all(first[i] not in _VOWELS and second[i] not in _VOWELS
                    for i in diffs):
                 return ReduplicativeType.EX_CONS
     return ReduplicativeType.UNK
@@ -97,9 +95,6 @@ class SubstitutionStats:
 
     replacements: dict[str, dict[str, float]]
     skipped: int  # unequal-length pairs that could not be aligned
-
-    def __getitem__(self, letter: str) -> dict[str, float]:
-        return self.replacements[letter]
 
 
 def substitution_stats(pairs: Sequence[tuple[str, str]]) -> SubstitutionStats:
@@ -151,7 +146,7 @@ def blend_suffix_stats(blends: Sequence[GoldClassRecord],
         total += 1
     if total == 0:
         raise AnalysisError("no blend records with usable components")
-    return ranked_shares(counts, total, AffixSide.SUFFIX, k), skipped
+    return ranked_shares(counts, total, k), skipped
 
 
 def _common_suffix(a: str, b: str) -> str:

@@ -164,9 +164,6 @@ class GenderLexicon:
     def lookup(self, name: str) -> Gender:
         return self._table.get(name.casefold(), Gender.UNKNOWN)
 
-    def __len__(self) -> int:
-        return len(self._table)
-
     @classmethod
     def from_csv(cls, path) -> "GenderLexicon":
         rows = read_records(path, _name_gender)
@@ -356,7 +353,6 @@ class NameBiasReport:
     difference: float  # female - male
     p_value: float
     exhaustive: bool
-    n_permutations: int
     excluded_unknown: int
     excluded_oov: int
     scores: tuple[tuple[str, Gender, float], ...]  # usable names, in order
@@ -391,7 +387,6 @@ def name_prejudice_comparison(embedding: EmbeddingTable,
         male_mean=float(np.mean(male)), male_n=len(male),
         difference=float(np.mean(female)) - float(np.mean(male)),
         p_value=p_value, exhaustive=exhaustive,
-        n_permutations=n_permutations,
         excluded_unknown=len(names) - len(known),
         excluded_oov=len(known) - len(usable), scores=scores)
 

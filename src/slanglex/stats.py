@@ -1,16 +1,13 @@
-"""Shared evaluation metrics and hypothesis tests.
+"""Shared evaluation metrics: confusion matrices and per-class and
+weighted F1.
 
-Conventions used throughout:
-  * F1 for a class with no true positives and no predicted positives is 0
-    (the usual 0/0 convention, stated here because model comparisons
-    depend on it).
-  * The standard normal CDF is computed with the Abramowitz & Stegun
-    26.2.17 rational approximation (|error| < 7.5e-8).
+F1 for a class with no true positives and no predicted positives is 0
+(the usual 0/0 convention, stated here because model comparisons depend
+on it).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -24,13 +21,6 @@ class ConfusionMatrix:
     labels: list
     counts: list[list[int]]
 
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
-
-    def support(self, label) -> int:
-        i = self.labels.index(label)
-        return sum(self.counts[i])
-
     def __getitem__(self, pair):
         true_label, pred_label = pair
         return self.counts[self.labels.index(true_label)][self.labels.index(pred_label)]
@@ -43,25 +33,6 @@ class ClassMetrics:
     recall: float
     f1: float
     support: int
-
-
-@dataclass
-class ProportionTestResult:
-    z: float
-    p_value: float
-    adjusted_alpha: float
-    significant: bool
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the A&S 26.2.17 rational approximation."""
-    if x < 0.0:
-        return 1.0 - normal_cdf(-x)
-    t = 1.0 / (1.0 + 0.2316419 * x)
-    poly = t * (0.319381530 + t * (-0.356563782 + t * (1.781477937
-               + t * (-1.821255978 + t * 1.330274429))))
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return 1.0 - pdf * poly
 
 
 def weighted_f1(truth: Sequence, pred: Sequence) -> float:
@@ -105,30 +76,3 @@ def confusion_and_report(truth: Sequence, pred: Sequence,
         report.append(ClassMetrics(label, precision, recall, f1, support))
     return ConfusionMatrix(labels, counts), report
 
-
-def two_proportion_ztest(x1: int, n1: int, x2: int, n2: int,
-                         alpha: float = 0.05, m: int = 1) -> ProportionTestResult:
-    """Two-sided pooled z-test for a difference in proportions.
-
-    `m` is the number of simultaneous comparisons; the significance cutoff
-    is Bonferroni-adjusted to alpha/m.
-    """
-    for x, n in ((x1, n1), (x2, n2)):
-        if n < 1:
-            raise AnalysisError("sample sizes must be at least 1")
-        if not 0 <= x <= n:
-            raise AnalysisError(f"count {x} outside [0, {n}]")
-    if m < 1:
-        raise AnalysisError("number of comparisons m must be at least 1")
-    pooled = (x1 + x2) / (n1 + n2)
-    if pooled <= 0.0 or pooled >= 1.0:
-        raise AnalysisError(
-            "pooled proportion is 0 or 1; z statistic undefined")
-    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
-    z = (x1 / n1 - x2 / n2) / se
-    p_value = 2.0 * (1.0 - normal_cdf(abs(z)))
-    p_value = min(p_value, 1.0)
-    adjusted = alpha / m
-    return ProportionTestResult(z=z, p_value=p_value,
-                                adjusted_alpha=adjusted,
-                                significant=p_value < adjusted)

@@ -34,24 +34,26 @@ from slanglex.phonology import (
     load_bundled_pronouncing_table,
     to_phonemes,
 )
-from slanglex.slangclass import (
-    ClippingType,
-    LabelSampler,
+from slanglex.slangclass.features import (
     NgramKind,
-    ReduplicativeType,
-    ScoreType,
-    argmax_label,
-    classify_clipping,
-    classify_reduplicative,
-    confidence_score,
     extract_char_ngrams,
     extract_morpheme_ngrams,
     fit_vocabulary,
-    predict_proba,
-    predict_with_reject,
-    train_logreg,
 )
-from slanglex.slangclass.logreg import loss_and_gradient
+from slanglex.slangclass.logreg import loss_and_gradient, predict_proba, train_logreg
+from slanglex.slangclass.openset import (
+    LabelSampler,
+    ScoreType,
+    argmax_label,
+    confidence_score,
+    predict_with_reject,
+)
+from slanglex.slangclass.patterns import (
+    ClippingType,
+    ReduplicativeType,
+    classify_clipping,
+    classify_reduplicative,
+)
 from slanglex.social import (
     direct_bias,
     gender_direction,
@@ -59,12 +61,7 @@ from slanglex.social import (
     religious_prejudice_matrix,
     sexprej,
 )
-from slanglex.stats import (
-    confusion_and_report,
-    normal_cdf,
-    two_proportion_ztest,
-    weighted_f1,
-)
+from slanglex.stats import confusion_and_report, weighted_f1
 
 
 @contextmanager
@@ -368,18 +365,6 @@ def test_c5_code_length_oracle(capsys):
 
 def test_c6_statistics_oracles(capsys):
     with criterion(6, "statistics oracles", capsys):
-        tabulated = {
-            0.0: 0.5,
-            1.0: 0.8413447461,
-            1.96: 0.9750021049,
-            2.0: 0.9772498681,
-            3.0: 0.9986501020,
-            -1.0: 0.1586552539,
-            -2.5: 0.0062096653,
-        }
-        for x, expected in tabulated.items():
-            assert normal_cdf(x) == pytest.approx(expected, abs=1e-7)
-
         rng = random.Random(3)
         labels = ["A", "B", "C"]
         for _ in range(50):
@@ -403,12 +388,6 @@ def test_c6_statistics_oracles(capsys):
                     tally = sum(1 for t, p in zip(truth, pred)
                                 if t == t_cls and p == p_cls)
                     assert confusion[t_cls, p_cls] == tally
-
-        result = two_proportion_ztest(50, 100, 30, 100)
-        z_oracle = 0.2 / math.sqrt(0.4 * 0.6 * (1 / 100 + 1 / 100))
-        p_oracle = 2.0 * (1.0 - 0.5 * (1.0 + math.erf(z_oracle / math.sqrt(2.0))))
-        assert result.z == pytest.approx(z_oracle, abs=1e-6)
-        assert result.p_value == pytest.approx(p_oracle, abs=1e-6)
 
 
 def test_c7_bias_metric_fixtures(capsys):

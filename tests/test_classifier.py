@@ -17,9 +17,9 @@ from slanglex.labels import SlangClass
 from slanglex.slangclass.features import (
     FeatureVocabulary,
     NgramKind,
+    count_matrix,
     extract_char_ngrams,
     fit_vocabulary,
-    vectorize,
 )
 from slanglex.slangclass.logreg import (
     ClassifierModel,
@@ -123,10 +123,9 @@ class TestTraining:
             assert p == pytest.approx(0.25, abs=1e-12)
 
     def test_training_lowers_the_loss(self):
-        from slanglex.slangclass.features import vectorize
         _, labels, maps, vocab = toy_dataset()
         model = train_logreg(maps, labels, vocab, l2=0.1)
-        x = np.vstack([vectorize(vocab, m) for m in maps])
+        x = count_matrix(vocab, maps)
         classes = model.classes
         y = np.array([classes.index(lab) for lab in labels])
         trained_loss, _ = loss_and_gradient(model.weights, x, y, 0.1)
@@ -199,7 +198,7 @@ class TestOptimumOracle:
             vocab = FeatureVocabulary(kind=NgramKind.CHAR, n_min=1, n_max=1,
                                       features=tuple(f"f{j}" for j in range(5)))
             model = train_logreg(maps, labels, vocab, l2=l2, tol=1e-8)
-            x = np.vstack([vectorize(vocab, m) for m in maps])
+            x = count_matrix(vocab, maps)
             y = np.array([model.classes.index(label) for label in labels])
             _, grad = loss_and_gradient(model.weights, x, y, l2)
             assert model.stop == "tol"

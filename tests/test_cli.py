@@ -260,7 +260,10 @@ class TestRefusedSettings:
             "strictness": ["bias", "gender", *bias],
             "max-epochs": ["classes", "train", "--gold", str(gold),
                            "--out", str(out / "model.npz")],
-        }
+            "max-iters": ["morphology", "--slang", str(slang), "--standard",
+                          str(standard), "--out", str(out)],
+        } | {flag: ["classes", "train", "--gold", str(gold),
+                    "--out", str(out / "model.npz")] for flag in ("l2", "tol")}
 
     @pytest.mark.parametrize("flag, value, message", [
         ("smoothing", "0", "smoothing must be finite and > 0, got 0.0"),
@@ -272,6 +275,11 @@ class TestRefusedSettings:
         ("strictness", "-1", "strictness c must be >= 0, got -1.0"),
         ("strictness", "nan", "strictness c must be >= 0, got nan"),
         ("max-epochs", "-3", "max_epochs must be >= 0, got -3"),
+        ("l2", "-1", "l2 must be >= 0, got -1.0"),
+        ("l2", "nan", "l2 must be >= 0, got nan"),
+        ("tol", "-1", "tol must be >= 0, got -1.0"),
+        ("tol", "nan", "tol must be >= 0, got nan"),
+        ("max-iters", "-1", "max_iters must be >= 0, got -1"),
     ])
     def test_setting_refused(self, runner, tmp_path, commands, flag, value,
                              message):
@@ -283,10 +291,30 @@ class TestRefusedSettings:
 
     @pytest.mark.parametrize("flag, value", [
         ("smoothing", "0.5"), ("n-perms", "1"), ("strictness", "0"),
-        ("max-epochs", "0")])
+        ("max-epochs", "0"), ("l2", "0"), ("tol", "0"), ("max-iters", "0")])
     def test_boundary_accepted(self, runner, commands, flag, value):
         result = runner.invoke(main, [*commands[flag], f"--{flag}", value])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("command", ["embed", "pipeline"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_a_usage_error(self, runner, tmp_path, command,
+                                            source):
+        slang, _, _ = write_inputs(tmp_path)
+        out = tmp_path / "out"
+        args = {"embed": ["embed", "--slang", str(slang), "--out", str(out / "v.txt")],
+                "pipeline": ["pipeline", "--fixtures", "--out", str(out)]}[command]
+        if source == "flag":
+            args += ["--seed", "-1"]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{command}.seed = -1\n", encoding="utf-8")
+            args = ["--config", str(config), *args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--seed': -1 is not in the range x>=0." \
+            in result.output
+        assert not out.exists()
 
 
 class TestIngest:
@@ -326,13 +354,13 @@ class TestPhonology:
         rules = load_bundled_fallback_rules()
         slang_seqs = [to_phonemes(e.headword, table, rules)
                       for e in load_slang_lexicon(slang)]
-        std_words = sorted(load_standard_lexicon(standard).words)
+        std_words = sorted(load_standard_lexicon(standard))
         std_seqs = [to_phonemes(w, table, rules) for w in std_words]
         expected = odds_ratio_ranking(phoneme_distribution(slang_seqs),
                                       phoneme_distribution(std_seqs))
         assert [r["phoneme"] for r in rows] == \
-            [e.symbol for e in expected.entries]
-        for row, entry in zip(rows, expected.entries):
+            [e.symbol for e in expected]
+        for row, entry in zip(rows, expected):
             assert row["odds_ratio"] == f"{entry.ratio:.6f}"
 
     def test_manner_positions_file_written(self, runner, tmp_path):
@@ -422,7 +450,7 @@ class TestClasses:
         assert [m.stop for m in models] == ["tol"] * 6
 
     def test_predictions_match_library(self, runner, tmp_path):
-        from slanglex.slangclass import load_classifier, predict_proba
+        from slanglex.slangclass.logreg import load_classifier, predict_proba
         _, _, gold = write_inputs(tmp_path)
         model_path = self.train(runner, tmp_path, gold)
         out = tmp_path / "preds.csv"

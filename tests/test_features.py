@@ -23,7 +23,6 @@ from slanglex.slangclass.features import (
     extract_morpheme_ngrams,
     feature_matrix,
     fit_vocabulary,
-    vectorize,
     word_features,
 )
 from slanglex.slangclass.logreg import (
@@ -110,22 +109,24 @@ class TestVocabulary:
 
 
 class TestVectorize:
+    """One feature map as a count row: `count_matrix` of a single map."""
+
     def test_counts_land_in_columns(self):
         vocab = fit_vocabulary([{"a": 3, "b": 1}], NgramKind.CHAR, cap=10)
-        x = vectorize(vocab, {"a": 2, "b": 7})
+        x = count_matrix(vocab, [{"a": 2, "b": 7}])[0]
         assert x[vocab.index["a"]] == 2.0
         assert x[vocab.index["b"]] == 7.0
 
     def test_unknown_features_ignored(self):
         vocab = fit_vocabulary([{"a": 1}], NgramKind.CHAR, cap=10)
-        x = vectorize(vocab, {"zzz": 40})
+        x = count_matrix(vocab, [{"zzz": 40}])[0]
         assert np.array_equal(x, np.zeros(1))
 
     def test_dtype_and_shape(self):
         vocab = fit_vocabulary([{"a": 1, "b": 1, "c": 1}], NgramKind.CHAR, cap=3)
-        x = vectorize(vocab, {"b": 1})
+        x = count_matrix(vocab, [{"b": 1}])
         assert x.dtype == np.float64
-        assert x.shape == (3,)
+        assert x.shape == (1, 3)
 
 
 # ASCII, the punctuation alphabetisms use, U+0000, an astral character, a
@@ -147,7 +148,7 @@ def _model(features, n_min, n_max):
 def _one_word_probs(model, word):
     """Scoring as it was defined one word at a time: the reference."""
     vocab = model.vocab
-    x = vectorize(vocab, extract_char_ngrams(word, vocab.n_min, vocab.n_max))
+    x = count_matrix(vocab, [extract_char_ngrams(word, vocab.n_min, vocab.n_max)])[0]
     scores = model.weights @ np.append(x, 1.0)
     return _softmax_rows(scores[None, :])[0]
 
@@ -164,7 +165,8 @@ class TestBatchScoring:
     def test_batch_equals_one_word_path(self, features, n_range, words):
         model = _model(features, *n_range)
         x = feature_matrix(model.vocab, words)
-        expected = np.vstack([vectorize(model.vocab, extract_char_ngrams(w, *n_range))
+        expected = np.vstack([count_matrix(model.vocab,
+                                           [extract_char_ngrams(w, *n_range)])
                               for w in words])
         assert x.dtype == np.float64
         assert np.array_equal(x, expected)
@@ -273,7 +275,7 @@ class TestNgramTable:
         vocab = fit_vocabulary(maps, NgramKind.CHAR, cap)
         assert vocab == _old_vocabulary(maps, NgramKind.CHAR, cap, 1, 5)
         assert np.array_equal(count_matrix(vocab, maps), _old_rows(vocab, maps))
-        assert all(np.array_equal(vectorize(vocab, m), row)
+        assert all(np.array_equal(count_matrix(vocab, [m])[0], row)
                    for m, row in zip(maps, _old_rows(vocab, maps)))
 
     def test_rows_are_of_its_words_only(self):

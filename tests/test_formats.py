@@ -31,13 +31,8 @@ from slanglex.morphology import (
     save_segmenter,
 )
 from slanglex.phonology import FallbackRules, PronouncingTable
-from slanglex.slangclass import (
-    ClassifierModel,
-    FeatureVocabulary,
-    NgramKind,
-    load_classifier,
-    save_classifier,
-)
+from slanglex.slangclass.features import FeatureVocabulary, NgramKind
+from slanglex.slangclass.logreg import ClassifierModel, load_classifier, save_classifier
 from slanglex.social import GenderLexicon, load_bias_lexicons
 
 BIAS_FILES = {
@@ -73,7 +68,7 @@ LINE_FORMATS = [
         None, ['{"headword": "a"}', '{"headword": "b"}'], ["a", "b"],
         '{"headword": 5}', id="slang"),
     pytest.param(
-        ("std.tsv", lambda p: sorted(load_standard_lexicon(p).words)),
+        ("std.tsv", lambda p: sorted(load_standard_lexicon(p))),
         "#", ["dog\ta pet", "cat"], ["cat", "dog"], "dog\ta\tb", id="standard"),
     pytest.param(
         ("gold.csv", lambda p: [r.word for r in load_gold_classes(p)]),

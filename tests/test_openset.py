@@ -118,8 +118,9 @@ class TestRejectRule:
 
 class TestBaseline:
     def test_empirical_distribution(self):
-        sampler = LabelSampler(["A", "A", "B", "A"], seed=0)
-        assert sampler.distribution == {"A": 0.75, "B": 0.25}
+        drawn = LabelSampler(["A", "A", "B", "A"], seed=0).draw(4000)
+        assert drawn.count("A") / 4000 == pytest.approx(0.75, abs=0.03)
+        assert drawn.count("B") / 4000 == pytest.approx(0.25, abs=0.03)
 
     def test_deterministic_per_seed(self):
         labels = ["A"] * 3 + ["B"] * 2 + ["C"]

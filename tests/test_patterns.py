@@ -76,11 +76,10 @@ class TestReduplicative:
         # 'a'->'i' (vowels) and 'b'->'c' (consonants) in one pair
         assert classify_reduplicative("bab-cib") is ReduplicativeType.UNK
 
-    def test_y_flag_changes_class(self):
-        # 'a' vs 'y' differ: consonant pair by default, vowels if y flips
+    def test_y_counts_as_consonant(self):
+        # 'a' vs 'y' mixes a vowel and a consonant; 'y' vs 'w' is consonants
         assert classify_reduplicative("bat-byt") is ReduplicativeType.UNK
-        assert classify_reduplicative("bat-byt", y_is_vowel=True) \
-            is ReduplicativeType.EX_VOW
+        assert classify_reduplicative("bay-baw") is ReduplicativeType.EX_CONS
 
     def test_part_count_enforced(self):
         with pytest.raises(AnalysisError):
@@ -103,7 +102,8 @@ class TestSubstitutionStats:
         stats = substitution_stats([("bing", "bang"), ("bing", "bong"),
                                     ("tip", "tap"), ("zig", "zag")])
         # i replaced by a three times, by o once
-        assert stats["i"] == {"a": pytest.approx(0.75), "o": pytest.approx(0.25)}
+        assert stats.replacements["i"] == {"a": pytest.approx(0.75),
+                                           "o": pytest.approx(0.25)}
 
     def test_unequal_length_pairs_skipped(self):
         stats = substitution_stats([("boo", "booo"), ("bing", "bang")])

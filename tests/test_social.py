@@ -207,7 +207,7 @@ class TestGenderLexicon:
         assert lex.lookup("CARL") is Gender.MALE
         assert lex.lookup("pat") is Gender.UNKNOWN
         assert lex.lookup("never-listed") is Gender.UNKNOWN
-        assert len(lex) == 3
+        assert lex.names == ("Anna", "Carl", "Pat")
 
     def test_names_in_file_order_from_csv_parse(self, tmp_path):
         path = tmp_path / "names.csv"

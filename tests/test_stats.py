@@ -1,53 +1,12 @@
-"""Metric and hypothesis-test checks against independent oracles.
+"""Metric checks against independent oracles.
 
-The z-test and CDF oracles below are computed with math.erf (a different
-algorithm than the library's rational approximation) so agreement is
-meaningful. Hand-derived constants were worked out on paper before the
+Hand-derived constants were worked out on paper before the
 implementation existed and are frozen here.
 """
-import math
-
 import pytest
 
 from slanglex.errors import AnalysisError
-from slanglex.stats import (
-    confusion_and_report,
-    normal_cdf,
-    two_proportion_ztest,
-    weighted_f1,
-)
-
-
-def phi(x: float) -> float:
-    """Reference normal CDF via the error function."""
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
-# frozen from standard normal tables (10 decimals)
-TABULATED = {
-    0.0: 0.5,
-    1.0: 0.8413447461,
-    1.96: 0.9750021049,
-    2.0: 0.9772498681,
-    3.0: 0.9986501020,
-    -1.0: 0.1586552539,
-    -2.5: 0.0062096653,
-}
-
-
-class TestNormalCdf:
-    def test_tabulated_values(self):
-        for x, expected in TABULATED.items():
-            assert normal_cdf(x) == pytest.approx(expected, abs=1e-7)
-
-    def test_against_erf_on_grid(self):
-        for i in range(-80, 81):
-            x = i / 10.0
-            assert normal_cdf(x) == pytest.approx(phi(x), abs=1e-7)
-
-    def test_symmetry(self):
-        for x in (0.3, 1.7, 2.9):
-            assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-12)
+from slanglex.stats import confusion_and_report, weighted_f1
 
 
 class TestWeightedF1:
@@ -112,7 +71,7 @@ class TestConfusion:
     def test_single_error_off_diagonal(self):
         cm, _ = confusion_and_report(["A", "A"], ["A", "B"], ["A", "B"])
         assert cm["A", "B"] == 1
-        assert cm.total() == 2
+        assert sum(map(sum, cm.counts)) == 2
 
     def test_matches_brute_force_tally(self):
         import random
@@ -128,7 +87,7 @@ class TestConfusion:
                 assert cm[t, p] == expected
         # row sums are true supports
         for lab in labels:
-            assert cm.support(lab) == truth.count(lab)
+            assert sum(cm.counts[labels.index(lab)]) == truth.count(lab)
         for metrics in report:
             assert metrics.support == truth.count(metrics.label)
 
@@ -136,41 +95,3 @@ class TestConfusion:
         with pytest.raises(AnalysisError):
             confusion_and_report(["A"], ["Z"], ["A"])
 
-
-class TestTwoProportionZtest:
-    def test_equal_proportions(self):
-        result = two_proportion_ztest(30, 100, 30, 100)
-        assert result.z == 0.0
-        # CDF approximation error at the origin is ~7.5e-8, so p is 1
-        # only to that accuracy before the cap kicks in
-        assert result.p_value == pytest.approx(1.0, abs=1e-6)
-        assert not result.significant
-
-    def test_hand_derived_pooled_case(self):
-        # x1=50/100 vs x2=30/100. Pooled p = 0.4,
-        # se = sqrt(0.4*0.6*(0.02)) = sqrt(0.0048),
-        # z = 0.2/sqrt(0.0048) = 2.886751... (worked by hand)
-        result = two_proportion_ztest(50, 100, 30, 100)
-        z_oracle = 0.2 / math.sqrt(0.4 * 0.6 * (1 / 100 + 1 / 100))
-        assert z_oracle == pytest.approx(2.8867513459, abs=1e-9)
-        assert result.z == pytest.approx(z_oracle, abs=1e-6)
-        p_oracle = 2.0 * (1.0 - phi(z_oracle))
-        assert result.p_value == pytest.approx(p_oracle, abs=1e-6)
-
-    def test_bonferroni_adjustment(self):
-        result = two_proportion_ztest(50, 100, 30, 100, alpha=0.05, m=8)
-        assert result.adjusted_alpha == pytest.approx(0.00625)
-        assert result.significant  # p ~ 0.0039 < 0.00625
-
-    def test_direction_sign(self):
-        assert two_proportion_ztest(10, 100, 40, 100).z < 0
-
-    def test_input_validation(self):
-        with pytest.raises(AnalysisError):
-            two_proportion_ztest(5, 0, 1, 10)
-        with pytest.raises(AnalysisError):
-            two_proportion_ztest(11, 10, 1, 10)
-        with pytest.raises(AnalysisError):
-            two_proportion_ztest(1, 10, 1, 10, m=0)
-        with pytest.raises(AnalysisError):
-            two_proportion_ztest(0, 10, 0, 10)  # pooled proportion 0

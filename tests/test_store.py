@@ -14,7 +14,8 @@ from slanglex import store
 from slanglex.cli import main
 from slanglex.corpus import load_gold_classes
 from slanglex.morphology import SegmenterModel
-from slanglex.slangclass import NgramKind, NgramTable, load_classifier
+from slanglex.slangclass.features import NgramKind, NgramTable
+from slanglex.slangclass.logreg import load_classifier
 
 FIXTURES = Path(str(files("slanglex").joinpath("data", "fixtures")))
 LOADERS = ("load_slang_lexicon", "load_standard_lexicon", "load_gold_classes",
