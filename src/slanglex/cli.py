@@ -86,7 +86,6 @@ from .slangclass.patterns import (
 )
 from .social import (
     GenderLexicon,
-    KnnMetric,
     direct_bias,
     evaluate_subject_model,
     gender_direction,
@@ -158,8 +157,6 @@ OPTIONS = {
     "epochs": (("--epochs",), dict(default=5)),
     "sgns_lr": (("--lr",), dict(default=0.025)),
     "k": (("--k",), dict(default=5)),
-    "metric": (("--metric", "metric_name"), dict(
-        default="cosine", type=click.Choice([m.value for m in KnnMetric]))),
     "strictness": (("--strictness",), dict(
         default=1.0, help="Exponent on |cosine| in the bias average.")),
     "n_perms": (("--n-perms",), dict(default=10_000)),
@@ -531,10 +528,10 @@ def run_embed(slang_path, out_path, dimension, window, negatives, min_count,
             "last_epoch_loss": table.epoch_losses[-1]}
 
 
-@command(main, "subjects", "slang", "vectors", "out_dir", "k", "metric",
-         "test_fraction", "seed")
-def run_subjects(slang_path, vectors_path, out_dir, k, metric_name,
-                 test_fraction, seed) -> dict:
+@command(main, "subjects", "slang", "vectors", "out_dir", "k", "test_fraction",
+         "seed")
+def run_subjects(slang_path, vectors_path, out_dir, k, test_fraction,
+                 seed) -> dict:
     """Nearest-neighbor subject classification over trained vectors."""
     tagged = [e for e in load(load_slang_lexicon, slang_path) if e.subjects]
     labeled = [(e.headword, next(iter(e.subjects))) for e in tagged
@@ -544,8 +541,7 @@ def run_subjects(slang_path, vectors_path, out_dir, k, metric_name,
     train, test = stratified_split(labeled, lambda item: item[1],
                                    test_fraction, seed)
     embedding = load(load_embeddings, vectors_path)
-    model, skipped_train = knn_from_embedding(embedding, train, k=k,
-                                              metric=KnnMetric(metric_name))
+    model, skipped_train = knn_from_embedding(embedding, train, k=k)
     evaluation = evaluate_subject_model(model, test, embedding)
 
     write = _reports(out_dir, seed, [("slang", slang_path),
@@ -684,7 +680,7 @@ def run_pipeline(slang_path, standard_path, gold_path, lexicons_dir,
     done("patterns", run_classes_patterns(gold_path, out, DEFAULT["suffix_k"], seed))
     done("embed", run_embed(filtered, vectors, seed=seed, **sgns))
     forget(vectors)
-    done("subjects", run_subjects(filtered, vectors, out, k, DEFAULT["metric"],
+    done("subjects", run_subjects(filtered, vectors, out, k,
                                   DEFAULT["test_fraction"], seed))
     done("bias.gender", run_bias_gender(vectors, lexicons_dir, out,
                                         DEFAULT["strictness"]))

@@ -120,7 +120,15 @@ def _split_entry(line: str) -> list[str]:
     parts = line.split()
     if len(parts) < 2:
         raise SchemaError("expected WORD PH1 PH2 ...")
-    return parts
+    return [parts[0], *_known(parts[1:])]
+
+
+def _known(symbols: list[str]) -> list[str]:
+    """A file line's symbols; an unknown one is an error naming the line."""
+    for symbol in symbols:
+        if strip_stress(symbol.upper()) not in MANNER_BY_SYMBOL:
+            raise SchemaError(f"unknown ARPAbet symbol: {symbol!r}")
+    return symbols
 
 
 class FallbackRules:
@@ -164,7 +172,7 @@ def _rule(line: str) -> tuple[str, list[str]]:
     parts = line.split("\t")
     if len(parts) != 2:
         raise SchemaError("expected cluster<TAB>phonemes")
-    return parts[0].strip(), parts[1].split()
+    return parts[0].strip(), _known(parts[1].split())
 
 
 def _data_path(name: str):

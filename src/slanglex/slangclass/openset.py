@@ -3,8 +3,8 @@
 A probability model here is any callable mapping an instance to a
 distribution over known labels. Scoring follows the reject rule: take the
 argmax label, then reject the instance when the confidence score is <= the
-threshold (boundary inclusive). The same machinery serves both the slang
-formation classes and the subject categories.
+threshold (boundary inclusive). It serves the slang formation classes;
+subjects are closed-set and use only `argmax_label`.
 """
 
 from __future__ import annotations

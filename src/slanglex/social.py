@@ -7,12 +7,13 @@ religion-by-prejudice matrix. All operations are pure given immutable
 embeddings and lexicons.
 
 Every analysis takes its cosines from the one kernel,
-`embeddings.cosines`: one call per query or per report, never one per
-word pair. Every lexicon word reaches its vector by one rule, `lookup`:
-the word's `subject_token` (lowercased, a multiword term joined with
-"_"), kept when that token is in the vocabulary. A `KnnModel` stacks its
-reference points once, sorted by token, so a query is one kernel call
-plus a stable sort that gives ties to the smaller token.
+`embeddings.cosines`: one call per block of KNN queries or per report,
+never one per word pair. Every lexicon word reaches its vector by one
+rule, `lookup`: the word's `subject_token` (lowercased, a multiword term
+joined with "_"), kept when that token is in the vocabulary. A `KnnModel`
+stacks its reference points once, sorted by token, and the KNN is cosine
+only: `knn_predict` scores each block of queries with one kernel call
+plus one stable sort, which gives similarity ties to the smaller token.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -35,7 +36,8 @@ from .embeddings import EmbeddingTable, cosines, subject_token
 from .errors import AnalysisError, SchemaError
 from .labels import SubjectLabel
 from .slangclass.openset import argmax_label
-from .stats import ConfusionMatrix, confusion_and_report, weighted_f1
+from .stats import (ClassMetrics, ConfusionMatrix, confusion_and_report,
+                    weighted_f1)
 
 
 def lookup(embedding: EmbeddingTable, words: Sequence[str]
@@ -50,80 +52,60 @@ def lookup(embedding: EmbeddingTable, words: Sequence[str]
     return found, np.array(rows).reshape(len(rows), embedding.dimension)
 
 
-class KnnMetric(enum.Enum):
-    COSINE = "cosine"
-    EUCLIDEAN = "euclidean"
+KNN_BLOCK = 256  # queries per kernel call in knn_predict
 
 
 @dataclass(frozen=True)
 class KnnModel:
-    """Reference points (token, vector, label), also held stacked as one
-    matrix whose rows are sorted by token."""
+    """Reference points stacked once, sorted by token: row i of `matrix` is
+    the vector of token `reference[i]`, whose subject is `labels[i]`."""
 
     k: int
-    reference: tuple[tuple[str, np.ndarray, SubjectLabel], ...]
-    metric: KnnMetric = KnnMetric.COSINE
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    row_labels: tuple[SubjectLabel, ...] = field(init=False, repr=False,
-                                                 compare=False)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise AnalysisError(f"k must be at least 1, got {self.k}")
-        if not self.reference:
-            raise AnalysisError("KNN model needs at least one reference point")
-        ordered = sorted(self.reference, key=lambda ref: ref[0])
-        object.__setattr__(self, "matrix",
-                           np.array([vector for _, vector, _ in ordered]))
-        object.__setattr__(self, "row_labels",
-                           tuple(label for _, _, label in ordered))
-
-    @property
-    def labels(self) -> tuple[SubjectLabel, ...]:
-        return tuple(sorted(set(self.row_labels), key=str))
+    reference: tuple[str, ...]
+    matrix: np.ndarray
+    labels: tuple[SubjectLabel, ...]
 
 
 def knn_from_embedding(embedding: EmbeddingTable,
                        labeled: Sequence[tuple[str, SubjectLabel]],
-                       k: int = 5,
-                       metric: KnnMetric = KnnMetric.COSINE
-                       ) -> tuple[KnnModel, int]:
+                       k: int = 5) -> tuple[KnnModel, int]:
     """Build the reference set from labeled words; returns (model, skipped)
     where skipped counts words missing from the embedding vocabulary."""
+    if k < 1:
+        raise AnalysisError(f"k must be at least 1, got {k}")
     found, rows = lookup(embedding, [word for word, _ in labeled])
     if not len(rows):
         raise AnalysisError("no labeled word is in the embedding vocabulary")
-    reference = tuple((subject_token(word), row, label) for (word, label), row
-                      in zip(itertools.compress(labeled, found), rows))
-    return (KnnModel(k=k, reference=reference, metric=metric),
-            len(labeled) - len(reference))
+    kept = list(itertools.compress(labeled, found))
+    tokens = [subject_token(word) for word, _ in kept]
+    order = sorted(range(len(kept)), key=tokens.__getitem__)
+    return (KnnModel(k=k, reference=tuple(tokens[i] for i in order),
+                     matrix=rows[order],
+                     labels=tuple(kept[i][1] for i in order)),
+            len(labeled) - len(kept))
 
 
-def knn_predict_proba(model: KnnModel,
-                      vector: np.ndarray) -> dict[SubjectLabel, float]:
-    """Vote fractions of the k nearest reference points.
-
-    Similarity ties are broken lexicographically by reference token. The
-    returned distribution has a key for every label in the reference set.
-    """
-    dim = model.matrix.shape[1]
-    if vector.shape != (dim,):
-        raise AnalysisError(
-            f"vector dimension {vector.shape} does not match reference {dim}")
-    if model.metric is KnnMetric.COSINE:
-        distances = -cosines(vector, model.matrix)
-    else:
-        distances = np.linalg.norm(model.matrix - vector, axis=1)
-    chosen = np.argsort(distances, kind="stable")[:model.k]
-    votes = Counter(model.row_labels[i] for i in chosen)
-    return {label: votes[label] / len(chosen) for label in model.labels}
+def knn_predict(model: KnnModel, rows: np.ndarray) -> list[SubjectLabel]:
+    """Majority subject of each row's k nearest reference points by cosine,
+    in blocks of KNN_BLOCK rows. Similarity ties go to the smaller token,
+    vote ties to the smaller label name."""
+    if rows.shape[1:] != model.matrix.shape[1:]:
+        raise AnalysisError(f"vector dimension {rows.shape[1:]} does not "
+                            f"match reference {model.matrix.shape[1]}")
+    preds = []
+    for start in range(0, len(rows), KNN_BLOCK):
+        sims = cosines(rows[start:start + KNN_BLOCK], model.matrix)
+        nearest = np.argsort(-sims, axis=1, kind="stable")[:, :model.k]
+        preds += [argmax_label(Counter(model.labels[i] for i in row))
+                  for row in nearest.tolist()]
+    return preds
 
 
 @dataclass(frozen=True)
 class SubjectEvaluation:
     f1: float
     confusion: ConfusionMatrix
-    per_class: dict
+    per_class: list[ClassMetrics]
     excluded: int  # test words absent from the embedding vocabulary
 
 
@@ -135,7 +117,7 @@ def evaluate_subject_model(model: KnnModel,
     if not len(rows):
         raise AnalysisError("no test word is in the embedding vocabulary")
     truth = [label for _, label in itertools.compress(test, found)]
-    preds = [argmax_label(knn_predict_proba(model, row)) for row in rows]
+    preds = knn_predict(model, rows)
     labels = sorted(set(truth) | set(preds), key=str)
     confusion, per_class = confusion_and_report(truth, preds, labels)
     return SubjectEvaluation(f1=weighted_f1(truth, preds),

@@ -5,11 +5,12 @@ import json
 import shutil
 from importlib.resources import files
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from slanglex.cli import main
+from slanglex.cli import OPTIONS, main
 
 
 @pytest.fixture
@@ -823,3 +824,43 @@ class TestConfigFile:
             "--out", str(tmp_path / "m.npz")])
         assert result.exit_code == 2
         assert "No such option '--lr'" in result.output
+
+    def test_knn_metric_removed(self, runner, tmp_path):
+        # the subject KNN is cosine only
+        slang, _, _ = write_inputs(tmp_path)
+        vectors, _, _ = write_bias_inputs(tmp_path)
+        cfg = tmp_path / "metric.cfg"
+        cfg.write_text("subjects.k = 3\nsubjects.metric_name = cosine\n",
+                       encoding="utf-8")
+        args = ["subjects", "--slang", str(slang), "--vectors", str(vectors),
+                "--out", str(tmp_path / "subjects")]
+        result = runner.invoke(main, ["--config", str(cfg), *args])
+        assert result.exit_code == 2
+        assert (f"{cfg}:2: unknown config key 'subjects.metric_name'"
+                in result.output)
+        result = runner.invoke(main, [*args, "--metric", "cosine"])
+        assert result.exit_code == 2
+        assert "No such option '--metric'" in result.output
+        assert not (tmp_path / "subjects").exists()
+
+
+class TestOptionTable:
+    def test_every_option_belongs_to_a_command(self):
+        # an entry that no command registers, such as a leftover option of
+        # a deleted setting, is dead; entries are matched by their flags,
+        # parameter name, required and flag-ness
+        def shape(option):
+            return (tuple(option.opts), option.name, option.required,
+                    option.is_flag)
+
+        def options(command):
+            if isinstance(command, click.Group):
+                for sub in command.commands.values():
+                    yield from options(sub)
+            else:
+                yield from (p for p in command.params
+                            if isinstance(p, click.Option))
+
+        registered = {shape(option) for option in options(main)}
+        for key, (decls, attrs) in OPTIONS.items():
+            assert shape(click.Option(list(decls), **attrs)) in registered, key

@@ -138,6 +138,13 @@ class TestPronouncingTableFile:
         with pytest.raises(SchemaError):
             PronouncingTable.from_file(path)
 
+    def test_unknown_symbol_names_its_line(self, tmp_path):
+        path = tmp_path / "dict.txt"
+        path.write_text("CAT  K AE1 T\nDOG  D QX G\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            PronouncingTable.from_file(path)
+        assert str(info.value) == f"{path}:2: unknown ARPAbet symbol: 'QX'"
+
 
 class TestFallbackRules:
     def test_longest_cluster_wins(self):
@@ -153,8 +160,9 @@ class TestFallbackRules:
     def test_unknown_symbol_rejected_at_load(self, tmp_path):
         path = tmp_path / "rules.tsv"
         path.write_text("a\tAH\nb\tQX\n", encoding="utf-8")
-        with pytest.raises(AnalysisError, match="unknown ARPAbet symbol: 'QX'"):
+        with pytest.raises(SchemaError) as info:
             FallbackRules.from_file(path)
+        assert str(info.value) == f"{path}:2: unknown ARPAbet symbol: 'QX'"
 
     def test_bundled_rules_cover_whole_alphabet(self, rules):
         import string

@@ -15,13 +15,12 @@ from slanglex.labels import SubjectLabel
 from slanglex.social import (
     Gender,
     GenderLexicon,
-    KnnMetric,
-    KnnModel,
+    KNN_BLOCK,
     direct_bias,
     evaluate_subject_model,
     gender_direction,
     knn_from_embedding,
-    knn_predict_proba,
+    knn_predict,
     load_bias_lexicons,
     lookup,
     name_prejudice_comparison,
@@ -64,45 +63,39 @@ class TestLookup:
         assert rows.shape == (0, 2)
 
 
+def knn(vectors: dict[str, list[float]], labels: list[SubjectLabel], k: int):
+    """A KNN model over every token of `vectors`, labelled in order."""
+    return knn_from_embedding(table(vectors), list(zip(vectors, labels)), k=k)[0]
+
+
 class TestKnn:
-    def test_vote_fractions(self):
+    def test_vote_majority(self):
         # five reference points, three Sex and two Drugs; with k=5 all of
-        # them vote: 3/5 vs 2/5
-        reference = tuple(
-            (f"r{i}", np.array([1.0, float(i)]), label)
-            for i, label in enumerate([SubjectLabel.SEX] * 3
-                                      + [SubjectLabel.DRUGS] * 2))
-        model = KnnModel(k=5, reference=reference)
-        dist = knn_predict_proba(model, np.array([1.0, 0.0]))
-        assert dist == {SubjectLabel.SEX: pytest.approx(0.6),
-                        SubjectLabel.DRUGS: pytest.approx(0.4)}
+        # them vote, 3 to 2
+        model = knn({f"r{i}": [1.0, float(i)] for i in range(5)},
+                    [SubjectLabel.SEX] * 3 + [SubjectLabel.DRUGS] * 2, k=5)
+        assert knn_predict(model, np.array([[1.0, 0.0]])) == [SubjectLabel.SEX]
+
+    def test_vote_tie_goes_to_smaller_label(self):
+        # the nearest point is Sex, but with k=2 the vote is 1 to 1, and
+        # "Drugs" < "Sex"
+        model = knn({"a": [1.0, 0.0], "b": [0.0, 1.0]},
+                    [SubjectLabel.SEX, SubjectLabel.DRUGS], k=2)
+        assert knn_predict(model, np.array([[1.0, 0.1]])) == [SubjectLabel.DRUGS]
 
     def test_similarity_tie_breaks_by_token(self):
-        same = np.array([1.0, 0.0])
-        reference = (("b", same, SubjectLabel.SEX),
-                     ("a", same, SubjectLabel.DRUGS))
-        model = KnnModel(k=1, reference=reference)
-        dist = knn_predict_proba(model, same)
-        assert dist[SubjectLabel.DRUGS] == 1.0
-        assert dist[SubjectLabel.SEX] == 0.0
-
-    def test_metric_changes_the_neighbor(self):
-        # "far" points the same way as the query but is distant; cosine
-        # picks it, euclidean picks the nearby off-axis point
-        reference = (("far", np.array([10.0, 0.0]), SubjectLabel.SEX),
-                     ("near", np.array([0.9, 0.1]), SubjectLabel.DRUGS))
-        query = np.array([1.0, 0.0])
-        by_cos = KnnModel(k=1, reference=reference, metric=KnnMetric.COSINE)
-        by_euc = KnnModel(k=1, reference=reference, metric=KnnMetric.EUCLIDEAN)
-        assert knn_predict_proba(by_cos, query)[SubjectLabel.SEX] == 1.0
-        assert knn_predict_proba(by_euc, query)[SubjectLabel.DRUGS] == 1.0
+        model = knn({"b": [1.0, 0.0], "a": [2.0, 0.0]},
+                    [SubjectLabel.SEX, SubjectLabel.DRUGS], k=1)
+        assert model.reference == ("a", "b")
+        assert knn_predict(model, np.array([[1.0, 0.0]])) == [SubjectLabel.DRUGS]
 
     def test_k_larger_than_reference_uses_all(self):
-        reference = (("a", np.array([1.0]), SubjectLabel.SEX),
-                     ("b", np.array([2.0]), SubjectLabel.DRUGS))
-        model = KnnModel(k=10, reference=reference)
-        dist = knn_predict_proba(model, np.array([1.5]))
-        assert dist == {SubjectLabel.SEX: 0.5, SubjectLabel.DRUGS: 0.5}
+        # k=1 picks the Sex point; k=10 lets all three vote, 2 Drugs to 1
+        vectors = {"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [0.1, 1.0]}
+        labels = [SubjectLabel.SEX, SubjectLabel.DRUGS, SubjectLabel.DRUGS]
+        query = np.array([[1.0, 0.0]])
+        assert knn_predict(knn(vectors, labels, k=1), query) == [SubjectLabel.SEX]
+        assert knn_predict(knn(vectors, labels, k=10), query) == [SubjectLabel.DRUGS]
 
     def test_build_from_embedding_counts_skips(self):
         emb = table({"known": [1.0, 0.0]})
@@ -117,55 +110,63 @@ class TestKnn:
         with pytest.raises(AnalysisError):
             knn_from_embedding(emb, [("missing", SubjectLabel.SEX)], k=1)
 
-    def test_dimension_mismatch_rejected(self):
-        model = KnnModel(k=1, reference=(("a", np.array([1.0, 0.0]),
-                                         SubjectLabel.SEX),))
-        with pytest.raises(AnalysisError):
-            knn_predict_proba(model, np.array([1.0]))
-
     def test_model_validation(self):
-        ref = (("a", np.array([1.0]), SubjectLabel.SEX),)
-        with pytest.raises(AnalysisError):
-            KnnModel(k=0, reference=ref)
-        with pytest.raises(AnalysisError):
-            KnnModel(k=1, reference=())
+        with pytest.raises(AnalysisError, match="k must be at least 1"):
+            knn({"a": [1.0]}, [SubjectLabel.SEX], k=0)
+
+    def test_dimension_mismatch_rejected(self):
+        model = knn({"a": [1.0, 0.0]}, [SubjectLabel.SEX], k=1)
+        for rows in (np.array([[1.0]]), np.array([1.0, 0.0])):
+            with pytest.raises(AnalysisError):
+                knn_predict(model, rows)
 
 
 class TestStackedKnnOracle:
-    """The stacked model against a per-reference brute force, on seeded
-    tables whose second half repeats first-half rows scaled by 1/2, 1 or 2:
-    exact ties in cosine (and, for the unscaled repeats, in distance)."""
+    """`knn_predict` against a per-reference brute force over `fsum_cosine`,
+    on seeded tables whose second half repeats first-half rows scaled by
+    1/2, 1 or 2: exact ties in cosine."""
 
     @staticmethod
-    def oracle(reference, vector, k, metric):
-        def distance(ref):
-            if metric is KnnMetric.COSINE:
-                return -fsum_cosine(vector, ref)
-            return math.sqrt(math.fsum((vector - ref) ** 2))
-        ranked = sorted(reference, key=lambda ref: (distance(ref[1]), ref[0]))
+    def oracle(reference, vector, k):
+        ranked = sorted(reference,
+                        key=lambda ref: (-fsum_cosine(vector, ref[1]), ref[0]))
         chosen = [label for _, _, label in ranked[:k]]
-        labels = sorted({label for _, _, label in reference}, key=str)
-        return {label: chosen.count(label) / len(chosen) for label in labels}
+        # max keeps the first of equal counts: the smaller label name
+        return max(sorted(set(chosen), key=str), key=chosen.count)
+
+    @staticmethod
+    def planted(seed, n_base, n_queries):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(n_base, 37))
+        repeats = (base[rng.integers(0, n_base, size=n_base)]
+                   * rng.choice([0.5, 1.0, 2.0], size=(n_base, 1)))
+        vectors = np.vstack([base, repeats])
+        tokens = [f"r{i}" for i in rng.permutation(len(vectors))]
+        subjects = list(SubjectLabel)[:4]
+        labels = [subjects[i]
+                  for i in rng.integers(0, len(subjects), len(vectors))]
+        queries = np.vstack([rng.normal(size=(n_queries, 37)), vectors[::4]])
+        return tuple(zip(tokens, vectors, labels)), queries
+
+    def check(self, reference, queries, k):
+        model, _ = knn_from_embedding(
+            table({token: vector for token, vector, _ in reference}),
+            [(token, label) for token, _, label in reference], k=k)
+        assert knn_predict(model, queries) == [
+            self.oracle(reference, query, k) for query in queries]
 
     def test_matches_brute_force_with_planted_ties(self):
-        subjects = list(SubjectLabel)[:4]
         for seed in range(15):
-            rng = np.random.default_rng(seed)
-            base = rng.normal(size=(10, 37))
-            repeats = (base[rng.integers(0, 10, size=10)]
-                       * rng.choice([0.5, 1.0, 2.0], size=(10, 1)))
-            vectors = np.vstack([base, repeats])
-            tokens = [f"r{i}" for i in rng.permutation(len(vectors))]
-            labels = [subjects[i]
-                      for i in rng.integers(0, len(subjects), len(vectors))]
-            reference = tuple(zip(tokens, vectors, labels))
-            queries = np.vstack([rng.normal(size=(5, 37)), vectors[::4]])
-            for metric in KnnMetric:
-                for k in (1, 3, 7, 30):
-                    model = KnnModel(k=k, reference=reference, metric=metric)
-                    for query in queries:
-                        assert knn_predict_proba(model, query) == self.oracle(
-                            reference, query, k, metric)
+            reference, queries = self.planted(seed, 10, 5)
+            for k in (1, 3, 7, 30):
+                self.check(reference, queries, k)
+
+    def test_blocks_of_queries_match_brute_force(self):
+        # 600 random queries plus 20 planted ones cross two block boundaries
+        assert KNN_BLOCK < 300
+        reference, queries = self.planted(99, 40, 600)
+        for k in (1, 7):
+            self.check(reference, queries, k)
 
 
 class TestSubjectEvaluation:
