@@ -68,18 +68,37 @@ separators U+001C-U+001F, which numpy strips around a value as
 whitespace and `float()` refuses; a table with one in a value goes to
 the line parser. A header of zero tokens skips `loadtxt`, which warns
 when it finds no data.
+
+The parse can only be skipped, not made much faster: `loadtxt` was the
+fastest converter tried. So a table that loaded cleanly is cached, and later loads of the same bytes, in any process,
+read the cache instead. The key is the file's sha256, the one digest a
+command run takes of each input (`store.sha256_hex`, which the
+provenance headers print too), with the version and `_CACHE_FORMAT`.
+Each table is one `.npz` file under $XDG_CACHE_HOME/slanglex (or
+~/.cache/slanglex) holding the float64 matrix and the tokens as UTF-8
+bytes joined by newlines, loaded without pickle into the same
+`EmbeddingTable`. A file that is missing, unreadable or not laid out so
+is a miss and gets parsed and rewritten; a cache that cannot be written
+is skipped. Only the `_CACHE_ENTRIES` entries used last are kept. The
+cache never changes what a table loads to or the error it fails with.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
+import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import __version__
 from .corpus import LexiconEntry, read_records
 from .errors import AnalysisError, SchemaError
+from .store import load, sha256_hex
 
 # underscore admitted so joined multiword headwords survive the split
 _TOKEN_RE = re.compile(r"[a-z0-9_]+(?:'[a-z0-9_]+)*")
@@ -90,6 +109,10 @@ _STRETCH = 64
 # the ASCII separators: numpy strips them around a value as whitespace,
 # float() refuses them
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+# the layout of a cache file; part of its key, with the version
+_CACHE_FORMAT = 1
+# cache files kept, the most recently used first
+_CACHE_ENTRIES = 16
 
 
 @dataclass(frozen=True)
@@ -503,13 +526,91 @@ def _parse_lines(path) -> tuple[list[str], np.ndarray]:
     return tokens, matrix
 
 
+def _cache_file(digest: str) -> Path | None:
+    """Where the table of the file with sha256 `digest` is cached:
+    $XDG_CACHE_HOME/slanglex, or ~/.cache/slanglex where that variable is
+    unset or not an absolute path, as the XDG base directory spec says.
+    None where neither names a directory: with no home directory known,
+    `expanduser` leaves the ~ in place."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.expanduser(os.path.join("~", ".cache"))
+        if not os.path.isabs(base):
+            return None
+    return Path(base, "slanglex", f"{digest}-{__version__}-{_CACHE_FORMAT}.npz")
+
+
+def _read_cache(path: Path) -> tuple[list[str], np.ndarray] | None:
+    """The tokens and matrix cached in `path`, or None where it is missing,
+    unreadable or not laid out as `_write_cache` lays it out. A hit
+    refreshes the file's time, which orders the entries kept."""
+    try:
+        with open(path, "rb") as handle:
+            data = np.load(handle, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                return None
+            matrix, joined = data["matrix"], data["tokens"]
+        if (matrix.dtype != np.float64 or matrix.ndim != 2
+                or joined.dtype != np.uint8 or joined.ndim != 1):
+            return None
+        tokens = joined.tobytes().decode("utf-8").split("\n") if len(matrix) else []
+        if len(tokens) != len(matrix):
+            return None
+        os.utime(path)
+    except (OSError, ValueError, EOFError, KeyError, NotImplementedError,
+            zipfile.BadZipFile):  # a decode error is a ValueError too
+        return None
+    return tokens, matrix
+
+
+def _write_cache(path: Path, table: EmbeddingTable) -> None:
+    """Cache `table` in `path`, then drop all but the `_CACHE_ENTRIES`
+    entries used last. The tokens are stored as their UTF-8 bytes joined by
+    \\n, which no token holds: a numpy string array drops trailing NULs.
+    The file is written under a name of this process's own and moved into
+    place, so a reader never sees half of it. A cache that cannot be
+    written is no cache: an OSError is ignored."""
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(temporary, "wb") as handle:
+            np.savez(handle, matrix=table.matrix, tokens=np.frombuffer(
+                "\n".join(table.tokens).encode("utf-8"), dtype=np.uint8))
+        os.replace(temporary, path)
+        # file times are only as fine as the kernel's clock tick, so the
+        # entry just written is kept whatever its time
+        entries = []
+        for entry in path.parent.glob("*.npz"):
+            with contextlib.suppress(FileNotFoundError):  # another run's
+                if entry != path:
+                    entries.append((entry.stat().st_mtime_ns, entry.name, entry))
+        for *_, stale in sorted(entries, reverse=True)[_CACHE_ENTRIES - 1:]:
+            stale.unlink(missing_ok=True)
+    except OSError:
+        with contextlib.suppress(OSError):
+            temporary.unlink(missing_ok=True)
+
+
+def _table(tokens: Sequence[str], matrix: np.ndarray) -> EmbeddingTable:
+    return EmbeddingTable(tokens=tokens, matrix=matrix,
+                          counts={t: 1 for t in tokens})
+
+
 def load_embeddings(path) -> EmbeddingTable:
     """Read the text vector format (module docstring); a malformed line or
     table raises a `SchemaError` naming the file. Counts are not stored in
-    this format, so every loaded token gets count 1."""
+    this format, so every loaded token gets count 1. A table this version
+    has loaded before, byte for byte, comes from the cache instead."""
+    cache = _cache_file(load(sha256_hex, path))
+    cached = None if cache is None else _read_cache(cache)
+    if cached is not None:
+        with contextlib.suppress(AnalysisError):  # an edited cache file
+            return _table(*cached)
     tokens, matrix = _parse_bulk(path) or _parse_lines(path)
     try:
-        return EmbeddingTable(tokens=tokens, matrix=matrix,
-                              counts={t: 1 for t in tokens})
+        table = _table(tokens, matrix)
     except AnalysisError as exc:  # duplicate tokens, non-finite values
         raise SchemaError(str(exc), path=path) from None
+    if cache is not None:
+        _write_cache(cache, table)
+    return table

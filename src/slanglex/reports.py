@@ -8,23 +8,19 @@ identical runs must produce identical bytes.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import __version__
+from .store import load, sha256_hex
 
 DIGEST_CHARS = 12
 
 
 def file_digest(path) -> str:
-    """First 12 hex chars of the file's sha256."""
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()[:DIGEST_CHARS]
+    """First 12 hex chars of the file's sha256, hashed once per run."""
+    return load(sha256_hex, path)[:DIGEST_CHARS]
 
 
 def provenance_lines(seed: int | None,

@@ -64,6 +64,11 @@ class ClassifierModel:
             raise AnalysisError("classifier weights are not finite")
 
 
+def _with_bias(x: np.ndarray) -> np.ndarray:
+    """``x`` with a column of ones appended, the bias feature."""
+    return np.hstack([x, np.ones((x.shape[0], 1))])
+
+
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -71,11 +76,14 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def loss_and_gradient(weights: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
-                      l2: float) -> tuple[float, np.ndarray]:
+                      l2: float, *, augmented: bool = False
+                      ) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood plus L2 penalty (bias excluded), and
-    its gradient with respect to the weight matrix."""
-    n = x.shape[0]
-    x_aug = np.hstack([x, np.ones((n, 1))])
+    its gradient with respect to the weight matrix. With ``augmented``,
+    ``x`` already ends in the bias column of ones (`_with_bias`), which
+    spares the trainer a copy of the count matrix per evaluation."""
+    x_aug = x if augmented else _with_bias(x)
+    n = x_aug.shape[0]
     probs = _softmax_rows(x_aug @ weights.T)
     nll = -np.mean(np.log(np.clip(probs[np.arange(n), y_idx], 1e-300, None)))
     penalty = l2 / (2.0 * n) * float(np.sum(weights[:, :-1] ** 2))
@@ -128,11 +136,11 @@ def train_logreg(feature_maps: Sequence[Mapping[str, int]],
         raise AnalysisError("training data must contain at least 2 classes")
 
     class_index = {c: i for i, c in enumerate(classes)}
-    x = count_matrix(vocab, feature_maps)
+    x = _with_bias(count_matrix(vocab, feature_maps))
     y_idx = np.array([class_index[label] for label in labels], dtype=np.int64)
 
     weights = np.zeros((len(classes), len(vocab.features) + 1))
-    loss, grad = loss_and_gradient(weights, x, y_idx, l2)
+    loss, grad = loss_and_gradient(weights, x, y_idx, l2, augmented=True)
     pairs: deque = deque(maxlen=_LBFGS_MEMORY)
     iterations = 0
     while True:
@@ -153,7 +161,8 @@ def train_logreg(feature_maps: Sequence[Mapping[str, int]],
         step = 1.0
         for _ in range(40):
             candidate = weights + step * direction
-            new_loss, new_grad = loss_and_gradient(candidate, x, y_idx, l2)
+            new_loss, new_grad = loss_and_gradient(candidate, x, y_idx, l2,
+                                                   augmented=True)
             if new_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5

@@ -13,7 +13,8 @@ rule, `lookup`: the word's `subject_token` (lowercased, a multiword term
 joined with "_"), kept when that token is in the vocabulary. A `KnnModel`
 stacks its reference points once, sorted by token, and the KNN is cosine
 only: `knn_predict` scores each block of queries with one kernel call
-plus one stable sort, which gives similarity ties to the smaller token.
+and keeps each query's k nearest by a partition, which gives similarity
+ties to the smaller token as a stable sort would.
 """
 
 from __future__ import annotations
@@ -92,13 +93,29 @@ def knn_predict(model: KnnModel, rows: np.ndarray) -> list[SubjectLabel]:
     if rows.shape[1:] != model.matrix.shape[1:]:
         raise AnalysisError(f"vector dimension {rows.shape[1:]} does not "
                             f"match reference {model.matrix.shape[1]}")
+    k = min(model.k, len(model.reference))
     preds = []
     for start in range(0, len(rows), KNN_BLOCK):
         sims = cosines(rows[start:start + KNN_BLOCK], model.matrix)
-        nearest = np.argsort(-sims, axis=1, kind="stable")[:, :model.k]
+        # a vote is the same in any order of the k nearest
         preds += [argmax_label(Counter(model.labels[i] for i in row))
-                  for row in nearest.tolist()]
+                  for row in _nearest(sims, k).tolist()]
     return preds
+
+
+def _nearest(sims: np.ndarray, k: int) -> np.ndarray:
+    """Per row of `sims`, the columns of its k largest values, in no
+    order: the columns a stable descending argsort puts first, so that of
+    the columns tied at the k-th value the leftmost are kept. A partition
+    finds them without sorting the row; only a row where more than k
+    columns reach its k-th value sorts, and only those columns."""
+    nearest = np.argpartition(-sims, k - 1, axis=1)[:, :k]
+    kth = np.take_along_axis(sims, nearest, axis=1).min(axis=1, keepdims=True)
+    reaching = sims >= kth
+    for i in np.flatnonzero(reaching.sum(axis=1) > k):
+        columns = np.flatnonzero(reaching[i])
+        nearest[i] = columns[np.argsort(-sims[i, columns], kind="stable")[:k]]
+    return nearest
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,16 @@ resolved path (``a/./b`` and ``a/b`` are one key), ``fn`` and ``args``.
 `forget(path)` drops every object derived from a path that the run has
 just rewritten, so the next `load` reads the new file.
 Outside a block `load` calls ``fn`` and keeps nothing.
+
+A file's content digest is one such object: ``load(sha256_hex, path)``
+serves both the provenance headers and the vector-table cache, so a run
+hashes each input once.
 """
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import hashlib
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -54,3 +59,13 @@ def forget(path) -> None:
         resolved = Path(path).resolve()
         for key in [k for k in objects if k[0] == resolved]:
             del objects[key]
+
+
+def sha256_hex(path) -> str:
+    """The sha256 of the file's bytes, in hex, read in 64 KiB chunks (a
+    larger buffer raises the peak memory of a short run)."""
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(65536), b""):
+            h.update(chunk)
+    return h.hexdigest()

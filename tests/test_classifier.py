@@ -78,6 +78,16 @@ class TestGradientOracle:
         loss_free, _ = loss_and_gradient(w, x, y, l2=0.0)
         assert loss_l2 == pytest.approx(loss_free)
 
+    def test_augmented_matrix_gives_the_same_bits(self):
+        # the trainer appends the bias column once per fit
+        rng = np.random.default_rng(3)
+        w, x, y = random_instance(rng, 3, 5, 9)
+        x_aug = np.hstack([x, np.ones((len(x), 1))])
+        loss, grad = loss_and_gradient(w, x, y, 0.5)
+        loss_aug, grad_aug = loss_and_gradient(w, x_aug, y, 0.5, augmented=True)
+        assert loss_aug == loss
+        assert grad_aug.tobytes() == grad.tobytes()
+
     def test_zero_weights_loss_is_log_k(self):
         # uniform predictions: mean NLL = log(n_classes)
         for k in (2, 3, 4):

@@ -1,7 +1,8 @@
 """Corpus building, SGNS gradients (finite-difference oracle), training
-behavior, similarity queries and the text vector format."""
+behavior, similarity queries, the text vector format and its cache."""
 import collections
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from slanglex import embeddings
 from slanglex.corpus import LexiconEntry
 from slanglex.embeddings import (
     EmbeddingTable,
@@ -530,3 +532,163 @@ class TestPersistence:
         with pytest.raises(SchemaError) as err:
             load_embeddings(path)
         assert str(err.value).startswith(f"{path}:2: dimension must be >= 1")
+
+
+def cache_entries(cache_home):
+    return sorted((cache_home / "slanglex").glob("*.npz"))
+
+
+def write_table(path, rows, dim=2):
+    """A vector table of `rows` (token, values) pairs; returns its path."""
+    lines = [f"{len(rows)} {dim}"] + [
+        " ".join([token, *map(str, values)]) for token, values in rows]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+class TestCache:
+    """A table is parsed once per content: later loads of the same bytes
+    read a cache entry under $XDG_CACHE_HOME/slanglex, which never changes
+    what a load returns or raises."""
+
+    @staticmethod
+    def unparsed(monkeypatch):
+        """Make any parse of a text table fail the test."""
+        def parse(path):
+            raise AssertionError("a cached table was parsed")
+        monkeypatch.setattr(embeddings, "_parse_bulk", parse)
+        monkeypatch.setattr(embeddings, "_parse_lines", parse)
+
+    @pytest.mark.parametrize("rows", [
+        [("", [0.5, 1.0]), ("a\tb", [-0.0, 2.5e-300]), ("nul\x00", [1e300, 3.0]),
+         ("ñandú_🙂", [0.1, 0.2]), ("plain", [-7.25, 1 / 3])],
+        [],
+    ], ids=["odd-tokens", "zero-rows"])
+    def test_warm_load_is_bit_identical(self, tmp_path, cache_home,
+                                        monkeypatch, rows):
+        path = write_table(tmp_path / "vectors.txt", rows)
+        cold = load_embeddings(path)
+        assert len(cache_entries(cache_home)) == 1
+        self.unparsed(monkeypatch)
+        warm = load_embeddings(path)
+        assert warm.tokens == cold.tokens == tuple(t for t, _ in rows)
+        assert warm.matrix.dtype == cold.matrix.dtype == np.float64
+        assert warm.matrix.shape == cold.matrix.shape == (len(rows), 2)
+        assert warm.matrix.tobytes() == cold.matrix.tobytes()
+        assert warm.counts == cold.counts
+
+    @pytest.mark.parametrize("text", [
+        "2 1\na 0.5\na 0.25\n", "1 2\na 0.5 nan\n", "2 3\na 0.1 0.2 0.3\n",
+        "1 2\na 0.1 oops\n", "1 1\n\xe9 0.5\n", "3\n",
+    ], ids=["duplicate", "nan", "count", "non-numeric", "latin-1", "header"])
+    def test_malformed_table_fails_alike_with_a_warm_cache(
+            self, tmp_path, cache_home, text):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(text.encode("latin-1"))
+        with pytest.raises(SchemaError) as cold:
+            load_embeddings(bad)
+        good = write_table(tmp_path / "good.txt", [("a", [0.5])], dim=1)
+        load_embeddings(good)
+        load_embeddings(good)
+        with pytest.raises(SchemaError) as warm:
+            load_embeddings(bad)
+        assert str(warm.value) == str(cold.value)
+        assert len(cache_entries(cache_home)) == 1  # the good table's
+
+    def test_changed_value_misses(self, tmp_path, cache_home):
+        path = write_table(tmp_path / "vectors.txt", [("a", [0.5, 1.0])])
+        load_embeddings(path)
+        write_table(path, [("a", [0.5, 1.5])])
+        assert load_embeddings(path).matrix.tolist() == [[0.5, 1.5]]
+        assert len(cache_entries(cache_home)) == 2
+
+    def test_truncated_entry_is_reparsed_and_rewritten(self, tmp_path,
+                                                       cache_home):
+        path = write_table(tmp_path / "vectors.txt",
+                           [("a", [0.5, 1.0]), ("b", [2.0, -1.0])])
+        cold = load_embeddings(path)
+        [entry] = cache_entries(cache_home)
+        written = entry.read_bytes()
+        for damaged in (written[:len(written) // 2], b"", b"not a zip"):
+            entry.write_bytes(damaged)
+            again = load_embeddings(path)
+            assert again.tokens == cold.tokens
+            assert again.matrix.tobytes() == cold.matrix.tobytes()
+            assert entry.read_bytes() == written
+
+    def test_mis_shaped_entry_is_a_miss(self, tmp_path, cache_home):
+        path = write_table(tmp_path / "vectors.txt", [("a", [0.5, 1.0])])
+        load_embeddings(path)
+        [entry] = cache_entries(cache_home)
+        for arrays in ({"matrix": np.ones((1, 2))},
+                       {"matrix": np.ones((2, 2)),
+                        "tokens": np.frombuffer(b"a", dtype=np.uint8)},
+                       {"matrix": np.array([[np.inf, 1.0]]),
+                        "tokens": np.frombuffer(b"a", dtype=np.uint8)},
+                       {"matrix": np.ones((1, 2), dtype=np.float32),
+                        "tokens": np.frombuffer(b"a", dtype=np.uint8)}):
+            with open(entry, "wb") as handle:
+                np.savez(handle, **arrays)
+            assert load_embeddings(path).matrix.tolist() == [[0.5, 1.0]]
+
+    def test_cache_home_that_is_a_file(self, tmp_path, monkeypatch):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("", encoding="utf-8")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        path = write_table(tmp_path / "vectors.txt", [("a", [0.5, 1.0])])
+        for _ in range(2):
+            assert load_embeddings(path).matrix.tolist() == [[0.5, 1.0]]
+        assert blocker.read_text(encoding="utf-8") == ""
+
+    def test_keeps_the_entries_used_last(self, tmp_path, cache_home):
+        limit = embeddings._CACHE_ENTRIES
+        tables = [write_table(tmp_path / f"v{i}.txt", [("a", [float(i), 1.0])])
+                  for i in range(limit + 2)]
+        entries = {}
+        for i, table in enumerate(tables[:limit]):
+            load_embeddings(table)
+            [entries[i]] = set(cache_entries(cache_home)) - set(entries.values())
+            os.utime(entries[i], ns=(0, i))  # distinct times, oldest first
+        load_embeddings(tables[0])  # a hit makes table 0 the newest
+        for table in tables[limit:]:
+            load_embeddings(table)
+        kept = set(cache_entries(cache_home))
+        assert len(kept) == limit
+        assert entries[0] in kept
+        assert entries[1] not in kept and entries[2] not in kept
+
+    def test_nothing_lands_outside_the_cache_home(self, tmp_path, cache_home,
+                                                  monkeypatch):
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        path = write_table(tmp_path / "vectors.txt", [("a", [0.5, 1.0])])
+        load_embeddings(path)
+        [entry] = cache_entries(cache_home)
+        assert set(cache_home.rglob("*")) == {entry, entry.parent}
+        assert not any(home.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "home", "vectors.txt"]
+
+    @pytest.mark.parametrize("value", ["", "relative/cache"])
+    def test_unset_or_relative_cache_home_means_home(self, tmp_path,
+                                                     monkeypatch, value):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+        monkeypatch.chdir(tmp_path)
+        load_embeddings(write_table(tmp_path / "vectors.txt",
+                                    [("a", [0.5, 1.0])]))
+        assert len(cache_entries(tmp_path / ".cache")) == 1
+        assert not (tmp_path / "relative").exists()
+
+    def test_no_home_directory_means_no_cache(self, tmp_path, monkeypatch):
+        def unknown_user(uid):
+            raise KeyError(uid)
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.setattr("pwd.getpwuid", unknown_user)
+        monkeypatch.chdir(tmp_path)
+        path = write_table(tmp_path / "vectors.txt", [("a", [0.5, 1.0])])
+        for _ in range(2):
+            assert load_embeddings(path).matrix.tolist() == [[0.5, 1.0]]
+        assert [p.name for p in tmp_path.iterdir()] == ["vectors.txt"]

@@ -399,9 +399,12 @@ class TestVectorTableParse:
                                                     data):
         path = tmp_path_factory.getbasetemp() / "vectors.txt"
         path.write_bytes(data)
-        with mock.patch.object(embeddings, "_parse_bulk", lambda path: None):
-            by_lines = loaded_or_error(path)
-        assert loaded_or_error(path) == by_lines
+        # with the cache off, so that the second load parses too
+        with mock.patch.object(embeddings, "_read_cache", lambda path: None):
+            with mock.patch.object(embeddings, "_parse_bulk",
+                                   lambda path: None):
+                by_lines = loaded_or_error(path)
+            assert loaded_or_error(path) == by_lines
 
     def test_saved_table_skips_the_line_parser(self, tmp_path, monkeypatch):
         # a silent fallback would cost the bulk parse's speed and nothing else

@@ -161,6 +161,22 @@ class TestStackedKnnOracle:
             for k in (1, 3, 7, 30):
                 self.check(reference, queries, k)
 
+    def test_ties_at_the_kth_similarity(self):
+        # every reference has three others of exactly its cosine (copies
+        # scaled by powers of two), so for k not a multiple of four the k-th
+        # similarity is shared by references on both sides of the cut
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            base = rng.normal(size=(6, 37))
+            vectors = np.vstack([base * scale for scale in (1.0, 2.0, 0.5, 4.0)])
+            tokens = [f"r{i:02d}" for i in rng.permutation(len(vectors))]
+            subjects = list(SubjectLabel)[:3]
+            labels = [subjects[i]
+                      for i in rng.integers(0, len(subjects), len(vectors))]
+            queries = np.vstack([rng.normal(size=(8, 37)), base[:2]])
+            for k in range(1, len(vectors) + 2):
+                self.check(tuple(zip(tokens, vectors, labels)), queries, k)
+
     def test_blocks_of_queries_match_brute_force(self):
         # 600 random queries plus 20 planted ones cross two block boundaries
         assert KNN_BLOCK < 300

@@ -2,6 +2,7 @@
 later run or later subcommand gets an object derived from a file that has
 changed since."""
 import collections
+import hashlib
 import shutil
 from importlib.resources import files
 from pathlib import Path
@@ -10,10 +11,11 @@ import pytest
 from click.testing import CliRunner
 
 import slanglex.cli as cli
-from slanglex import store
+from slanglex import embeddings, store
 from slanglex.cli import main
 from slanglex.corpus import load_gold_classes
 from slanglex.morphology import SegmenterModel
+from slanglex.reports import DIGEST_CHARS, file_digest
 from slanglex.slangclass.features import NgramKind, NgramTable
 from slanglex.slangclass.logreg import load_classifier
 
@@ -76,6 +78,17 @@ class TestStore:
             assert store.load(derived, a, 1) is not first
             assert store.load(derived, b, 1) is other
         assert_no_store()
+
+    def test_digest_is_kept_until_forgotten(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_bytes(b"one")
+        with store.sharing():
+            first = file_digest(path)
+            path.write_bytes(b"two")
+            assert file_digest(path) == first
+            store.forget(path)
+            assert file_digest(path) == \
+                hashlib.sha256(b"two").hexdigest()[:DIGEST_CHARS]
 
     def test_block_ends_on_error(self, tmp_path):
         with pytest.raises(RuntimeError):
@@ -146,6 +159,23 @@ class TestPipelineLoads:
             ("load_embeddings", (out / "vectors.txt").resolve()): 1,
             ("load_bias_lexicons", (FIXTURES / "lexicons").resolve()): 1,
         }
+
+    def test_each_input_is_hashed_once(self, runner, tmp_path, monkeypatch):
+        # one digest per file serves the vector cache and the provenance
+        # headers, so both modules must call the same function
+        calls = collections.Counter()
+
+        def counting(path, digest=store.sha256_hex):
+            calls[Path(path).resolve()] += 1
+            return digest(path)
+        monkeypatch.setattr(embeddings, "sha256_hex", counting)
+        monkeypatch.setattr("slanglex.reports.sha256_hex", counting)
+        out = tmp_path / "run"
+        invoke(runner, "pipeline", "--fixtures", "--seed", 7, "--out", out)
+        assert calls == {path.resolve(): 1 for path in (
+            out / "filtered.jsonl", FIXTURES / "standard.tsv",
+            FIXTURES / "gold_classes.csv", out / "vectors.txt",
+            FIXTURES / "names_gender.csv")}
 
     def test_input_the_run_overwrites_is_read_again(self, runner, tmp_path):
         # --slang <out>/filtered.jsonl: ingest reads the file, then rewrites
