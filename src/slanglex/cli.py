@@ -86,6 +86,7 @@ from .slangclass.patterns import (
 )
 from .social import (
     GenderLexicon,
+    check_k,
     direct_bias,
     evaluate_subject_model,
     gender_direction,
@@ -509,13 +510,19 @@ def run_classes_patterns(gold_path, out_dir, suffix_k, seed=None) -> dict:
             "blends": len(blends), "blends_skipped": skipped_blends}
 
 
+def _training_config(seed, dimension, window, negatives, min_count, subsample,
+                     epochs, lr) -> TrainingConfig:
+    """The skip-gram settings of embed and pipeline; one outside its domain
+    raises."""
+    return TrainingConfig(dimension=dimension, window=window, negatives=negatives,
+                          epochs=epochs, initial_lr=lr, min_count=min_count,
+                          subsample_threshold=subsample, seed=seed)
+
+
 @command(main, "embed", "slang", "out_file", *SGNS, "seed")
-def run_embed(slang_path, out_path, dimension, window, negatives, min_count,
-              subsample, epochs, lr, seed) -> dict:
+def run_embed(slang_path, out_path, seed, **sgns) -> dict:
     """Train skip-gram vectors on usage examples."""
-    config = TrainingConfig(dimension=dimension, window=window, negatives=negatives,
-                            epochs=epochs, initial_lr=lr, min_count=min_count,
-                            subsample_threshold=subsample, seed=seed)
+    config = _training_config(seed, **sgns)
     entries = load(load_slang_lexicon, slang_path)
     corpus = build_usage_corpus(entries)
     table = train_skipgram(corpus, config)
@@ -657,7 +664,11 @@ def _compare_classifiers(gold_path, out: Path, segmenter, seed) -> dict:
 def run_pipeline(slang_path, standard_path, gold_path, lexicons_dir,
                  names_path, out_dir, seed, min_votes, delta, score_name, k,
                  echo=click.echo, **sgns) -> None:
-    """Every stage in order; ``echo`` gets one summary line per stage."""
+    """Every stage in order; ``echo`` gets one summary line per stage. The
+    skip-gram and KNN settings are checked before any stage writes."""
+    _training_config(seed, **sgns)
+    check_k(k)
+
     def done(stage: str, info: dict) -> None:
         echo(summary_line(f"pipeline.{stage}", **info))
 

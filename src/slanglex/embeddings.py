@@ -53,42 +53,33 @@ loader read third-party reference embeddings for the bias comparisons.
 It is read by the line rules every input shares (no comment lines);
 trailing whitespace on a line, common in word2vec files, is ignored.
 
-Loading parses the table in bulk. The file is read line by line under
-the same rules (lines end at `\n` only, blank ones are dropped), the
-header and each row's token are taken apart in Python, and every value
-is converted by one `np.loadtxt` call. Anything off (a byte that is not
-UTF-8, a bad header, a row without values, a `loadtxt` error, a matrix
-of another shape than the header's) sends the file to the line parser,
-`read_records` with one `parse` per line, which alone words an error.
-The bulk result is exact: numpy's converter takes a subset of what
-`float()` takes (it refuses `1_0` and non-ASCII digits, which `float()`
-takes, and hex, which neither does) and both round correctly, so when
-it succeeds it gives the same bits. The one exception is the ASCII
-separators U+001C-U+001F, which numpy strips around a value as
-whitespace and `float()` refuses; a table with one in a value goes to
-the line parser. A header of zero tokens skips `loadtxt`, which warns
-when it finds no data.
-
-The parse can only be skipped, not made much faster: `loadtxt` was the
-fastest converter tried. So a table that loaded cleanly is cached, and later loads of the same bytes, in any process,
-read the cache instead. The key is the file's sha256, the one digest a
-command run takes of each input (`store.sha256_hex`, which the
-provenance headers print too), with the version and `_CACHE_FORMAT`.
-Each table is one `.npz` file under $XDG_CACHE_HOME/slanglex (or
-~/.cache/slanglex) holding the float64 matrix and the tokens as UTF-8
-bytes joined by newlines, loaded without pickle into the same
-`EmbeddingTable`. A file that is missing, unreadable or not laid out so
-is a miss and gets parsed and rewritten; a cache that cannot be written
-is skipped. Only the `_CACHE_ENTRIES` entries used last are kept. The
-cache never changes what a table loads to or the error it fails with.
+Loading reads the table through `read_records` too, one `float()` per
+value, into one array of doubles that the matrix views without a copy.
+Python floats, a list per row, took far more memory: a cold load of a
+20k x 300 table (a 48 MB matrix) added 284 MB to the peak RSS that way,
+and adds 65 MB this way. The parse costs about 190 ns a value, so a
+table that loaded cleanly is cached, and later loads of the same bytes,
+in any process, read the cache instead. The key is the file's sha256,
+the one digest a command run takes of each input (`store.sha256_hex`,
+which the provenance headers print too), with the version and
+`_CACHE_FORMAT`. Each table is one `.npz` file under
+$XDG_CACHE_HOME/slanglex (or ~/.cache/slanglex) holding the float64
+matrix and the tokens as UTF-8 bytes joined by newlines, loaded without
+pickle into the same `EmbeddingTable`. A file that is missing,
+unreadable or not laid out so is a miss and gets parsed and rewritten; a
+cache that cannot be written is skipped. Only the `_CACHE_ENTRIES`
+entries used last are kept. The cache never changes what a table loads
+to or the error it fails with.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import re
 import zipfile
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -106,9 +97,6 @@ _TOKEN_RE = re.compile(r"[a-z0-9_]+(?:'[a-z0-9_]+)*")
 _MAX_CHUNK = 128
 # chunks whose negatives are drawn and ordered at once (module docstring)
 _STRETCH = 64
-# the ASCII separators: numpy strips them around a value as whitespace,
-# float() refuses them
-_SEPARATORS = "\x1c\x1d\x1e\x1f"
 # the layout of a cache file; part of its key, with the version
 _CACHE_FORMAT = 1
 # cache files kept, the most recently used first
@@ -137,8 +125,11 @@ class TrainingConfig:
             raise AnalysisError(f"epochs must be >= 1, got {self.epochs}")
         if self.min_count < 1:
             raise AnalysisError(f"min_count must be >= 1, got {self.min_count}")
-        if not self.initial_lr > 0:
-            raise AnalysisError("initial_lr must be positive")
+        if not 0 < self.initial_lr < math.inf:
+            raise AnalysisError(
+                f"initial_lr must be finite and > 0, got {self.initial_lr}")
+        if math.isnan(self.subsample_threshold):
+            raise AnalysisError("subsample_threshold must not be nan")
 
 
 class EmbeddingTable:
@@ -429,22 +420,6 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(cosines(u, v[None])[0])
 
 
-def nearest(table: EmbeddingTable, token: str,
-            k: int) -> list[tuple[str, float]]:
-    """Exact top-k neighbors by cosine, ties broken lexicographically;
-    tokens with a zero vector rank last."""
-    if k < 1:
-        raise AnalysisError(f"k must be at least 1, got {k}")
-    query = table.vector(token)
-    nonzero = np.linalg.norm(table.matrix, axis=1) > 0.0
-    sims = np.full(len(table), -2.0)
-    sims[nonzero] = cosines(query, table.matrix[nonzero])
-    by_token = np.argsort(np.array(table.tokens))
-    ranked = by_token[np.argsort(-sims[by_token], kind="stable")]
-    return [(table.tokens[i], float(sims[i])) for i in ranked[:k + 1]
-            if table.tokens[i] != token][:k]
-
-
 def save_embeddings(table: EmbeddingTable, path) -> None:
     """Write the text format with six decimals, each row formatted by one
     `%` call (the same digits as formatting each value alone)."""
@@ -465,65 +440,33 @@ def _header(line: str) -> tuple[int, int]:
     return vocab, dim
 
 
-def _parse_bulk(path) -> tuple[list[str], np.ndarray] | None:
-    """The table in one `np.loadtxt` call, or None where anything is off
-    and the line parser must decide (module docstring)."""
-    with open(path, "rb") as handle:
-        try:
-            # lines end at \n only, as in read_records; the header's split()
-            # and each row's rstrip() drop the ending, \r included
-            lines = (line for line in map(bytes.decode, handle) if line.strip())
-            header = next(lines, "")
-            rows = [line.rstrip().partition(" ") for line in lines]
-        except UnicodeDecodeError:
-            return None
-    try:
-        vocab, dim = _header(header)
-    except SchemaError:
-        return None
-    values = [part for _, _, part in rows]
-    # loadtxt skips an empty line, and warns when it finds no data at all
-    if (len(rows) != vocab or not all(values)
-            or any(sep in part for part in values for sep in _SEPARATORS)):
-        return None
-    if not rows:
-        return [], np.empty((0, dim))
-    try:  # a row of the wrong width is a ValueError or the wrong shape
-        matrix = np.loadtxt(values, dtype=np.float64, delimiter=" ",
-                            comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if matrix.shape != (vocab, dim):
-        return None
-    return [token for token, _, _ in rows], matrix
-
-
 def _parse_lines(path) -> tuple[list[str], np.ndarray]:
-    """The table line by line through `read_records`: the one judge of a
-    malformed table, and the one place its errors are worded."""
+    """The table line by line through `read_records`, every row's values
+    appended to one array of doubles that the matrix then views (module
+    docstring)."""
     shape = []  # (vocab, dimension), from the header
+    values = array("d")
 
     def parse(line: str):
         if shape:
-            token, *values = line.rstrip().split(" ")
-            if len(values) != shape[1]:
+            token, *row = line.rstrip().split(" ")
+            if len(row) != shape[1]:
                 raise SchemaError(f"expected token plus {shape[1]} values")
             try:
-                return token, list(map(float, values))
+                values.extend(map(float, row))
             except ValueError:
                 raise SchemaError("non-numeric vector value") from None
+            return token
         shape.extend(_header(line))
 
-    rows = read_records(path, parse, comment=None)[1:]
+    tokens = read_records(path, parse, comment=None)[1:]
     if not shape:
         raise SchemaError("expected '<vocab> <dim>' header", path=path)
-    if len(rows) != shape[0]:
+    if len(tokens) != shape[0]:
         raise SchemaError(
-            f"header declared {shape[0]} tokens, file has {len(rows)}", path=path)
-    tokens = [token for token, _ in rows]
-    matrix = np.array([values for _, values in rows],
-                      dtype=np.float64).reshape(len(rows), shape[1])
-    return tokens, matrix
+            f"header declared {shape[0]} tokens, file has {len(tokens)}",
+            path=path)
+    return tokens, np.frombuffer(values).reshape(len(tokens), shape[1])
 
 
 def _cache_file(digest: str) -> Path | None:
@@ -606,7 +549,7 @@ def load_embeddings(path) -> EmbeddingTable:
     if cached is not None:
         with contextlib.suppress(AnalysisError):  # an edited cache file
             return _table(*cached)
-    tokens, matrix = _parse_bulk(path) or _parse_lines(path)
+    tokens, matrix = _parse_lines(path)
     try:
         table = _table(tokens, matrix)
     except AnalysisError as exc:  # duplicate tokens, non-finite values

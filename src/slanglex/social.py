@@ -67,13 +67,18 @@ class KnnModel:
     labels: tuple[SubjectLabel, ...]
 
 
+def check_k(k: int) -> None:
+    """Refuse a KNN neighbour count below 1."""
+    if k < 1:
+        raise AnalysisError(f"k must be at least 1, got {k}")
+
+
 def knn_from_embedding(embedding: EmbeddingTable,
                        labeled: Sequence[tuple[str, SubjectLabel]],
                        k: int = 5) -> tuple[KnnModel, int]:
     """Build the reference set from labeled words; returns (model, skipped)
     where skipped counts words missing from the embedding vocabulary."""
-    if k < 1:
-        raise AnalysisError(f"k must be at least 1, got {k}")
+    check_k(k)
     found, rows = lookup(embedding, [word for word, _ in labeled])
     if not len(rows):
         raise AnalysisError("no labeled word is in the embedding vocabulary")

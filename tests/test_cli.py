@@ -254,17 +254,22 @@ class TestRefusedSettings:
         out = tmp_path / "out"
         bias = ["--vectors", str(vectors), "--lexicons", str(lexicons),
                 "--out", str(out)]
+        train = ["classes", "train", "--gold", str(gold),
+                 "--out", str(out / "model.npz")]
+        embed = ["embed", "--slang", str(slang),
+                 "--out", str(out / "vectors.txt")]
+        pipeline = ["pipeline", "--fixtures", "--out", str(out)]
         return {
             "smoothing": ["phonology", "--slang", str(slang), "--standard",
                           str(standard), "--out", str(out)],
             "n-perms": ["bias", "sexprej", *bias, "--names", str(names)],
             "strictness": ["bias", "gender", *bias],
-            "max-epochs": ["classes", "train", "--gold", str(gold),
-                           "--out", str(out / "model.npz")],
+            "max-epochs": train, "l2": train, "tol": train,
             "max-iters": ["morphology", "--slang", str(slang), "--standard",
                           str(standard), "--out", str(out)],
-        } | {flag: ["classes", "train", "--gold", str(gold),
-                    "--out", str(out / "model.npz")] for flag in ("l2", "tol")}
+            "subsample": embed, "lr": embed,
+            "dimension": pipeline, "k": pipeline,
+        }
 
     @pytest.mark.parametrize("flag, value, message", [
         ("smoothing", "0", "smoothing must be finite and > 0, got 0.0"),
@@ -281,6 +286,11 @@ class TestRefusedSettings:
         ("tol", "-1", "tol must be >= 0, got -1.0"),
         ("tol", "nan", "tol must be >= 0, got nan"),
         ("max-iters", "-1", "max_iters must be >= 0, got -1"),
+        ("subsample", "nan", "subsample_threshold must not be nan"),
+        ("lr", "inf", "initial_lr must be finite and > 0, got inf"),
+        ("lr", "nan", "initial_lr must be finite and > 0, got nan"),
+        ("dimension", "0", "dimension must be >= 1, got 0"),
+        ("k", "0", "k must be at least 1, got 0"),
     ])
     def test_setting_refused(self, runner, tmp_path, commands, flag, value,
                              message):

@@ -20,18 +20,11 @@ from slanglex.embeddings import (
     cosine,
     cosines,
     load_embeddings,
-    nearest,
     save_embeddings,
     sgns_pair_gradients,
     train_skipgram,
 )
 from slanglex.errors import AnalysisError, SchemaError
-
-
-def fsum_cosine(u, v):
-    """Cosine from exactly rounded sums, independent of the library kernel."""
-    return math.fsum(u * v) / (math.sqrt(math.fsum(u * u))
-                               * math.sqrt(math.fsum(v * v)))
 
 
 def entry(headword, *examples):
@@ -216,7 +209,9 @@ class TestTraining:
 
     def test_config_validation(self):
         for kwargs in ({"dimension": 0}, {"window": 0}, {"negatives": 0},
-                       {"epochs": 0}, {"min_count": 0}, {"initial_lr": 0.0}):
+                       {"epochs": 0}, {"min_count": 0}, {"initial_lr": 0.0},
+                       {"initial_lr": math.inf}, {"initial_lr": math.nan},
+                       {"subsample_threshold": math.nan}):
             with pytest.raises(AnalysisError):
                 TrainingConfig(**kwargs)
 
@@ -372,70 +367,6 @@ class TestCosine:
             cosines(np.ones(2), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
-class TestNearest:
-    def table(self):
-        rng = np.random.default_rng(8)
-        tokens = [f"t{i}" for i in range(30)]
-        matrix = rng.normal(size=(30, 6))
-        return EmbeddingTable(tokens, matrix, {t: 1 for t in tokens})
-
-    def test_matches_brute_force(self):
-        table = self.table()
-        query = "t7"
-        expected = sorted(
-            ((t, cosine(table.vector(query), table.vector(t)))
-             for t in table.tokens if t != query),
-            key=lambda pair: (-pair[1], pair[0]))[:5]
-        got = nearest(table, query, k=5)
-        assert [t for t, _ in got] == [t for t, _ in expected]
-        for (_, sim_got), (_, sim_expected) in zip(got, expected):
-            assert sim_got == pytest.approx(sim_expected, abs=1e-12)
-
-    def test_matches_oracle_with_planted_ties(self):
-        # the second half repeats first-half rows scaled by 1/2, 1 or 2
-        # (exact cosine ties); two rows are zeroed and must rank last
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            base = rng.normal(size=(12, 37))
-            repeats = (base[rng.integers(0, 12, size=12)]
-                       * rng.choice([0.5, 1.0, 2.0], size=(12, 1)))
-            matrix = np.vstack([base, repeats])
-            matrix[rng.integers(0, 24, size=2)] = 0.0
-            tokens = [f"w{i}" for i in rng.permutation(24)]
-            table = EmbeddingTable(tokens, matrix, {t: 1 for t in tokens})
-            for query in tokens:
-                q = table.vector(query)
-                if not q.any():
-                    continue
-                sims = {t: fsum_cosine(q, v) if v.any() else -2.0
-                        for t, v in zip(tokens, matrix) if t != query}
-                ranked = sorted(sims, key=lambda t: (-sims[t], t))
-                for k in (1, 5, 23):
-                    got = nearest(table, query, k)
-                    assert [t for t, _ in got] == ranked[:k]
-                    assert [s for _, s in got] == pytest.approx(
-                        [sims[t] for t in ranked[:k]], abs=1e-12)
-
-    def test_query_token_excluded(self):
-        table = self.table()
-        assert all(t != "t3" for t, _ in nearest(table, "t3", k=29))
-
-    def test_tie_breaks_lexicographically(self):
-        tokens = ["a", "b", "c"]
-        matrix = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        table = EmbeddingTable(tokens, matrix, {t: 1 for t in tokens})
-        # b and c are both at cosine 1.0 from a
-        assert [t for t, _ in nearest(table, "a", k=2)] == ["b", "c"]
-
-    def test_unknown_token_rejected(self):
-        with pytest.raises(AnalysisError):
-            nearest(self.table(), "absent", k=3)
-
-    def test_bad_k_rejected(self):
-        with pytest.raises(AnalysisError):
-            nearest(self.table(), "t0", k=0)
-
-
 class TestPersistence:
     def test_roundtrip_at_six_decimals(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -556,7 +487,6 @@ class TestCache:
         """Make any parse of a text table fail the test."""
         def parse(path):
             raise AssertionError("a cached table was parsed")
-        monkeypatch.setattr(embeddings, "_parse_bulk", parse)
         monkeypatch.setattr(embeddings, "_parse_lines", parse)
 
     @pytest.mark.parametrize("rows", [
