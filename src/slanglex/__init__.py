@@ -1,17 +1,4 @@
 """slanglex: phonological, morphological, and social analysis of slang
 lexicons, with open-set classification and embedding bias metrics."""
 
-from .errors import AnalysisError, SchemaError, SlanglexError
-from .labels import REJECTED, SlangClass, SubjectLabel
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisError",
-    "SchemaError",
-    "SlanglexError",
-    "REJECTED",
-    "SlangClass",
-    "SubjectLabel",
-    "__version__",
-]

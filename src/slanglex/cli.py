@@ -14,7 +14,6 @@ config file, which wins over built-in defaults.
 """
 from __future__ import annotations
 
-import re
 from importlib import resources
 from pathlib import Path
 
@@ -43,8 +42,8 @@ from .labels import REJECTED, SlangClass
 from .morphology import (
     AffixSide,
     affix_distribution,
+    letters,
     load_segmenter,
-    normalize_word,
     save_segmenter,
     segment,
     train_segmenter,
@@ -53,6 +52,7 @@ from .phonology import (
     ConversionSource,
     Manner,
     WordPosition,
+    has_letter,
     load_bundled_fallback_rules,
     load_bundled_pronouncing_table,
     manner_of,
@@ -256,10 +256,6 @@ def _segmenter(kind: NgramKind, segmenter_path):
     return None if segmenter_path is None else load_segmenter(segmenter_path)
 
 
-def _letters(word: str) -> str:
-    return re.sub(r"[^a-z]", "", normalize_word(word))
-
-
 def _reports(out_dir, seed, inputs):
     """Writer of CSV reports into ``out_dir`` under one provenance header."""
     header = provenance_lines(seed, inputs)
@@ -304,8 +300,10 @@ def run_phonology(slang_path, standard_path, out_dir, smoothing) -> dict:
     table = load_bundled_pronouncing_table()
     rules = load_bundled_fallback_rules()
 
-    slang_seqs = [to_phonemes(e.headword, table, rules) for e in entries]
-    std_seqs = [to_phonemes(w, table, rules) for w in sorted(standard)]
+    slang_words = [e.headword for e in entries if has_letter(e.headword)]
+    std_words = [w for w in sorted(standard) if has_letter(w)]
+    slang_seqs = [to_phonemes(w, table, rules) for w in slang_words]
+    std_seqs = [to_phonemes(w, table, rules) for w in std_words]
     fallback = sum(1 for s in slang_seqs
                    if s.source is ConversionSource.RULE_FALLBACK)
     p_slang = phoneme_distribution(slang_seqs)
@@ -330,6 +328,8 @@ def run_phonology(slang_path, standard_path, out_dir, smoothing) -> dict:
 
     top = ranking[0]
     return {"slang_words": len(slang_seqs), "standard_words": len(std_seqs),
+            "slang_skipped": len(entries) - len(slang_words),
+            "standard_skipped": len(standard) - len(std_words),
             "fallback_conversions": fallback,
             "top_phoneme": top.symbol, "top_odds": top.ratio}
 
@@ -340,8 +340,8 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed)
     """Train code-length segmenters and compare affix inventories."""
     entries = load(load_slang_lexicon, slang_path)
     standard = load(load_standard_lexicon, standard_path)
-    slang_words = sorted({w for w in (_letters(e.headword) for e in entries) if w})
-    std_words = sorted({w for w in map(_letters, standard) if w})
+    slang_words = sorted({w for w in (letters(e.headword) for e in entries) if w})
+    std_words = sorted({w for w in map(letters, standard) if w})
 
     out = Path(out_dir)
     header = provenance_lines(seed, [("slang", slang_path),
@@ -350,17 +350,17 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed)
     affix_rows = []
     for corpus_name, words in (("slang", slang_words), ("standard", std_words)):
         model = train_segmenter(words, max_iters=max_iters, seed=seed)
+        segs = [segment(model, w) for w in words]
+        for side in (AffixSide.PREFIX, AffixSide.SUFFIX):
+            affix_rows += [(corpus_name, side.value, rank, affix, fnum(share),
+                            fnum(cumulative))
+                           for rank, (affix, share, cumulative) in enumerate(
+                               affix_distribution(segs, side, k=affix_k), 1)]
         out.mkdir(parents=True, exist_ok=True)
         save_segmenter(model, out / f"segmenter_{corpus_name}.tsv")
-        segs = [segment(model, w) for w in words]
         lines = header + [f"{seg.word}\t{'+'.join(seg.morphs)}" for seg in segs]
         (out / f"segmentations_{corpus_name}.tsv").write_text(
             "".join(line + "\n" for line in lines), encoding="utf-8")
-        for side in (AffixSide.PREFIX, AffixSide.SUFFIX):
-            dist = affix_distribution(segs, side, k=affix_k)
-            affix_rows += [(corpus_name, side.value, rank, affix, fnum(share),
-                            fnum(dist.covered_mass_at_k[rank]))
-                           for rank, (affix, share) in enumerate(dist.entries, 1)]
         info[f"{corpus_name}_types"] = len(words)
         info[f"{corpus_name}_morphs"] = len(model.morph_counts)
         info[f"{corpus_name}_bits"] = model.total_code_length
@@ -459,7 +459,7 @@ def run_classes_eval(gold_path, delta, score_name, seed, test_fraction,
     """Cross-class validation: hold out each class as unknown."""
     score = _score(score_name, delta)
 
-    def train(records, known_classes, seed):
+    def train(records):
         model = _fit_classifier(gold_path, records, NgramKind.CHAR, None, **fit)
         return lambda words: (model.classes,
                               predict_proba_batch(model, words).tolist())
@@ -479,34 +479,34 @@ def run_classes_eval(gold_path, delta, score_name, seed, test_fraction,
 def run_classes_patterns(gold_path, out_dir, suffix_k, seed=None) -> dict:
     """Rule-based formation analyses over labeled words."""
     records = load(load_gold_classes, gold_path)
-    write = _reports(out_dir, seed, [("gold", gold_path)])
-
+    blends = [r for r in records if r.label is SlangClass.BLEND]
+    suffixes, skipped_blends = blend_suffix_stats(blends, k=suffix_k)
     clips = [r for r in records if r.label is SlangClass.CLIPPING]
     sourced = [(r.word, " ".join(r.components)) for r in clips if r.components]
+    redups = [r.word for r in records if r.label is SlangClass.REDUPLICATIVE]
+    paired = [(word, parts) for word in redups
+              if (parts := split_pair(word)) is not None]
+    subs = substitution_stats([parts for _, parts in paired])
+
+    write = _reports(out_dir, seed, [("gold", gold_path)])
     write("clipping_types.csv", ["word", "source", "type"],
           [(word, source, classify_clipping(word, source).value)
            for word, source in sourced])
-
-    redups = [r.word for r in records if r.label is SlangClass.REDUPLICATIVE]
     write("reduplicative_types.csv", ["word", "type"],
-          [(word, classify_reduplicative(word).value) for word in redups])
-    pairs = [(a, b) for a, b in map(split_pair, redups) if len(a) == len(b)]
-    subs = substitution_stats(pairs) if pairs else None
-    if pairs:
+          [(word, classify_reduplicative(word).value) for word, _ in paired])
+    if subs.skipped < len(paired):
         write("substitutions.csv", ["original", "replacement", "share"],
               [(a, b, fnum(share)) for a, row in subs.replacements.items()
                for b, share in row.items()])
-
-    blends = [r for r in records if r.label is SlangClass.BLEND]
-    dist, skipped_blends = blend_suffix_stats(blends, k=suffix_k)
     write("blend_suffixes.csv", ["rank", "suffix", "share", "cumulative"],
-          [(rank, suffix, fnum(share), fnum(dist.covered_mass_at_k[rank]))
-           for rank, (suffix, share) in enumerate(dist.entries, 1)])
+          [(rank, suffix, fnum(share), fnum(cumulative))
+           for rank, (suffix, share, cumulative) in enumerate(suffixes, 1)])
 
     return {"clippings": len(sourced),
             "clippings_unsourced": len(clips) - len(sourced),
             "reduplicatives": len(redups),
-            "substitution_pairs_skipped": subs.skipped if subs else 0,
+            "reduplicatives_unpaired": len(redups) - len(paired),
+            "substitution_pairs_skipped": subs.skipped,
             "blends": len(blends), "blends_skipped": skipped_blends}
 
 

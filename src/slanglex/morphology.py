@@ -39,8 +39,10 @@ from __future__ import annotations
 import enum
 import math
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import read_records
@@ -51,6 +53,12 @@ _EPS = 1e-12
 
 def normalize_word(word: str) -> str:
     return word.lower()
+
+
+def letters(word: str) -> str:
+    """The letters a-z of the normalized word; every other character is
+    dropped."""
+    return re.sub(r"[^a-z]", "", normalize_word(word))
 
 
 def character_bits(morph: str, alphabet_size: int) -> float:
@@ -285,36 +293,24 @@ class AffixSide(enum.Enum):
     SUFFIX = "suffix"
 
 
-@dataclass(frozen=True)
-class AffixDistribution:
-    """Top-k first/last morph frequencies with cumulative mass per rank."""
-
-    entries: tuple[tuple[str, float], ...]
-    covered_mass_at_k: dict[int, float]
-
-
 def ranked_shares(counts: Mapping[str, int], total: int,
-                  k: int) -> AffixDistribution:
-    """Top-k affixes by count (ties alphabetical), each with its share of
-    ``total``, and the running sum of those shares at every rank 1..k."""
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    entries = tuple((affix, count / total) for affix, count in ranked[:k])
-    mass = {}
-    running = 0.0
-    for rank in range(1, k + 1):
-        if rank <= len(entries):
-            running += entries[rank - 1][1]
-        mass[rank] = running
-    return AffixDistribution(entries=entries, covered_mass_at_k=mass)
+                  k: int) -> list[tuple[str, float, float]]:
+    """Top-k affixes by count (ties alphabetical), each as ``(affix, share,
+    cumulative)``: its share of ``total`` and the running sum of shares up
+    to its rank."""
+    if k < 1:
+        raise AnalysisError(f"k must be at least 1, got {k}")
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
+    shares = [count / total for _, count in ranked]
+    return [(affix, share, cumulative) for (affix, _), share, cumulative
+            in zip(ranked, shares, accumulate(shares))]
 
 
 def affix_distribution(segmentations: Sequence[Segmentation], side: AffixSide,
-                       k: int = 25) -> AffixDistribution:
-    """Distribution of word-initial or word-final morphs over a corpus."""
+                       k: int = 25) -> list[tuple[str, float, float]]:
+    """Ranked shares of word-initial or word-final morphs over a corpus."""
     if not segmentations:
         raise AnalysisError("no segmentations to summarize")
-    if k < 1:
-        raise AnalysisError(f"k must be at least 1, got {k}")
     counts: dict[str, int] = {}
     for seg in segmentations:
         affix = seg.morphs[0] if side is AffixSide.PREFIX else seg.morphs[-1]

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import read_records
 from .errors import AnalysisError, SchemaError
+from .morphology import letters
 
 
 class Manner(enum.Enum):
@@ -148,19 +149,19 @@ class FallbackRules:
         self._max_len = max(len(c) for c in self._rules)
 
     def apply(self, word: str) -> tuple[Phoneme, ...]:
-        letters = re.sub(r"[^a-z]", "", word.lower())
+        text = letters(word)
         result: list[Phoneme] = []
         i = 0
-        while i < len(letters):
-            for width in range(min(self._max_len, len(letters) - i), 0, -1):
-                cluster = letters[i:i + width]
+        while i < len(text):
+            for width in range(min(self._max_len, len(text) - i), 0, -1):
+                cluster = text[i:i + width]
                 if cluster in self._rules:
                     result.extend(self._rules[cluster])
                     i += width
                     break
             else:
                 raise AnalysisError(
-                    f"no fallback rule covers {letters[i]!r} in {word!r}")
+                    f"no fallback rule covers {text[i]!r} in {word!r}")
         return tuple(result)
 
     @classmethod
@@ -189,32 +190,35 @@ def load_bundled_fallback_rules() -> FallbackRules:
         return FallbackRules.from_file(path)
 
 
+def has_letter(word: str) -> bool:
+    """Whether the word has an ASCII letter, which `to_phonemes` needs."""
+    return re.search(r"[A-Za-z]", word) is not None
+
+
 def to_phonemes(word: str, table: PronouncingTable,
                 rules: FallbackRules) -> PhonemeSequence:
     """Convert a (possibly multiword) headword to its phoneme sequence.
 
-    Multiword headwords are converted token by token and concatenated.
-    The source flag is LEXICON_LOOKUP only when every token resolved via
-    the table.
+    Multiword headwords are converted token by token and concatenated;
+    tokens without a letter are left out. The source flag is
+    LEXICON_LOOKUP only when every token resolved via the table.
     """
     if not word or not word.strip():
         raise AnalysisError("cannot convert an empty word")
+    if not has_letter(word):
+        raise AnalysisError(f"word contains no alphabetic characters: {word!r}")
     phonemes: list[Phoneme] = []
     all_lookup = True
-    converted_any = False
     for token in word.split():
         cleaned = re.sub(r"[^A-Za-z']", "", token).strip("'")
-        if not re.search(r"[A-Za-z]", cleaned):
+        if not has_letter(cleaned):
             continue
-        converted_any = True
         found = table.lookup(cleaned)
         if found is not None:
             phonemes.extend(found)
         else:
             phonemes.extend(rules.apply(cleaned))
             all_lookup = False
-    if not converted_any:
-        raise AnalysisError(f"word contains no alphabetic characters: {word!r}")
     source = ConversionSource.LEXICON_LOOKUP if all_lookup else ConversionSource.RULE_FALLBACK
     return PhonemeSequence(word=word, phonemes=tuple(phonemes), source=source)
 

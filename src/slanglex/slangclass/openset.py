@@ -100,12 +100,12 @@ class CrossClassReport:
 # labels its columns stand for and one probability row per word
 BatchModel = Callable[[Sequence[str]],
                       tuple[Sequence[SlangClass], Sequence[Sequence[float]]]]
-TrainingProcedure = Callable[
-    [list[GoldClassRecord], list[SlangClass], int], BatchModel]
+# a fold's fit: the fold's training records to its model
+TrainingProcedure = Callable[[list[GoldClassRecord]], BatchModel]
 
 
 def cross_class_validate(gold: Sequence[GoldClassRecord],
-                         h_factory: TrainingProcedure, delta: float,
+                         fit: TrainingProcedure, delta: float,
                          score: ScoreType, seed: int,
                          test_fraction: float = 0.10) -> CrossClassReport:
     """Hold out each class in turn as the unknown set.
@@ -123,8 +123,7 @@ def cross_class_validate(gold: Sequence[GoldClassRecord],
     fold_f1: dict[SlangClass, float] = {}
     for held in classes:
         known = [c for c in classes if c != held]
-        train_records = [r for r in split.train if r.label != held]
-        model = h_factory(train_records, known, seed)
+        model = fit([r for r in split.train if r.label != held])
         labels, rows = model([r.word for r in split.test])
         predictions = predict_with_reject(
             known, lambda row: dict(zip(labels, row)), rows, delta, score)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from ..corpus import GoldClassRecord
 from ..errors import AnalysisError
-from ..morphology import AffixDistribution, ranked_shares
+from ..morphology import ranked_shares
 
 _VOWELS = frozenset("aeiou")
 _PAIR_SPLIT = re.compile(r"[-\s]+")
@@ -53,15 +53,12 @@ def classify_clipping(clip: str, source: str) -> ClippingType:
     return ClippingType.UNKNOWN
 
 
-def split_pair(pair: str) -> tuple[str, str]:
-    """The two parts of an echo pair, split at hyphens and spaces; empty
-    parts (from a leading, trailing or doubled separator) are dropped."""
+def split_pair(pair: str) -> tuple[str, str] | None:
+    """The two parts of an echo pair, split at hyphens and spaces, or None
+    when there are not exactly two; empty parts (from a leading, trailing
+    or doubled separator) are dropped."""
     parts = [p for p in _PAIR_SPLIT.split(pair.strip()) if p]
-    if len(parts) != 2:
-        raise AnalysisError(
-            f"expected exactly two hyphen- or space-separated parts, "
-            f"got {len(parts)} in {pair!r}")
-    return parts[0], parts[1]
+    return (parts[0], parts[1]) if len(parts) == 2 else None
 
 
 def classify_reduplicative(pair: str) -> ReduplicativeType:
@@ -71,7 +68,11 @@ def classify_reduplicative(pair: str) -> ReduplicativeType:
     equal-length parts whose differing positions are all vowels (resp. all
     consonants) on both sides.
     """
-    first, second = split_pair(pair.lower())
+    parts = split_pair(pair.lower())
+    if parts is None:
+        raise AnalysisError(
+            f"expected exactly two hyphen- or space-separated parts in {pair!r}")
+    first, second = parts
     if first == second:
         return ReduplicativeType.DUP
     for prefix in ("schm", "shm"):
@@ -120,33 +121,27 @@ def substitution_stats(pairs: Sequence[tuple[str, str]]) -> SubstitutionStats:
     return SubstitutionStats(replacements=replacements, skipped=skipped)
 
 
-def blend_suffix_stats(blends: Sequence[GoldClassRecord],
-                       k: int = 5) -> tuple[AffixDistribution, int]:
-    """Top-k suffixes that blends inherit from their final component.
+def blend_suffix_stats(blends: Sequence[GoldClassRecord], k: int = 5
+                       ) -> tuple[list[tuple[str, float, float]], int]:
+    """Ranked shares of the top-k suffixes that blends inherit from their
+    final component.
 
     The suffix is the longest common suffix of the blend and its last
     component. Records without components, or with no shared suffix, are
-    skipped; the skip count is returned alongside the distribution.
+    skipped; the skip count is returned alongside the shares.
     """
-    if k < 1:
-        raise AnalysisError(f"k must be at least 1, got {k}")
     counts: dict[str, int] = {}
-    skipped = 0
-    total = 0
     for record in blends:
-        if not record.components or len(record.components) < 2:
-            skipped += 1
-            continue
-        suffix = _common_suffix(record.word.lower(),
-                                record.components[-1].lower())
-        if not suffix:
-            skipped += 1
-            continue
-        counts[suffix] = counts.get(suffix, 0) + 1
-        total += 1
-    if total == 0:
+        if record.components and len(record.components) >= 2:
+            suffix = _common_suffix(record.word.lower(),
+                                    record.components[-1].lower())
+            if suffix:
+                counts[suffix] = counts.get(suffix, 0) + 1
+    used = sum(counts.values())
+    shares = ranked_shares(counts, used, k)
+    if not shares:
         raise AnalysisError("no blend records with usable components")
-    return ranked_shares(counts, total, k), skipped
+    return shares, len(blends) - used
 
 
 def _common_suffix(a: str, b: str) -> str:

@@ -267,6 +267,10 @@ class TestRefusedSettings:
             "max-epochs": train, "l2": train, "tol": train,
             "max-iters": ["morphology", "--slang", str(slang), "--standard",
                           str(standard), "--out", str(out)],
+            "affix-k": ["morphology", "--slang", str(slang), "--standard",
+                        str(standard), "--out", str(out)],
+            "suffix-k": ["classes", "patterns", "--gold", str(gold),
+                         "--out", str(out)],
             "subsample": embed, "lr": embed,
             "dimension": pipeline, "k": pipeline,
         }
@@ -286,6 +290,8 @@ class TestRefusedSettings:
         ("tol", "-1", "tol must be >= 0, got -1.0"),
         ("tol", "nan", "tol must be >= 0, got nan"),
         ("max-iters", "-1", "max_iters must be >= 0, got -1"),
+        ("affix-k", "0", "k must be at least 1, got 0"),
+        ("suffix-k", "0", "k must be at least 1, got 0"),
         ("subsample", "nan", "subsample_threshold must not be nan"),
         ("lr", "inf", "initial_lr must be finite and > 0, got inf"),
         ("lr", "nan", "initial_lr must be finite and > 0, got nan"),
@@ -374,6 +380,24 @@ class TestPhonology:
         for row, entry in zip(rows, expected):
             assert row["odds_ratio"] == f"{entry.ratio:.6f}"
 
+    def test_headword_without_letters_is_skipped(self, runner, tmp_path):
+        """A headword G2P cannot convert is left out of phonology, and the
+        pipeline runs every stage."""
+        fixtures = files("slanglex").joinpath("data", "fixtures")
+        slang = tmp_path / "slang.jsonl"
+        slang.write_text(
+            fixtures.joinpath("slang.jsonl").read_text(encoding="utf-8")
+            + json.dumps({"headword": "420", "definitions": ["weed"],
+                          "examples": ["blaze it 420 style"], "upvotes": 900,
+                          "downvotes": 10, "subjects": ["Drugs"]}) + "\n",
+            encoding="utf-8")
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["pipeline", "--fixtures", "--slang",
+                                      str(slang), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "slang_skipped=1 standard_skipped=0" in result.output
+        assert "summary pipeline.bias.religion" in result.output
+
     def test_manner_positions_file_written(self, runner, tmp_path):
         slang, standard, _ = write_inputs(tmp_path)
         out = tmp_path / "phon"
@@ -390,16 +414,15 @@ class TestPhonology:
 
 class TestMorphology:
     def test_saved_segmenter_matches_library(self, runner, tmp_path):
-        from slanglex.cli import _letters
         from slanglex.corpus import load_slang_lexicon
-        from slanglex.morphology import load_segmenter, train_segmenter
+        from slanglex.morphology import letters, load_segmenter, train_segmenter
         slang, standard, _ = write_inputs(tmp_path)
         out = tmp_path / "morph"
         result = runner.invoke(main, [
             "morphology", "--slang", str(slang), "--standard", str(standard),
             "--out", str(out), "--seed", "3"])
         assert result.exit_code == 0
-        words = sorted({_letters(e.headword)
+        words = sorted({letters(e.headword)
                         for e in load_slang_lexicon(slang)})
         expected = train_segmenter(words, seed=3)
         saved = load_segmenter(out / "segmenter_slang.tsv")
@@ -610,6 +633,24 @@ class TestClasses:
         redup = {r["word"]: r["type"]
                  for r in read_report(out / "reduplicative_types.csv")}
         assert redup == {"-boo-boo": "DUP", "flip-flop": "EX_VOW"}
+
+    def test_patterns_reduplicative_not_a_pair(self, runner, tmp_path):
+        gold = tmp_path / "patterns_gold.csv"
+        gold.write_text("no-no-no,Reduplicative,\n"
+                        "flip-flop,Reduplicative\n"
+                        "artsy-fartsy,Reduplicative\n"
+                        "smog,Blend,smoke;fog\n", encoding="utf-8")
+        out = tmp_path / "pat"
+        result = runner.invoke(main, [
+            "classes", "patterns", "--gold", str(gold), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert ("reduplicatives=3 reduplicatives_unpaired=1 "
+                "substitution_pairs_skipped=1") in result.output
+        redup = {r["word"]: r["type"]
+                 for r in read_report(out / "reduplicative_types.csv")}
+        assert redup == {"flip-flop": "EX_VOW", "artsy-fartsy": "UNK"}
+        subs = read_report(out / "substitutions.csv")
+        assert {(r["original"], r["replacement"]) for r in subs} == {("i", "o")}
 
 
 class TestBiasSexprej:

@@ -223,26 +223,24 @@ class TestAffixDistribution:
 
     def test_prefix_hand_tally(self):
         dist = affix_distribution(self.segs(), AffixSide.PREFIX, k=2)
-        assert dist.entries == (("dog", pytest.approx(2 / 3)),
-                                ("cat", pytest.approx(1 / 3)))
-        assert dist.covered_mass_at_k[1] == pytest.approx(2 / 3)
-        assert dist.covered_mass_at_k[2] == pytest.approx(1.0)
+        assert dist == [("dog", pytest.approx(2 / 3), pytest.approx(2 / 3)),
+                        ("cat", pytest.approx(1 / 3), pytest.approx(1.0))]
 
     def test_suffix_hand_tally(self):
         dist = affix_distribution(self.segs(), AffixSide.SUFFIX, k=5)
-        assert dist.entries[0] == ("cat", pytest.approx(2 / 3))
-        # mass keys run 1..k even past the distinct-affix count
-        assert sorted(dist.covered_mass_at_k) == [1, 2, 3, 4, 5]
-        assert dist.covered_mass_at_k[5] == pytest.approx(1.0)
+        assert dist[0] == ("cat", pytest.approx(2 / 3), pytest.approx(2 / 3))
+        # k past the distinct-affix count ranks every affix, no more
+        assert len(dist) == 2
+        assert dist[-1][2] == pytest.approx(1.0)
 
     def test_count_tie_breaks_alphabetically(self):
         segs = [Segmentation("ba", ("b", "a")), Segmentation("ab", ("a", "b"))]
         dist = affix_distribution(segs, AffixSide.PREFIX, k=2)
-        assert [a for a, _ in dist.entries] == ["a", "b"]
+        assert [a for a, _, _ in dist] == ["a", "b"]
 
     def test_k_truncates(self):
         dist = affix_distribution(self.segs(), AffixSide.PREFIX, k=1)
-        assert len(dist.entries) == 1
+        assert len(dist) == 1
 
     def test_validation(self):
         with pytest.raises(AnalysisError):

@@ -150,6 +150,11 @@ def oracle_gold():
             for label, ws in words.items() for w in ws]
 
 
+def known(train_records):
+    """The classes a fold's training records carry, as the fit sees them."""
+    return sorted({r.label for r in train_records}, key=str)
+
+
 def batch(known_classes, model):
     """A one-word model as the batch model cross-class validation calls."""
     return lambda words: (known_classes,
@@ -161,7 +166,9 @@ class TestCrossClassValidation:
         gold = oracle_gold()
         truth_of = {r.word: r.label for r in gold}
 
-        def h_factory(train_records, known_classes, seed):
+        def h_factory(train_records):
+            known_classes = known(train_records)
+
             def model(word):
                 label = truth_of[word]
                 if label in known_classes:
@@ -185,7 +192,9 @@ class TestCrossClassValidation:
         gold = oracle_gold()
         truth_of = {r.word: r.label for r in gold}
 
-        def h_factory(train_records, known_classes, seed):
+        def h_factory(train_records):
+            known_classes = known(train_records)
+
             def model(word):
                 label = truth_of[word]
                 if label not in known_classes:
@@ -209,8 +218,8 @@ class TestCrossClassValidation:
         truth_of = {r.word: r.label for r in gold}
         calls = []
 
-        def h_factory(train_records, known_classes, seed):
-            labels = known_classes[::-1]  # columns need not follow known
+        def h_factory(train_records):
+            labels = known(train_records)[::-1]  # columns need not follow known
 
             def model(words):
                 calls.append(list(words))

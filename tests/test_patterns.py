@@ -127,7 +127,7 @@ def blend(word, *components):
 class TestBlendSuffixes:
     def test_inherited_suffix_extraction(self):
         dist, skipped = blend_suffix_stats([blend("sextini", "sex", "martini")])
-        assert dist.entries == (("tini", 1.0),)
+        assert dist == [("tini", 1.0, 1.0)]
         assert skipped == 0
 
     def test_top_k_ranking(self):
@@ -137,15 +137,15 @@ class TestBlendSuffixes:
             blend("chillax", "chill", "relax"),
         ]
         dist, skipped = blend_suffix_stats(records, k=5)
-        assert dist.entries[0] == ("tini", pytest.approx(2 / 3))
+        assert dist[0] == ("tini", pytest.approx(2 / 3), pytest.approx(2 / 3))
         assert skipped == 0
-        assert dist.covered_mass_at_k[2] == pytest.approx(1.0)
+        assert dist[1][2] == pytest.approx(1.0)
 
     def test_records_without_components_are_skipped(self):
         records = [blend("smog", "smoke", "fog"), blend("orphan")]
         dist, skipped = blend_suffix_stats(records)
         assert skipped == 1
-        assert dist.entries == (("og", 1.0),)
+        assert dist == [("og", 1.0, 1.0)]
 
     def test_no_shared_suffix_is_skipped(self):
         records = [blend("smog", "smoke", "fog"),
