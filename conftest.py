@@ -7,6 +7,8 @@ empty in each test and nothing is written under the user's home."""
 import pytest
 from hypothesis import settings
 
+pytest_plugins = ["pytester"]  # tests/test_config.py runs inner sessions
+
 settings.register_profile("slanglex", derandomize=True, deadline=None)
 settings.load_profile("slanglex")
 

@@ -72,10 +72,8 @@ from .slangclass.logreg import (
 from .slangclass.openset import (
     LabelSampler,
     ScoreType,
-    argmax_label,
-    confidence_score,
     cross_class_validate,
-    predict_with_reject,
+    judge_rows,
 )
 from .slangclass.patterns import (
     blend_suffix_stats,
@@ -397,7 +395,7 @@ def run_classes_train(gold_path, out_path, kind, segmenter, seed,
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         save_classifier(model, out_path)
     probs = predict_proba_batch(model, [r.word for r in split.test], segmenter)
-    preds = [argmax_label(dict(zip(model.classes, p))) for p in probs.tolist()]
+    preds = judge_rows(model.classes, probs)[0]
     f1 = weighted_f1([r.label for r in split.test], preds)
     return ({"features": kind.value, "train": len(split.train),
              "test": len(split.test), "vocab": len(model.vocab.features),
@@ -433,14 +431,10 @@ def classes_predict(model_path, words_csv, in_path, delta, score_name,
         raise SlanglexError("no words to label")
     names = [str(c) for c in model.classes]
     probs = predict_proba_batch(model, words, segmenter)
-
-    def dist(row) -> dict:
-        return dict(zip(names, row.tolist()))
-
-    labels = predict_with_reject(names, dist, probs, delta, score)
-    rows = [[word, str(label), fnum(confidence_score(dist(row), score)),
-             *map(fnum, row.tolist())]
-            for word, label, row in zip(words, labels, probs)]
+    labels, scores = judge_rows(names, probs, score, delta)
+    rows = [[word, str(label), fnum(value), *map(fnum, row)]
+            for word, label, value, row in zip(words, labels, scores,
+                                               probs.tolist())]
     fields = ["word", "prediction", "score"] + [f"p_{name}" for name in names]
     if out_path is not None:
         write_csv(out_path, fields, rows,
@@ -498,9 +492,10 @@ def run_classes_patterns(gold_path, out_dir, suffix_k, seed=None) -> dict:
         write("substitutions.csv", ["original", "replacement", "share"],
               [(a, b, fnum(share)) for a, row in subs.replacements.items()
                for b, share in row.items()])
-    write("blend_suffixes.csv", ["rank", "suffix", "share", "cumulative"],
-          [(rank, suffix, fnum(share), fnum(cumulative))
-           for rank, (suffix, share, cumulative) in enumerate(suffixes, 1)])
+    if suffixes:
+        write("blend_suffixes.csv", ["rank", "suffix", "share", "cumulative"],
+              [(rank, suffix, fnum(share), fnum(cumulative))
+               for rank, (suffix, share, cumulative) in enumerate(suffixes, 1)])
 
     return {"clippings": len(sourced),
             "clippings_unsourced": len(clips) - len(sourced),

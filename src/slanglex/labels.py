@@ -25,10 +25,7 @@ class SlangClass(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "SlangClass":
-        for member in cls:
-            if member.value.lower() == text.strip().lower():
-                return member
-        raise SchemaError(f"unknown slang class {text!r}", field="label")
+        return _parse(cls, text, "slang class", "label")
 
 
 class SubjectLabel(enum.Enum):
@@ -50,10 +47,22 @@ class SubjectLabel(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "SubjectLabel":
-        for member in cls:
-            if member.value.lower() == text.strip().lower():
-                return member
-        raise SchemaError(f"unknown subject label {text!r}", field="subjects")
+        return _parse(cls, text, "subject label", "subjects")
+
+
+# each label enum's members by lowercased value, built once
+_BY_NAME = {cls: {member.value.lower(): member for member in cls}
+            for cls in (SlangClass, SubjectLabel)}
+
+
+def _parse(cls, text: str, kind: str, field: str):
+    """The member of ``cls`` whose value is ``text``, ignoring case and
+    surrounding whitespace; any other text raises a SchemaError naming
+    ``field``."""
+    member = _BY_NAME[cls].get(text.strip().lower())
+    if member is None:
+        raise SchemaError(f"unknown {kind} {text!r}", field=field)
+    return member
 
 
 class _Rejected(enum.Enum):

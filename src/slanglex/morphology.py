@@ -56,9 +56,10 @@ def normalize_word(word: str) -> str:
 
 
 def letters(word: str) -> str:
-    """The letters a-z of the normalized word; every other character is
-    dropped."""
-    return re.sub(r"[^a-z]", "", normalize_word(word))
+    """The ASCII letters (``A``-``Z``, ``a``-``z``) of the word, lowercased;
+    every other character is dropped, also one whose lowercase is an ASCII
+    letter (the Kelvin sign, dotted capital I)."""
+    return re.sub(r"[^A-Za-z]", "", word).lower()
 
 
 def character_bits(morph: str, alphabet_size: int) -> float:

@@ -191,8 +191,9 @@ def load_bundled_fallback_rules() -> FallbackRules:
 
 
 def has_letter(word: str) -> bool:
-    """Whether the word has an ASCII letter, which `to_phonemes` needs."""
-    return re.search(r"[A-Za-z]", word) is not None
+    """Whether the word has a letter by `letters`, which `to_phonemes`
+    needs: morphology segments exactly the words phonology converts."""
+    return bool(letters(word))
 
 
 def to_phonemes(word: str, table: PronouncingTable,

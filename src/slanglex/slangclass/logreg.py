@@ -15,11 +15,13 @@ tolerance (``tol``), no step along the direction lowered the loss
 (``stalled``), or the iteration cap was hit (``max_iter``).
 
 Words are scored by one function, `predict_proba_batch`; `predict_proba`
-is its one-word call. It takes each block's features as one matrix but
-computes each word's scores as its own matrix-vector product,
-``weights @ append(x, 1)``: a matrix-matrix product sums in another order
-and can differ in the last bit, and the reports print these
-probabilities.
+is its one-word call. It takes each block's features as one matrix and
+scores the block with one stacked product, ``matmul(weights, x[:, :, None])``.
+That is not a matrix-matrix product, which would sum in another order and
+can differ in the last bit (the reports print these probabilities): numpy
+runs a stack of matrix-vector products as one BLAS gemv per word, the
+same call that ``weights @ append(x, 1)`` makes for a single word, so each
+word's scores keep the bits of its own product.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .features import FeatureVocabulary, NgramKind, count_matrix, feature_matrix
 _MODEL_FORMAT_VERSION = 1
 _LBFGS_MEMORY = 10  # curvature pairs kept
 _SCORE_BLOCK = 256  # words per feature matrix, which bounds its memory
-_BIAS_INPUT = np.ones(1)
 
 
 @dataclass(frozen=True)
@@ -186,11 +187,9 @@ def predict_proba_batch(model: ClassifierModel, words: Sequence[str],
     words, in ``model.classes`` order; unknown features are ignored."""
     probs = np.empty((len(words), len(model.classes)))
     for start in range(0, len(words), _SCORE_BLOCK):
-        x = feature_matrix(model.vocab, words[start:start + _SCORE_BLOCK],
-                           segmenter)
-        # np.append(row, 1.0), without its argument conversions
-        scores = np.array([model.weights @ np.concatenate((row, _BIAS_INPUT))
-                           for row in x])
+        x = _with_bias(feature_matrix(
+            model.vocab, words[start:start + _SCORE_BLOCK], segmenter))
+        scores = np.matmul(model.weights, x[:, :, None])[:, :, 0]
         probs[start:start + len(x)] = _softmax_rows(scores)
     return probs
 

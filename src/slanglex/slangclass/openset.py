@@ -1,10 +1,21 @@
 """Open-set prediction: confidence thresholding with a Rejected outcome.
 
 A probability model here is any callable mapping an instance to a
-distribution over known labels. Scoring follows the reject rule: take the
-argmax label, then reject the instance when the confidence score is <= the
-threshold (boundary inclusive). It serves the slang formation classes;
-subjects are closed-set and use only `argmax_label`.
+distribution over known labels. One rule, `judge_rows`, labels a matrix of
+probability rows whose columns stand for the given labels:
+
+- the prediction is the argmax column; ties go to the label whose `str`
+  is smallest, whatever the column order;
+- the confidence score is MaxProb, the highest probability, or
+  NegEntropy, sum p*ln(p) in nats over the positive probabilities, added
+  up in column order with `math.log` (numpy's vectorised log can differ
+  from it in the last bit);
+- the instance is rejected when its score is <= the threshold ``delta``
+  (boundary inclusive); a NaN ``delta`` is refused.
+
+`argmax_label`, `confidence_score` and `predict_with_reject` are its uses
+on one distribution at a time. It serves the slang formation classes;
+the subject vote is closed-set and takes the argmax alone.
 """
 
 from __future__ import annotations
@@ -14,6 +25,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Hashable, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 from ..corpus import GoldClassRecord, split_gold
 from ..errors import AnalysisError
@@ -29,45 +42,65 @@ class ScoreType(Enum):
     NEG_ENTROPY = "negentropy"
 
 
+def judge_rows(labels: Sequence[Label], probs,
+               score: ScoreType = ScoreType.MAX_PROB,
+               delta: float = -math.inf) -> tuple[list, list[float]]:
+    """Each row's prediction, a label or REJECTED, and its confidence
+    score, by the rule in the module docstring; ``probs`` holds one row
+    per instance, its columns in ``labels`` order. The default ``delta``
+    rejects nothing, which leaves the argmax."""
+    if math.isnan(delta):
+        raise AnalysisError("rejection threshold must not be NaN")
+    if not labels:
+        raise AnalysisError("empty distribution")
+    probs = np.asarray(probs, dtype=float)
+    if probs.shape == (0,):  # no rows
+        probs = probs.reshape(0, len(labels))
+    if probs.shape[1:] != (len(labels),):
+        raise AnalysisError(f"probability rows of shape {probs.shape[1:]} "
+                            f"for {len(labels)} labels")
+    order = sorted(range(len(labels)), key=lambda j: str(labels[j]))
+    best = np.asarray(order)[np.argmax(probs[:, order], axis=1)]
+    if score is ScoreType.MAX_PROB:
+        scores = probs.max(axis=1).tolist()
+    else:
+        scores = [sum(p * math.log(p) for p in row if p > 0.0)
+                  for row in probs.tolist()]
+    return ([REJECTED if value <= delta else labels[j]
+             for j, value in zip(best.tolist(), scores)], scores)
+
+
+def _judge(distribution: Mapping[Label, float], score: ScoreType,
+           delta: float) -> tuple[Label, float]:
+    """`judge_rows` on one distribution."""
+    predictions, scores = judge_rows(list(distribution),
+                                     [list(distribution.values())],
+                                     score, delta)
+    return predictions[0], scores[0]
+
+
 def confidence_score(distribution: Mapping[Label, float],
                      score: ScoreType) -> float:
     """MaxProb = highest probability; NegEntropy = sum p*ln(p) in nats."""
-    probs = list(distribution.values())
-    if not probs:
-        raise AnalysisError("empty distribution")
-    if score is ScoreType.MAX_PROB:
-        return max(probs)
-    return sum(p * math.log(p) for p in probs if p > 0.0)
+    return _judge(distribution, score, -math.inf)[1]
 
 
 def argmax_label(distribution: Mapping[Label, float]) -> Label:
     """Highest-probability label; ties go to the lexically smallest label."""
-    best = None
-    best_p = -1.0
-    for label in sorted(distribution, key=str):
-        p = distribution[label]
-        if p > best_p:
-            best, best_p = label, p
-    return best
+    return _judge(distribution, ScoreType.MAX_PROB, -math.inf)[0]
 
 
 def predict_with_reject(classes: Sequence[Label], model: ProbabilityModel,
                         instances: Sequence, delta: float,
                         score: ScoreType) -> list:
     """Label each instance, replacing low-confidence answers with REJECTED."""
-    if math.isnan(delta):
-        raise AnalysisError("rejection threshold must not be NaN")
     known = set(classes)
     out = []
     for instance in instances:
         dist = model(instance)
         if set(dist) - known:
             raise AnalysisError("model produced labels outside the known set")
-        label = argmax_label(dist)
-        if confidence_score(dist, score) <= delta:
-            out.append(REJECTED)
-        else:
-            out.append(label)
+        out.append(_judge(dist, score, delta)[0])
     return out
 
 
@@ -125,8 +158,9 @@ def cross_class_validate(gold: Sequence[GoldClassRecord],
         known = [c for c in classes if c != held]
         model = fit([r for r in split.train if r.label != held])
         labels, rows = model([r.word for r in split.test])
-        predictions = predict_with_reject(
-            known, lambda row: dict(zip(labels, row)), rows, delta, score)
+        if set(labels) - set(known):
+            raise AnalysisError("model produced labels outside the known set")
+        predictions = judge_rows(labels, rows, score, delta)[0]
         truth = [REJECTED if r.label == held else r.label for r in split.test]
         fold_f1[held] = weighted_f1(truth, predictions)
     mean = sum(fold_f1.values()) / len(fold_f1)

@@ -128,7 +128,8 @@ def blend_suffix_stats(blends: Sequence[GoldClassRecord], k: int = 5
 
     The suffix is the longest common suffix of the blend and its last
     component. Records without components, or with no shared suffix, are
-    skipped; the skip count is returned alongside the shares.
+    skipped; the skip count is returned alongside the shares, which are
+    empty when every record is skipped.
     """
     counts: dict[str, int] = {}
     for record in blends:
@@ -138,10 +139,7 @@ def blend_suffix_stats(blends: Sequence[GoldClassRecord], k: int = 5
             if suffix:
                 counts[suffix] = counts.get(suffix, 0) + 1
     used = sum(counts.values())
-    shares = ranked_shares(counts, used, k)
-    if not shares:
-        raise AnalysisError("no blend records with usable components")
-    return shares, len(blends) - used
+    return ranked_shares(counts, used, k), len(blends) - used
 
 
 def _common_suffix(a: str, b: str) -> str:

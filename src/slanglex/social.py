@@ -25,7 +25,6 @@ import itertools
 import math
 import random
 import re
-from collections import Counter
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -36,7 +35,7 @@ from .corpus import read_records
 from .embeddings import EmbeddingTable, cosines, subject_token
 from .errors import AnalysisError, SchemaError
 from .labels import SubjectLabel
-from .slangclass.openset import argmax_label
+from .slangclass.openset import judge_rows
 from .stats import (ClassMetrics, ConfusionMatrix, confusion_and_report,
                     weighted_f1)
 
@@ -99,12 +98,15 @@ def knn_predict(model: KnnModel, rows: np.ndarray) -> list[SubjectLabel]:
         raise AnalysisError(f"vector dimension {rows.shape[1:]} does not "
                             f"match reference {model.matrix.shape[1]}")
     k = min(model.k, len(model.reference))
+    subjects = sorted(set(model.labels), key=str)
+    codes = np.array([subjects.index(label) for label in model.labels])
     preds = []
     for start in range(0, len(rows), KNN_BLOCK):
         sims = cosines(rows[start:start + KNN_BLOCK], model.matrix)
-        # a vote is the same in any order of the k nearest
-        preds += [argmax_label(Counter(model.labels[i] for i in row))
-                  for row in _nearest(sims, k).tolist()]
+        # each row's votes per subject, the same in any order of the k nearest
+        votes = codes[_nearest(sims, k)]
+        counts = (votes[:, :, None] == np.arange(len(subjects))).sum(axis=1)
+        preds += judge_rows(subjects, counts)[0]
     return preds
 
 

@@ -653,6 +653,19 @@ class TestClasses:
         assert {(r["original"], r["replacement"]) for r in subs} == {("i", "o")}
 
 
+    def test_patterns_blends_without_components(self, runner, tmp_path):
+        # GOLD_CSV's blends carry no components: the class is counted as
+        # skipped and its report left out, as substitutions.csv is
+        _, _, gold = write_inputs(tmp_path)
+        out = tmp_path / "pat"
+        result = runner.invoke(main, [
+            "classes", "patterns", "--gold", str(gold), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "blends=8 blends_skipped=8" in result.output
+        assert not (out / "blend_suffixes.csv").exists()
+        assert {r["type"] for r in read_report(out / "reduplicative_types.csv")} \
+            == {"DUP"}
+
 class TestBiasSexprej:
     def test_quoted_name_parsed_once(self, runner, tmp_path):
         vectors = tmp_path / "v.txt"

@@ -220,3 +220,20 @@ class TestGoldClassCsv:
         path.write_text("justaword\n", encoding="utf-8")
         with pytest.raises(SchemaError):
             load_gold_classes(path)
+
+
+class TestLabelParse:
+    @pytest.mark.parametrize("enum_cls", [SlangClass, SubjectLabel])
+    def test_every_member_ignoring_case_and_space(self, enum_cls):
+        for member in enum_cls:
+            for text in (member.value, member.value.upper(),
+                         f"  {member.value.lower()}\t"):
+                assert enum_cls.parse(text) is member
+
+    @pytest.mark.parametrize("enum_cls, message, field", [
+        (SlangClass, "unknown slang class 'Acronym'", "label"),
+        (SubjectLabel, "unknown subject label 'Acronym'", "subjects")])
+    def test_unknown_label(self, enum_cls, message, field):
+        with pytest.raises(SchemaError, match=message) as info:
+            enum_cls.parse("Acronym")
+        assert info.value.field == field

@@ -2,7 +2,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from slanglex.corpus import GoldClassRecord, split_gold
 from slanglex.errors import AnalysisError
@@ -13,6 +16,7 @@ from slanglex.slangclass.openset import (
     argmax_label,
     confidence_score,
     cross_class_validate,
+    judge_rows,
     predict_with_reject,
 )
 
@@ -114,6 +118,84 @@ class TestRejectRule:
         with pytest.raises(AnalysisError):
             predict_with_reject(["A"], fixed_model({"A": 1.0}), ["w"],
                                 delta=float("nan"), score=ScoreType.MAX_PROB)
+
+
+def row_oracle(labels, row, score, delta):
+    """One row by the rule written out: the first of the highest values in
+    `str` label order, its score summed in column order, rejected when the
+    score is <= delta."""
+    best, best_p = None, -1.0
+    for j in sorted(range(len(labels)), key=lambda j: str(labels[j])):
+        if row[j] > best_p:
+            best, best_p = labels[j], row[j]
+    if score is ScoreType.MAX_PROB:
+        value = max(row)
+    else:
+        value = 0.0
+        for p in row:
+            if p > 0.0:
+                value += p * math.log(p)
+    return (REJECTED if value <= delta else best), value
+
+
+# exact ties come from the small pool; labels are drawn in any order
+PROBS = st.one_of(st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]),
+                  st.floats(0.0, 1.0))
+
+
+@st.composite
+def judge_cases(draw):
+    labels = draw(st.lists(st.text("abAB_", min_size=1, max_size=3),
+                           min_size=1, max_size=6, unique=True))
+    rows = draw(st.lists(st.lists(PROBS, min_size=len(labels),
+                                  max_size=len(labels)), max_size=6))
+    score = draw(st.sampled_from(ScoreType))
+    own = [row_oracle(labels, row, score, -math.inf)[1] for row in rows]
+    deltas = st.floats(-3.0, 1.0)
+    delta = draw(st.one_of(st.sampled_from(own), deltas) if own else deltas)
+    return labels, rows, score, delta
+
+
+class TestJudgeRows:
+    @given(judge_cases())
+    # a tie in columns not in str order, then delta at a row's own score
+    @example((["b", "a"], [[0.5, 0.5]], ScoreType.MAX_PROB, 0.25))
+    @example((["b", "a"], [[0.5, 0.5]], ScoreType.MAX_PROB, 0.5))
+    @example((["B", "a", "A"], [[0.25, 0.5, 0.25], [0.5, 0.0, 0.5]],
+              ScoreType.NEG_ENTROPY, -math.log(2)))
+    def test_equals_argmax_score_and_inclusive_reject(self, case):
+        labels, rows, score, delta = case
+        expected = [row_oracle(labels, row, score, delta) for row in rows]
+        for probs in (rows, np.array(rows).reshape(len(rows), len(labels))):
+            predictions, scores = judge_rows(labels, probs, score, delta)
+            assert predictions == [label for label, _ in expected]
+            assert scores == [value for _, value in expected]
+        for row, (label, value) in zip(rows, expected):
+            dist = dict(zip(labels, row))
+            assert argmax_label(dist) == row_oracle(labels, row, score,
+                                                    -math.inf)[0]
+            assert confidence_score(dist, score) == value
+            assert predict_with_reject(labels, lambda _: dist, ["w"], delta,
+                                       score) == [label]
+
+    def test_tie_goes_to_smallest_str_label_in_any_column_order(self):
+        labels = [SlangClass.CLIPPING, SlangClass.BLEND, SlangClass.ALPHABETISM]
+        predictions, scores = judge_rows(labels, [[0.4, 0.4, 0.2],
+                                                  [0.3, 0.35, 0.35]])
+        assert predictions == [SlangClass.BLEND, SlangClass.ALPHABETISM]
+        assert scores == [0.4, 0.35]
+
+    def test_nan_delta_refused(self):
+        for rows in ([[1.0]], []):
+            with pytest.raises(AnalysisError, match="NaN"):
+                judge_rows(["A"], rows, ScoreType.NEG_ENTROPY, float("nan"))
+
+    def test_shape_refused(self):
+        with pytest.raises(AnalysisError, match="empty distribution"):
+            judge_rows([], [[]])
+        with pytest.raises(AnalysisError, match="for 2 labels"):
+            judge_rows(["A", "B"], [[0.2, 0.3, 0.5]])
+        assert judge_rows(["A", "B"], []) == ([], [])
 
 
 class TestBaseline:

@@ -153,9 +153,9 @@ class TestBlendSuffixes:
         _, skipped = blend_suffix_stats(records)
         assert skipped == 1
 
-    def test_all_unusable_rejected(self):
-        with pytest.raises(AnalysisError):
-            blend_suffix_stats([blend("orphan")])
+    def test_all_unusable_counted(self):
+        assert blend_suffix_stats([blend("orphan"),
+                                   blend("brunch", "breakfast", "xyz")]) == ([], 2)
 
     def test_bad_k_rejected(self):
         with pytest.raises(AnalysisError):

@@ -4,9 +4,14 @@ Expected sequences were derived by hand: table entries transcribed from
 the bundled pronouncing table, fallback outputs worked through the
 longest-match rule pass on paper.
 """
+import string
+
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from slanglex.errors import AnalysisError, SchemaError
+from slanglex.morphology import letters
 from slanglex.phonology import (
     ConversionSource,
     FallbackRules,
@@ -14,6 +19,7 @@ from slanglex.phonology import (
     MANNER_BY_SYMBOL,
     PronouncingTable,
     WordPosition,
+    has_letter,
     load_bundled_fallback_rules,
     load_bundled_pronouncing_table,
     manner_of,
@@ -117,6 +123,30 @@ class TestConversion:
     def test_non_alphabetic_rejected(self, table, rules):
         with pytest.raises(AnalysisError):
             to_phonemes("1234", table, rules)
+
+
+class TestLetters:
+    """One rule for what a letter is: `letters` keeps the raw word's ASCII
+    letters and lowercases them; `has_letter` is whether it keeps any."""
+
+    @pytest.mark.parametrize("char", ["\u212a", "\u0130"])
+    def test_lowercase_ascii_lookalike_is_not_a_letter(self, char):
+        # the Kelvin sign lowercases to "k", dotted capital I to "i" + U+0307
+        assert letters(char) == ""
+        assert not has_letter(char)
+        assert letters(f"o{char}") == "o"
+
+    def test_ascii_letters_lowercased(self):
+        assert letters("Lol-Cat 420!") == "lolcat"
+        assert has_letter("x") and not has_letter("420")
+
+    @given(st.text())
+    @example("\u212aelvin")
+    @example("\u0130stanbul")
+    def test_letters_and_has_letter_agree(self, text):
+        ascii_letters = [c for c in text if c in string.ascii_letters]
+        assert letters(text) == "".join(ascii_letters).lower()
+        assert has_letter(text) == bool(letters(text)) == bool(ascii_letters)
 
 
 class TestPronouncingTableFile:
