@@ -455,8 +455,7 @@ def run_classes_eval(gold_path, delta, score_name, seed, test_fraction,
 
     def train(records):
         model = _fit_classifier(gold_path, records, NgramKind.CHAR, None, **fit)
-        return lambda words: (model.classes,
-                              predict_proba_batch(model, words).tolist())
+        return lambda words: (model.classes, predict_proba_batch(model, words))
 
     report = cross_class_validate(load(load_gold_classes, gold_path), train, delta,
                                   score, seed, test_fraction=test_fraction)
@@ -655,7 +654,6 @@ def _compare_classifiers(gold_path, out: Path, segmenter, seed) -> dict:
     return {f"{model}_f1": value for model, value in f1.items()}
 
 
-@sharing()
 def run_pipeline(slang_path, standard_path, gold_path, lexicons_dir,
                  names_path, out_dir, seed, min_votes, delta, score_name, k,
                  echo=click.echo, **sgns) -> None:

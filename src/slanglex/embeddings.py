@@ -322,8 +322,12 @@ def _window_pairs(tokens: np.ndarray, sentence_ids: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(center, context) ids for every position, centers in corpus order
     and each center's contexts left to right; position i pairs with the
-    positions within reach[i] of it in the same sentence."""
-    offsets = np.r_[np.arange(-window, 0), np.arange(1, window + 1)]
+    positions within reach[i] of it in the same sentence. No two positions
+    of a sentence lie further apart than its length less one, so the
+    offsets stop there: the offset matrix is bounded by the longest
+    sentence, not by ``window``."""
+    span = min(window, np.bincount(sentence_ids).max(initial=1) - 1)
+    offsets = np.r_[np.arange(-span, 0), np.arange(1, span + 1)]
     positions = np.arange(len(tokens))[:, None] + offsets
     inside = (positions >= 0) & (positions < len(tokens))
     positions = np.where(inside, positions, 0)

@@ -14,9 +14,9 @@ reasons, recorded on the model: the gradient max-norm reached the
 tolerance (``tol``), no step along the direction lowered the loss
 (``stalled``), or the iteration cap was hit (``max_iter``).
 
-Words are scored by one function, `predict_proba_batch`; `predict_proba`
-is its one-word call. It takes each block's features as one matrix and
-scores the block with one stacked product, ``matmul(weights, x[:, :, None])``.
+Words are scored by one function, `predict_proba_batch`, one word or many
+alike. It takes each block's features as one matrix and scores the block
+with one stacked product, ``matmul(weights, x[:, :, None])``.
 That is not a matrix-matrix product, which would sum in another order and
 can differ in the last bit (the reports print these probabilities): numpy
 runs a stack of matrix-vector products as one BLAS gemv per word, the
@@ -192,14 +192,6 @@ def predict_proba_batch(model: ClassifierModel, words: Sequence[str],
         scores = np.matmul(model.weights, x[:, :, None])[:, :, 0]
         probs[start:start + len(x)] = _softmax_rows(scores)
     return probs
-
-
-def predict_proba(model: ClassifierModel, word: str,
-                  segmenter: SegmenterModel | None = None
-                  ) -> dict[SlangClass, float]:
-    """Class distribution for one word."""
-    probs = predict_proba_batch(model, [word], segmenter)[0]
-    return dict(zip(model.classes, probs.tolist()))
 
 
 def save_classifier(model: ClassifierModel, path) -> None:

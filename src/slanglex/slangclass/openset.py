@@ -1,8 +1,7 @@
 """Open-set prediction: confidence thresholding with a Rejected outcome.
 
-A probability model here is any callable mapping an instance to a
-distribution over known labels. One rule, `judge_rows`, labels a matrix of
-probability rows whose columns stand for the given labels:
+One rule, `judge_rows`, labels a matrix of probability rows whose columns
+stand for the given labels:
 
 - the prediction is the argmax column; ties go to the label whose `str`
   is smallest, whatever the column order;
@@ -13,9 +12,8 @@ probability rows whose columns stand for the given labels:
 - the instance is rejected when its score is <= the threshold ``delta``
   (boundary inclusive); a NaN ``delta`` is refused.
 
-`argmax_label`, `confidence_score` and `predict_with_reject` are its uses
-on one distribution at a time. It serves the slang formation classes;
-the subject vote is closed-set and takes the argmax alone.
+It serves the slang formation classes, one row per word or a whole batch
+at once; the subject vote is closed-set and takes the argmax alone.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 
@@ -34,7 +32,6 @@ from ..labels import REJECTED, SlangClass
 from ..stats import weighted_f1
 
 Label = TypeVar("Label", bound=Hashable)
-ProbabilityModel = Callable[[object], Mapping[Label, float]]
 
 
 class ScoreType(Enum):
@@ -68,40 +65,6 @@ def judge_rows(labels: Sequence[Label], probs,
                   for row in probs.tolist()]
     return ([REJECTED if value <= delta else labels[j]
              for j, value in zip(best.tolist(), scores)], scores)
-
-
-def _judge(distribution: Mapping[Label, float], score: ScoreType,
-           delta: float) -> tuple[Label, float]:
-    """`judge_rows` on one distribution."""
-    predictions, scores = judge_rows(list(distribution),
-                                     [list(distribution.values())],
-                                     score, delta)
-    return predictions[0], scores[0]
-
-
-def confidence_score(distribution: Mapping[Label, float],
-                     score: ScoreType) -> float:
-    """MaxProb = highest probability; NegEntropy = sum p*ln(p) in nats."""
-    return _judge(distribution, score, -math.inf)[1]
-
-
-def argmax_label(distribution: Mapping[Label, float]) -> Label:
-    """Highest-probability label; ties go to the lexically smallest label."""
-    return _judge(distribution, ScoreType.MAX_PROB, -math.inf)[0]
-
-
-def predict_with_reject(classes: Sequence[Label], model: ProbabilityModel,
-                        instances: Sequence, delta: float,
-                        score: ScoreType) -> list:
-    """Label each instance, replacing low-confidence answers with REJECTED."""
-    known = set(classes)
-    out = []
-    for instance in instances:
-        dist = model(instance)
-        if set(dist) - known:
-            raise AnalysisError("model produced labels outside the known set")
-        out.append(_judge(dist, score, delta)[0])
-    return out
 
 
 class LabelSampler:

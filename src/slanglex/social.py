@@ -44,12 +44,19 @@ def lookup(embedding: EmbeddingTable, words: Sequence[str]
            ) -> tuple[list[bool], np.ndarray]:
     """The one rule from lexicon words to vectors: a word's token is its
     subject_token, and the word has a vector when that token is in the
-    vocabulary. Returns which words have one, and those vectors stacked in
-    word order."""
+    vocabulary and its row is not all zeros (a zero vector has no cosine,
+    so it counts as missing). Returns which words have one, and those
+    vectors stacked in word order."""
     tokens = [subject_token(word) for word in words]
     found = [token in embedding for token in tokens]
     rows = [embedding.vector(t) for t, ok in zip(tokens, found) if ok]
-    return found, np.array(rows).reshape(len(rows), embedding.dimension)
+    rows = np.array(rows).reshape(len(rows), embedding.dimension)
+    nonzero = rows.any(axis=1)
+    if not nonzero.all():
+        kept = iter(nonzero.tolist())
+        found = [ok and next(kept) for ok in found]
+        rows = rows[nonzero]
+    return found, rows
 
 
 KNN_BLOCK = 256  # queries per kernel call in knn_predict

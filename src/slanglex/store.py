@@ -1,13 +1,14 @@
 """Objects shared within one command run.
 
-One rule: a command run parses each input once. Every subcommand runs
-inside a `sharing()` block (``run_pipeline`` opens one of its own too),
-and the stages are the subcommands' own functions, whose parameters are
-exactly their command-line options, so the store is not passed to them:
-it exists for the extent of the block and is gone when the block returns
-or raises. Inside it, `load(fn, path, *args)` gives every caller the
-object that ``fn(path, *args)`` returned the first time, keyed by the
-resolved path (``a/./b`` and ``a/b`` are one key), ``fn`` and ``args``.
+One rule: a command run parses each input once. Every subcommand,
+``pipeline`` included, runs inside one `sharing()` block, opened by
+`cli.command`, and the pipeline's stages are the subcommands' own
+functions, whose parameters are exactly their command-line options, so
+the store is not passed to them: it exists for the extent of the block
+and is gone when the block returns or raises. Inside it,
+`load(fn, path, *args)` gives every caller the object that
+``fn(path, *args)`` returned the first time, keyed by the resolved path
+(``a/./b`` and ``a/b`` are one key), ``fn`` and ``args``.
 `forget(path)` drops every object derived from a path that the run has
 just rewritten, so the next `load` reads the new file.
 Outside a block `load` calls ``fn`` and keeps nothing.
@@ -33,7 +34,7 @@ _objects: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def sharing():
-    """A fresh store for the block (or the decorated function)."""
+    """A fresh store for the block."""
     token = _objects.set({})
     try:
         yield

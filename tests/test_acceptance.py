@@ -40,14 +40,12 @@ from slanglex.slangclass.features import (
     extract_morpheme_ngrams,
     fit_vocabulary,
 )
-from slanglex.slangclass.logreg import loss_and_gradient, predict_proba, train_logreg
-from slanglex.slangclass.openset import (
-    LabelSampler,
-    ScoreType,
-    argmax_label,
-    confidence_score,
-    predict_with_reject,
+from slanglex.slangclass.logreg import (
+    loss_and_gradient,
+    predict_proba_batch,
+    train_logreg,
 )
+from slanglex.slangclass.openset import LabelSampler, ScoreType, judge_rows
 from slanglex.slangclass.patterns import (
     ClippingType,
     ReduplicativeType,
@@ -177,12 +175,12 @@ def test_c3_open_set_contract(capsys):
             k = rng.randint(2, 6)
             raw = [rng.random() + 1e-9 for _ in range(k)]
             total = sum(raw)
-            dist = {letters[i]: raw[i] / total for i in range(k)}
+            row = [raw[i] / total for i in range(k)]
             classes = letters[:k]
-            model = lambda _w, d=dist: d
-            top = argmax_label(dist)
+            # the argmax written out: ties go to the smallest label
+            top = min(c for c, p in zip(classes, row) if p == max(row))
             for score in (ScoreType.MAX_PROB, ScoreType.NEG_ENTROPY):
-                value = confidence_score(dist, score)
+                value = judge_rows(classes, [row], score)[1][0]
                 if score is ScoreType.MAX_PROB:
                     floor = 1.0 / k
                     grid = sorted(rng.uniform(0.0, 1.0) for _ in range(6))
@@ -191,19 +189,17 @@ def test_c3_open_set_contract(capsys):
                     grid = sorted(rng.uniform(floor - 0.5, 0.0)
                                   for _ in range(6))
                 # nothing may be rejected below the attainable minimum
-                out = predict_with_reject(classes, model, ["w"],
-                                          floor - 1e-9, score)[0]
+                out = judge_rows(classes, [row], score, floor - 1e-9)[0][0]
                 if out is REJECTED or out != top:
                     violations += 1
                 # the boundary itself rejects
-                at = predict_with_reject(classes, model, ["w"], value, score)[0]
+                at = judge_rows(classes, [row], score, value)[0][0]
                 if at is not REJECTED:
                     violations += 1
                 # rejection is monotone in delta; accepted labels are argmax
                 rejected_flags = []
                 for delta in grid:
-                    result = predict_with_reject(classes, model, ["w"],
-                                                 delta, score)[0]
+                    result = judge_rows(classes, [row], score, delta)[0][0]
                     rejected_flags.append(result is REJECTED)
                     if result is not REJECTED and result != top:
                         violations += 1
@@ -280,8 +276,9 @@ def test_c4_synthetic_gold_classifier(capsys):
                                     n_min=1, n_max=3)
         char_model = train_logreg(char_maps, train_labels, char_vocab,
                                   l2=0.5, max_epochs=400)
-        char_pred = [argmax_label(predict_proba(char_model, r.word))
-                     for r in split.test]
+        test_words = [r.word for r in split.test]
+        char_pred = judge_rows(char_model.classes,
+                               predict_proba_batch(char_model, test_words))[0]
         f1_char = weighted_f1(truth, char_pred)
 
         segmenter = train_segmenter(sorted(set(train_words)), seed=0)
@@ -291,9 +288,8 @@ def test_c4_synthetic_gold_classifier(capsys):
                                      n_min=1, n_max=2)
         morph_model = train_logreg(morph_maps, train_labels, morph_vocab,
                                    l2=0.5, max_epochs=400)
-        morph_pred = [argmax_label(predict_proba(morph_model, r.word,
-                                                 segmenter=segmenter))
-                      for r in split.test]
+        morph_pred = judge_rows(morph_model.classes, predict_proba_batch(
+            morph_model, test_words, segmenter))[0]
         f1_morph = weighted_f1(truth, morph_pred)
 
         baseline_pred = LabelSampler(train_labels, seed=0).draw(len(truth))

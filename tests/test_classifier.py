@@ -25,7 +25,7 @@ from slanglex.slangclass.logreg import (
     ClassifierModel,
     load_classifier,
     loss_and_gradient,
-    predict_proba,
+    predict_proba_batch,
     save_classifier,
     train_logreg,
 )
@@ -111,15 +111,14 @@ class TestTraining:
         words, labels, maps, vocab = toy_dataset()
         model = train_logreg(maps, labels, vocab, l2=0.01)
         for word, label in zip(words, labels):
-            probs = predict_proba(model, word)
-            assert max(probs, key=probs.get) is label
+            probs = predict_proba_batch(model, [word])[0]
+            assert model.classes[int(np.argmax(probs))] is label
 
     def test_zero_epochs_predict_uniform(self):
         _, labels, maps, vocab = toy_dataset()
         model = train_logreg(maps, labels, vocab, max_epochs=0)
         assert (model.stop, model.iterations) == ("max_iter", 0)
-        probs = predict_proba(model, "aaaa")
-        for p in probs.values():
+        for p in predict_proba_batch(model, ["aaaa"])[0]:
             assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_uniform_quarter_with_four_classes(self):
@@ -129,7 +128,7 @@ class TestTraining:
                   SlangClass.ALPHABETISM, SlangClass.REDUPLICATIVE] * 2
         vocab = fit_vocabulary(maps, NgramKind.CHAR, cap=50, n_min=1, n_max=2)
         model = train_logreg(maps, labels, vocab, max_epochs=0)
-        for p in predict_proba(model, "ab").values():
+        for p in predict_proba_batch(model, ["ab"])[0]:
             assert p == pytest.approx(0.25, abs=1e-12)
 
     def test_training_lowers_the_loss(self):
@@ -155,8 +154,8 @@ class TestTraining:
         assert model.stop in ("stalled", "max_iter")
         assert np.all(np.isfinite(model.weights))
         for word, label in zip(words, labels):
-            probs = predict_proba(model, word)
-            assert max(probs, key=probs.get) is label
+            probs = predict_proba_batch(model, [word])[0]
+            assert model.classes[int(np.argmax(probs))] is label
 
     def test_classes_sorted_by_name(self):
         _, labels, maps, vocab = toy_dataset()
@@ -223,13 +222,12 @@ class TestPrediction:
     def test_distribution_sums_to_one(self):
         _, labels, maps, vocab = toy_dataset()
         model = train_logreg(maps, labels, vocab)
-        assert sum(predict_proba(model, "abab").values()) == pytest.approx(1.0)
+        assert predict_proba_batch(model, ["abab"])[0].sum() == pytest.approx(1.0)
 
     def test_fully_unknown_word_uses_bias_only(self):
         _, labels, maps, vocab = toy_dataset()
         model = train_logreg(maps, labels, vocab, max_epochs=0)
-        probs = predict_proba(model, "zzzz")
-        for p in probs.values():
+        for p in predict_proba_batch(model, ["zzzz"])[0]:
             assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_morpheme_vocab_requires_segmenter(self):
@@ -237,7 +235,7 @@ class TestPrediction:
         morph_vocab = fit_vocabulary(maps, NgramKind.MORPHEME, cap=50)
         model = train_logreg(maps, labels, morph_vocab)
         with pytest.raises(AnalysisError):
-            predict_proba(model, "aaaa", segmenter=None)
+            predict_proba_batch(model, ["aaaa"], segmenter=None)
 
 
 def npy_bytes(array):
@@ -259,7 +257,8 @@ class TestPersistence:
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.vocab.features == vocab.features
         for word in words:
-            assert predict_proba(loaded, word) == predict_proba(model, word)
+            assert np.array_equal(predict_proba_batch(loaded, [word])[0],
+                                  predict_proba_batch(model, [word])[0])
 
     def test_feature_ending_in_nul_refused_before_writing(self, tmp_path):
         # numpy string arrays drop trailing NULs: 'a\x00' would load as a

@@ -484,7 +484,8 @@ class TestClasses:
         assert [m.stop for m in models] == ["tol"] * 6
 
     def test_predictions_match_library(self, runner, tmp_path):
-        from slanglex.slangclass.logreg import load_classifier, predict_proba
+        from slanglex.slangclass.logreg import (load_classifier,
+                                                predict_proba_batch)
         _, _, gold = write_inputs(tmp_path)
         model_path = self.train(runner, tmp_path, gold)
         out = tmp_path / "preds.csv"
@@ -496,10 +497,10 @@ class TestClasses:
         rows = read_report(out)
         model = load_classifier(model_path)
         for row in rows:
-            dist = predict_proba(model, row["word"])
-            for cls, p in dist.items():
+            dist = predict_proba_batch(model, [row["word"]])[0]
+            for cls, p in zip(model.classes, dist):
                 assert row[f"p_{cls}"] == f"{p:.6f}"
-            assert sum(dist.values()) == pytest.approx(1.0)
+            assert dist.sum() == pytest.approx(1.0)
 
     def test_stdout_rows_are_quoted_csv(self, runner, tmp_path):
         _, _, gold = write_inputs(tmp_path)
@@ -728,6 +729,45 @@ class TestBiasMultiwordTerms:
         rows = read_report(tmp_path / "out" / "religious_bias_raw.csv")
         assert [r["religion"] for r in rows] == [
             "holy roller", "muslim", "christian"]
+
+
+class TestZeroVector:
+    def test_zero_row_is_missing_not_fatal(self, runner, tmp_path):
+        # a zero vector has no cosine, so its word is left out and counted
+        # like an out-of-vocabulary one
+        vectors = tmp_path / "v.txt"
+        values = {"he": "1 0 0", "she": "0 1 0", "king": "0 0 0",
+                "queen": "1 1 0", "doctor": "1 2 3", "nurse": "0 0 0",
+                "lawyer": "2 1 1", "slut": "0 0 0", "tramp": "1 0 2",
+                "anna": "1 1 1", "bella": "0 0 0", "cara": "2 1 0",
+                "carl": "1 0 1", "dave": "0 1 1", "ed": "1 2 0"}
+        vectors.write_text(f"{len(values)} 3\n" + "".join(
+            f"{t} {v}\n" for t, v in values.items()), encoding="utf-8")
+        lexicons = tmp_path / "lex"
+        lexicons.mkdir()
+        for name, text in (("prejudice_terms", "slut\ntramp\n"),
+                           ("religious_terms", "he\nshe\n"),
+                           ("trait_terms", "doctor\n"),
+                           ("occupations", "doctor\nnurse\nlawyer\n"),
+                           ("gender_pairs", "he,she\nking,queen\n")):
+            (lexicons / f"{name}.txt").write_text(text, encoding="utf-8")
+        names = tmp_path / "names.csv"
+        names.write_text("anna,female\nbella,female\ncara,female\n"
+                         "carl,male\ndave,male\ned,male\n", encoding="utf-8")
+        common = ["--vectors", str(vectors), "--lexicons", str(lexicons),
+                  "--out", str(tmp_path / "out")]
+        gender = runner.invoke(main, ["bias", "gender", *common])
+        assert gender.exit_code == 0, gender.output
+        assert "pairs_used=1 pairs_missing=1" in gender.output
+        assert "occupations_scored=2 occupations_missing=1" in gender.output
+        rows = read_report(tmp_path / "out" / "occupation_projections.csv")
+        assert sorted(r["occupation"] for r in rows) == ["doctor", "lawyer"]
+        sexprej = runner.invoke(main, ["bias", "sexprej", *common,
+                                       "--names", str(names)])
+        assert sexprej.exit_code == 0, sexprej.output
+        assert "female_n=2" in sexprej.output
+        assert "excluded_oov=1" in sexprej.output
+        assert "terms_present=1 terms_missing=1" in sexprej.output
 
 
 class TestEmbedDeterminism:

@@ -3,6 +3,8 @@ behavior, similarity queries, the text vector format and its cache."""
 import collections
 import math
 import os
+import tracemalloc
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from slanglex import embeddings
-from slanglex.corpus import LexiconEntry
+from slanglex.corpus import LexiconEntry, load_slang_lexicon
 from slanglex.embeddings import (
     EmbeddingTable,
     TrainingConfig,
@@ -290,6 +292,33 @@ def corpora(draw):
     cuts = draw(st.lists(st.integers(1, len(ids)), max_size=20))
     bounds = sorted({0, len(ids), *cuts})
     return [[f"w{i}" for i in ids[a:b]] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestWindowPairs:
+    def test_wide_window_pairs_within_sentences_in_bounded_memory(self):
+        # the fixture usage corpus's longest sentence is 17 tokens; offsets
+        # out to the window would take tokens x 6000 matrices (over 100 MB)
+        corpus = build_usage_corpus(load_slang_lexicon(
+            files("slanglex").joinpath("data", "fixtures", "slang.jsonl")))
+        vocab = {t: i for i, t in enumerate(sorted({t for s in corpus
+                                                     for t in s}))}
+        tokens = np.array([vocab[t] for s in corpus for t in s])
+        sentence_ids = np.repeat(np.arange(len(corpus)), list(map(len, corpus)))
+        reach = np.random.default_rng(0).integers(1, 3001, size=len(tokens))
+        tracemalloc.start()
+        try:
+            centers, contexts = _window_pairs(tokens, sentence_ids, reach, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        expected, start = [], 0
+        for sentence in corpus:
+            span = range(start, start + len(sentence))
+            expected += [(tokens[i], tokens[j]) for i in span for j in span
+                         if j != i and abs(j - i) <= reach[i]]
+            start += len(sentence)
+        assert list(zip(centers.tolist(), contexts.tolist())) == expected
 
 
 class TestTrainingOracle:

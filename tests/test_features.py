@@ -28,7 +28,6 @@ from slanglex.slangclass.features import (
 from slanglex.slangclass.logreg import (
     ClassifierModel,
     _softmax_rows,
-    predict_proba,
     predict_proba_batch,
 )
 
@@ -173,7 +172,7 @@ class TestBatchScoring:
         probs = predict_proba_batch(model, words)
         for word, row in zip(words, probs):
             assert row.tobytes() == _one_word_probs(model, word).tobytes()
-            assert list(predict_proba(model, word).values()) == row.tolist()
+            assert predict_proba_batch(model, [word])[0].tolist() == row.tolist()
 
     def test_rows_match_across_blocks(self):
         rng = np.random.default_rng(0)

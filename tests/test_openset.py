@@ -13,24 +13,21 @@ from slanglex.labels import REJECTED, SlangClass
 from slanglex.slangclass.openset import (
     LabelSampler,
     ScoreType,
-    argmax_label,
-    confidence_score,
     cross_class_validate,
     judge_rows,
-    predict_with_reject,
 )
 
 
 class TestScores:
     def test_maxprob(self):
-        assert confidence_score({"A": 0.7, "B": 0.3}, ScoreType.MAX_PROB) == 0.7
+        assert judge_rows(["A", "B"], [[0.7, 0.3]], ScoreType.MAX_PROB)[1] == [0.7]
 
     def test_negentropy_uniform_two(self):
-        value = confidence_score({"A": 0.5, "B": 0.5}, ScoreType.NEG_ENTROPY)
+        [value] = judge_rows(["A", "B"], [[0.5, 0.5]], ScoreType.NEG_ENTROPY)[1]
         assert value == pytest.approx(-math.log(2), abs=1e-12)
 
     def test_negentropy_degenerate_is_zero(self):
-        value = confidence_score({"A": 1.0, "B": 0.0}, ScoreType.NEG_ENTROPY)
+        [value] = judge_rows(["A", "B"], [[1.0, 0.0]], ScoreType.NEG_ENTROPY)[1]
         assert value == 0.0
 
     def test_negentropy_never_positive(self):
@@ -38,62 +35,55 @@ class TestScores:
         for _ in range(200):
             raw = [rng.random() for _ in range(4)]
             total = sum(raw)
-            dist = {i: p / total for i, p in enumerate(raw)}
-            assert confidence_score(dist, ScoreType.NEG_ENTROPY) <= 1e-12
+            row = [p / total for p in raw]
+            [value] = judge_rows(range(4), [row], ScoreType.NEG_ENTROPY)[1]
+            assert value <= 1e-12
 
     def test_empty_distribution_rejected(self):
         with pytest.raises(AnalysisError):
-            confidence_score({}, ScoreType.MAX_PROB)
+            judge_rows([], [[]], ScoreType.MAX_PROB)
 
 
 class TestArgmax:
     def test_plain(self):
-        assert argmax_label({"A": 0.2, "B": 0.8}) == "B"
+        assert judge_rows(["A", "B"], [[0.2, 0.8]])[0] == ["B"]
 
     def test_tie_takes_lexically_smallest(self):
-        assert argmax_label({"B": 0.5, "A": 0.5}) == "A"
-
-
-def fixed_model(dist):
-    return lambda instance: dist
+        assert judge_rows(["B", "A"], [[0.5, 0.5]])[0] == ["A"]
 
 
 class TestRejectRule:
     def test_boundary_is_inclusive(self):
         # uniform over 4: maxprob 0.25; delta 0.25 rejects (score <= delta)
-        dist = {c: 0.25 for c in "ABCD"}
-        out = predict_with_reject(list("ABCD"), fixed_model(dist), ["w"],
-                                  delta=0.25, score=ScoreType.MAX_PROB)
+        out = judge_rows(list("ABCD"), [[0.25] * 4], ScoreType.MAX_PROB,
+                         delta=0.25)[0]
         assert out == [REJECTED]
 
     def test_below_minimum_accepts_everything(self):
-        dist = {c: 0.25 for c in "ABCD"}
-        out = predict_with_reject(list("ABCD"), fixed_model(dist), ["w"],
-                                  delta=0.2, score=ScoreType.MAX_PROB)
+        out = judge_rows(list("ABCD"), [[0.25] * 4], ScoreType.MAX_PROB,
+                         delta=0.2)[0]
         assert out == ["A"]  # argmax tie resolves lexically
 
     def test_delta_one_rejects_everything(self):
-        out = predict_with_reject(
-            ["A", "B"], fixed_model({"A": 0.9, "B": 0.1}), ["w1", "w2"],
-            delta=1.0, score=ScoreType.MAX_PROB)
+        out = judge_rows(["A", "B"], [[0.9, 0.1]] * 2, ScoreType.MAX_PROB,
+                         delta=1.0)[0]
         assert out == [REJECTED, REJECTED]
 
     def test_rejection_monotone_in_delta(self):
         rng = random.Random(4)
         labels = ["A", "B", "C"]
         instances = list(range(50))
-        dists = {}
-        for i in instances:
+        rows = []
+        for _ in instances:
             raw = [rng.random() + 1e-9 for _ in labels]
             total = sum(raw)
-            dists[i] = dict(zip(labels, (p / total for p in raw)))
-        model = lambda i: dists[i]
+            rows.append([p / total for p in raw])
         for score in ScoreType:
             previous = set()
             grid = ([i / 20 for i in range(21)] if score is ScoreType.MAX_PROB
                     else [-3 + i * 0.15 for i in range(21)])
             for delta in grid:
-                out = predict_with_reject(labels, model, instances, delta, score)
+                out = judge_rows(labels, rows, score, delta)[0]
                 rejected = {i for i, o in zip(instances, out) if o is REJECTED}
                 assert previous <= rejected
                 previous = rejected
@@ -104,20 +94,21 @@ class TestRejectRule:
         for _ in range(100):
             raw = [rng.random() + 1e-9 for _ in labels]
             total = sum(raw)
-            dist = dict(zip(labels, (p / total for p in raw)))
-            out = predict_with_reject(labels, fixed_model(dist), ["w"],
-                                      delta=0.0, score=ScoreType.MAX_PROB)
-            assert out == [argmax_label(dist)]
+            row = [p / total for p in raw]
+            out = judge_rows(labels, [row], ScoreType.MAX_PROB, delta=0.0)[0]
+            assert out == [labels[row.index(max(row))]]
 
     def test_unknown_label_in_model_output_rejected(self):
-        with pytest.raises(AnalysisError):
-            predict_with_reject(["A"], fixed_model({"A": 0.5, "Z": 0.5}),
-                                ["w"], delta=0.0, score=ScoreType.MAX_PROB)
+        def fit(train_records):
+            return lambda words: (["A", "Z"], [[0.5, 0.5] for _ in words])
+
+        with pytest.raises(AnalysisError, match="outside the known set"):
+            cross_class_validate(oracle_gold(), fit, delta=0.0,
+                                 score=ScoreType.MAX_PROB, seed=0)
 
     def test_nan_delta_rejected(self):
         with pytest.raises(AnalysisError):
-            predict_with_reject(["A"], fixed_model({"A": 1.0}), ["w"],
-                                delta=float("nan"), score=ScoreType.MAX_PROB)
+            judge_rows(["A"], [[1.0]], ScoreType.MAX_PROB, delta=float("nan"))
 
 
 def row_oracle(labels, row, score, delta):
@@ -171,12 +162,9 @@ class TestJudgeRows:
             assert predictions == [label for label, _ in expected]
             assert scores == [value for _, value in expected]
         for row, (label, value) in zip(rows, expected):
-            dist = dict(zip(labels, row))
-            assert argmax_label(dist) == row_oracle(labels, row, score,
-                                                    -math.inf)[0]
-            assert confidence_score(dist, score) == value
-            assert predict_with_reject(labels, lambda _: dist, ["w"], delta,
-                                       score) == [label]
+            assert judge_rows(labels, [row], score, delta) == ([label], [value])
+            assert judge_rows(labels, [row], score)[0] == [
+                row_oracle(labels, row, score, -math.inf)[0]]
 
     def test_tie_goes_to_smallest_str_label_in_any_column_order(self):
         labels = [SlangClass.CLIPPING, SlangClass.BLEND, SlangClass.ALPHABETISM]

@@ -62,6 +62,12 @@ class TestLookup:
         assert found == [False]
         assert rows.shape == (0, 2)
 
+    def test_zero_row_counts_as_missing(self):
+        emb = table({"he": [0.0, 1.0], "void": [0.0, 0.0], "she": [1.0, 0.0]})
+        found, rows = lookup(emb, ["she", "void", "he", "void"])
+        assert found == [True, False, True, False]
+        assert rows.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
 
 def knn(vectors: dict[str, list[float]], labels: list[SubjectLabel], k: int):
     """A KNN model over every token of `vectors`, labelled in order."""
@@ -104,6 +110,21 @@ class TestKnn:
             k=1)
         assert skipped == 1
         assert len(model.reference) == 1
+
+    def test_zero_vectors_are_skipped_and_excluded(self):
+        # a zero vector has no cosine: as a reference it is skipped, as a
+        # query it is excluded, like a word outside the vocabulary
+        emb = table({"a": [1.0, 0.0], "b": [0.0, 1.0], "z": [0.0, 0.0],
+                     "qa": [0.9, 0.1], "qz": [0.0, 0.0]})
+        model, skipped = knn_from_embedding(
+            emb, [("a", SubjectLabel.SEX), ("z", SubjectLabel.DRUGS),
+                  ("b", SubjectLabel.DRUGS)], k=1)
+        assert skipped == 1
+        assert model.reference == ("a", "b")
+        evaluation = evaluate_subject_model(
+            model, [("qz", SubjectLabel.SEX), ("qa", SubjectLabel.SEX)], emb)
+        assert evaluation.excluded == 1
+        assert evaluation.f1 == 1.0
 
     def test_build_fails_when_nothing_matches(self):
         emb = table({"x": [1.0]})
