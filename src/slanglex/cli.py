@@ -370,18 +370,17 @@ def run_morphology(slang_path, standard_path, out_dir, max_iters, affix_k, seed)
 
 def _char_table(gold_path, n_min, n_max) -> NgramTable:
     """The char n-grams of every gold word, for every char fit on the gold."""
-    return NgramTable.of_words((r.word for r in load(load_gold_classes, gold_path)),
-                               NgramKind.CHAR, n_min, n_max)
+    return NgramTable((r.word for r in load(load_gold_classes, gold_path)),
+                      NgramKind.CHAR, n_min, n_max)
 
 
 def _fit_classifier(gold_path, records, kind: NgramKind, segmenter, n_min,
                     n_max, cap, **fit):
     words = [r.word for r in records]
     table = (load(_char_table, gold_path, n_min, n_max) if kind is NgramKind.CHAR
-             else NgramTable.of_words(words, kind, n_min, n_max, segmenter))
-    rows = table.rows(words)
-    return train_logreg([table.maps[i] for i in rows], [r.label for r in records],
-                        table.vocabulary(rows, cap), **fit)
+             else NgramTable(words, kind, n_min, n_max, segmenter))
+    return train_logreg(words, [r.label for r in records],
+                        table.vocabulary(words, cap), segmenter, **fit)
 
 
 def run_classes_train(gold_path, out_path, kind, segmenter, seed,
@@ -504,19 +503,10 @@ def run_classes_patterns(gold_path, out_dir, suffix_k, seed=None) -> dict:
             "blends": len(blends), "blends_skipped": skipped_blends}
 
 
-def _training_config(seed, dimension, window, negatives, min_count, subsample,
-                     epochs, lr) -> TrainingConfig:
-    """The skip-gram settings of embed and pipeline; one outside its domain
-    raises."""
-    return TrainingConfig(dimension=dimension, window=window, negatives=negatives,
-                          epochs=epochs, initial_lr=lr, min_count=min_count,
-                          subsample_threshold=subsample, seed=seed)
-
-
 @command(main, "embed", "slang", "out_file", *SGNS, "seed")
 def run_embed(slang_path, out_path, seed, **sgns) -> dict:
     """Train skip-gram vectors on usage examples."""
-    config = _training_config(seed, **sgns)
+    config = TrainingConfig(seed=seed, **sgns)
     entries = load(load_slang_lexicon, slang_path)
     corpus = build_usage_corpus(entries)
     table = train_skipgram(corpus, config)
@@ -659,7 +649,7 @@ def run_pipeline(slang_path, standard_path, gold_path, lexicons_dir,
                  echo=click.echo, **sgns) -> None:
     """Every stage in order; ``echo`` gets one summary line per stage. The
     skip-gram and KNN settings are checked before any stage writes."""
-    _training_config(seed, **sgns)
+    TrainingConfig(seed=seed, **sgns)
     check_k(k)
 
     def done(stage: str, info: dict) -> None:

@@ -109,9 +109,9 @@ class TrainingConfig:
     window: int = 5
     negatives: int = 5
     epochs: int = 5
-    initial_lr: float = 0.025
+    lr: float = 0.025
     min_count: int = 5
-    subsample_threshold: float = 1e-3  # <= 0 disables subsampling
+    subsample: float = 1e-3  # <= 0 disables subsampling
     seed: int = 0
 
     def __post_init__(self):
@@ -125,11 +125,10 @@ class TrainingConfig:
             raise AnalysisError(f"epochs must be >= 1, got {self.epochs}")
         if self.min_count < 1:
             raise AnalysisError(f"min_count must be >= 1, got {self.min_count}")
-        if not 0 < self.initial_lr < math.inf:
-            raise AnalysisError(
-                f"initial_lr must be finite and > 0, got {self.initial_lr}")
-        if math.isnan(self.subsample_threshold):
-            raise AnalysisError("subsample_threshold must not be nan")
+        if not 0 < self.lr < math.inf:
+            raise AnalysisError(f"lr must be finite and > 0, got {self.lr}")
+        if math.isnan(self.subsample):
+            raise AnalysisError("subsample must not be nan")
 
 
 class EmbeddingTable:
@@ -354,11 +353,11 @@ def train_skipgram(corpus: Sequence[Sequence[str]],
     total = float(vocab_counts.sum())
 
     keep_prob = np.ones(len(vocab))
-    if config.subsample_threshold > 0:
+    if config.subsample > 0:
         freq = vocab_counts / total
         with np.errstate(divide="ignore"):
             keep_prob = np.minimum(
-                1.0, np.sqrt(config.subsample_threshold / freq))
+                1.0, np.sqrt(config.subsample / freq))
 
     noise = vocab_counts ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
@@ -380,8 +379,7 @@ def train_skipgram(corpus: Sequence[Sequence[str]],
             np.empty((chunk, k, d)), np.empty((chunk * k, d)))
     epoch_losses = []
     for epoch in range(config.epochs):
-        lr = max(config.initial_lr * (1.0 - epoch / config.epochs),
-                 config.initial_lr * 1e-4)
+        lr = max(config.lr * (1.0 - epoch / config.epochs), config.lr * 1e-4)
         kept = rng.random(len(tokens)) < keep_prob[tokens]
         reach = rng.integers(1, config.window + 1, size=int(kept.sum()))
         centers, contexts = _window_pairs(tokens[kept], sentence_ids[kept],

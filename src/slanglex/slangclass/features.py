@@ -3,19 +3,20 @@
 Case and punctuation are preserved: periods and capitals are exactly the
 cues that identify alphabetisms, so no normalization happens here.
 
-An `NgramTable` holds the feature maps of many rows (words) as one count
-table: its columns are the distinct grams in gram (code point) order,
-and each row's nonzero counts are kept in compressed sparse row arrays.
-A vocabulary has one rule, `NgramTable.vocabulary`: the `cap` grams with
-the largest column totals over the chosen rows (one ``np.bincount``),
-ties broken by gram order. `fit_vocabulary` is that rule over a table of
-its maps. A gram no chosen row holds is never ranked, so a table over more
-words than a fit trains on gives the fit the same vocabulary and rows: the
-char fits on one gold file share one table of all its words, each word's
-n-grams extracted once. `count_matrix` turns feature maps into the dense
-matrix a model trains on, with one scatter.
+Words reach a model in two steps, each defined once. `NgramTable`
+picks the features: it holds the `word_features` of distinct words as one
+count table, whose columns are the distinct grams in gram (code point)
+order and whose rows keep their nonzero counts in compressed sparse row
+arrays. A vocabulary has one rule, `NgramTable.vocabulary`: the `cap`
+grams with the largest column totals over the chosen words (one
+``np.bincount``), ties broken by gram order. A gram no chosen word holds
+is never ranked, so a table over more words than a fit trains on gives
+the fit the same vocabulary: the char fits on one gold file share one
+table of all its words, each word's n-grams extracted once.
 
-`feature_matrix` counts a whole word list's vocabulary features at once.
+`feature_matrix` then counts a word list's vocabulary features, the one
+path from words to a model matrix, for fitting and scoring alike. Morph
+features segment each word and scatter its `word_features`.
 For char features it walks a trie of the vocabulary, built on first use:
 depth d holds the sorted keys ``parent_state * BASE + code_point`` of its
 edges and the child state of each, and a state that ends a feature maps
@@ -27,8 +28,8 @@ Every word position advances one depth at a time, by one ``searchsorted``
 per depth, until its next character has no edge; each word is followed by
 0x110000, which no edge has, so no position runs into the next word. A
 position that reaches a feature's state at a depth within
-``n_min..n_max`` counts one hit, so the counts equal `count_matrix` of
-the `extract_char_ngrams` maps exactly. Characters come from one UTF-32
+``n_min..n_max`` counts one hit, so the counts equal those of the words'
+`extract_char_ngrams` maps exactly. Characters come from one UTF-32
 encoding of the joined words, one code unit per character as ``len``
 counts them; a numpy ``U`` array would drop a word's trailing U+0000.
 """
@@ -39,7 +40,7 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -119,44 +120,31 @@ class FeatureVocabulary:
 
 
 class NgramTable:
-    """The feature maps of a list of rows as one count table (module
-    docstring); with ``words``, row i holds the features of ``words[i]``."""
+    """The features of the distinct ``words`` as one count table (module
+    docstring), from which `vocabulary` ranks the grams of any of them."""
 
-    def __init__(self, feature_maps: Iterable[Mapping[str, int]],
-                 kind: NgramKind, n_min: int, n_max: int,
-                 words: Sequence[str] = ()):
-        self.maps = list(feature_maps)
+    def __init__(self, words: Iterable[str], kind: NgramKind, n_min: int,
+                 n_max: int, segmenter: SegmenterModel | None = None):
+        distinct = list(dict.fromkeys(words))
+        maps = [word_features(w, kind, n_min, n_max, segmenter) for w in distinct]
         self.kind, self.n_min, self.n_max = kind, n_min, n_max
-        self._row = {word: i for i, word in enumerate(words)}
-        self.grams = sorted({gram for fmap in self.maps for gram in fmap})
+        self._row = {word: i for i, word in enumerate(distinct)}
+        self.grams = sorted({gram for fmap in maps for gram in fmap})
         column = {gram: j for j, gram in enumerate(self.grams)}
-        sizes = np.array([len(fmap) for fmap in self.maps], dtype=np.int64)
+        sizes = np.array([len(fmap) for fmap in maps], dtype=np.int64)
         self.starts = np.concatenate(([0], np.cumsum(sizes)))  # CSR row starts
-        self.columns = np.fromiter((column[g] for fmap in self.maps for g in fmap),
+        self.columns = np.fromiter((column[g] for fmap in maps for g in fmap),
                                    np.int64, self.starts[-1])
-        self.counts = np.fromiter((c for fmap in self.maps for c in fmap.values()),
+        self.counts = np.fromiter((c for fmap in maps for c in fmap.values()),
                                   np.float64, self.starts[-1])
 
-    @classmethod
-    def of_words(cls, words: Iterable[str], kind: NgramKind, n_min: int,
-                 n_max: int, segmenter: SegmenterModel | None = None
-                 ) -> "NgramTable":
-        """One row per distinct word, holding its `word_features`."""
-        distinct = list(dict.fromkeys(words))
-        return cls([word_features(w, kind, n_min, n_max, segmenter)
-                    for w in distinct], kind, n_min, n_max, distinct)
-
-    def rows(self, words: Iterable[str]) -> list[int]:
-        """The row of each word, repeats included."""
-        return [self._row[word] for word in words]
-
-    def vocabulary(self, rows: Sequence[int], cap: int) -> FeatureVocabulary:
-        """The `cap` grams with the largest totals over ``rows`` (repeats
-        count again), ties broken by gram order. A gram counts as observed
-        when a row's map holds it, whatever its count."""
+    def vocabulary(self, words: Iterable[str], cap: int) -> FeatureVocabulary:
+        """The `cap` grams with the largest totals over ``words``, each a
+        word of the table (repeats count again), ties broken by gram
+        order."""
         if cap < 1:
             raise AnalysisError(f"vocabulary cap must be positive, got {cap}")
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        rows = np.array([self._row[word] for word in words], dtype=np.int64)
         starts = self.starts[rows]
         sizes = self.starts[rows + 1] - starts
         # the cells of the rows, row after row
@@ -172,31 +160,6 @@ class NgramTable:
         return FeatureVocabulary(kind=self.kind, n_min=self.n_min,
                                  n_max=self.n_max,
                                  features=tuple(self.grams[j] for j in ranked))
-
-
-def fit_vocabulary(feature_maps: Iterable[Mapping[str, int]], kind: NgramKind,
-                   cap: int = 200, n_min: int = 1,
-                   n_max: int = 5) -> FeatureVocabulary:
-    """Select the `cap` most frequent features, ties broken lexicographically:
-    `NgramTable.vocabulary` over every map."""
-    table = NgramTable(feature_maps, kind, n_min, n_max)
-    return table.vocabulary(range(len(table.maps)), cap)
-
-
-def count_matrix(vocab: FeatureVocabulary,
-                 feature_maps: Sequence[Mapping[str, int]]) -> np.ndarray:
-    """The ``(len(feature_maps), len(vocab))`` count matrix of the maps'
-    vocabulary features, filled by one scatter; unknown features are
-    ignored."""
-    index = vocab.index
-    cells = [(row, index[feature], count)
-             for row, fmap in enumerate(feature_maps)
-             for feature, count in fmap.items() if feature in index]
-    x = np.zeros((len(feature_maps), len(vocab)))
-    if cells:
-        rows, columns, counts = zip(*cells)
-        x[rows, columns] = counts
-    return x
 
 
 class _CharTrie:
@@ -263,13 +226,21 @@ class _CharTrie:
 def feature_matrix(vocab: FeatureVocabulary, words: Sequence[str],
                    segmenter: SegmenterModel | None = None) -> np.ndarray:
     """The ``(len(words), len(vocab))`` count matrix of the words'
-    vocabulary features, equal to `count_matrix` of their `word_features`.
-    Char features take the trie walk; morph features segment each word."""
+    vocabulary features, for fitting and scoring alike; unknown features
+    are ignored. Char features take the trie walk; morph features segment
+    each word and scatter its `word_features` into one matrix."""
     _check_range(vocab.n_min, vocab.n_max)
     if vocab.kind is NgramKind.CHAR:
         if not all(words):
             raise AnalysisError("cannot extract features from an empty word")
         return vocab._trie.counts(words, vocab.n_min, vocab.n_max)
-    return count_matrix(vocab, [word_features(w, vocab.kind, vocab.n_min,
-                                              vocab.n_max, segmenter)
-                                for w in words])
+    index = vocab.index
+    cells = [(row, index[feature], count) for row, word in enumerate(words)
+             for feature, count in word_features(word, vocab.kind, vocab.n_min,
+                                                 vocab.n_max, segmenter).items()
+             if feature in index]
+    x = np.zeros((len(words), len(vocab)))
+    if cells:
+        rows, columns, counts = zip(*cells)
+        x[rows, columns] = counts
+    return x

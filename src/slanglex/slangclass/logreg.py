@@ -14,9 +14,11 @@ reasons, recorded on the model: the gradient max-norm reached the
 tolerance (``tol``), no step along the direction lowered the loss
 (``stalled``), or the iteration cap was hit (``max_iter``).
 
-Words are scored by one function, `predict_proba_batch`, one word or many
-alike. It takes each block's features as one matrix and scores the block
-with one stacked product, ``matmul(weights, x[:, :, None])``.
+Words reach the model one way, as `features.feature_matrix` counts them
+plus a bias column of ones (`_with_bias`): `train_logreg` fits on that
+design matrix of its training words, and `predict_proba_batch` scores
+each block of words through it, one word or many alike. It scores a
+block with one stacked product, ``matmul(weights, x[:, :, None])``.
 That is not a matrix-matrix product, which would sum in another order and
 can differ in the last bit (the reports print these probabilities): numpy
 runs a stack of matrix-vector products as one BLAS gemv per word, the
@@ -29,14 +31,14 @@ from __future__ import annotations
 import zipfile
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import AnalysisError, SchemaError, SlanglexError
 from ..labels import SlangClass
 from ..morphology import SegmenterModel
-from .features import FeatureVocabulary, NgramKind, count_matrix, feature_matrix
+from .features import FeatureVocabulary, NgramKind, feature_matrix
 
 _MODEL_FORMAT_VERSION = 1
 _LBFGS_MEMORY = 10  # curvature pairs kept
@@ -77,20 +79,17 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
 
 
 def loss_and_gradient(weights: np.ndarray, x: np.ndarray, y_idx: np.ndarray,
-                      l2: float, *, augmented: bool = False
-                      ) -> tuple[float, np.ndarray]:
+                      l2: float) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood plus L2 penalty (bias excluded), and
-    its gradient with respect to the weight matrix. With ``augmented``,
-    ``x`` already ends in the bias column of ones (`_with_bias`), which
-    spares the trainer a copy of the count matrix per evaluation."""
-    x_aug = x if augmented else _with_bias(x)
-    n = x_aug.shape[0]
-    probs = _softmax_rows(x_aug @ weights.T)
+    its gradient with respect to the weight matrix, for the design matrix
+    ``x``: the counts with the bias column of ones last (`_with_bias`)."""
+    n = x.shape[0]
+    probs = _softmax_rows(x @ weights.T)
     nll = -np.mean(np.log(np.clip(probs[np.arange(n), y_idx], 1e-300, None)))
     penalty = l2 / (2.0 * n) * float(np.sum(weights[:, :-1] ** 2))
     onehot = np.zeros_like(probs)
     onehot[np.arange(n), y_idx] = 1.0
-    grad = (probs - onehot).T @ x_aug / n
+    grad = (probs - onehot).T @ x / n
     grad[:, :-1] += (l2 / n) * weights[:, :-1]
     return nll + penalty, grad
 
@@ -111,20 +110,19 @@ def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
     return -q
 
 
-def train_logreg(feature_maps: Sequence[Mapping[str, int]],
-                 labels: Sequence[SlangClass], vocab: FeatureVocabulary,
-                 l2: float = 1.0, max_epochs: int = 500,
-                 tol: float = 1e-6) -> ClassifierModel:
-    """Fit the classifier on pre-extracted feature maps.
+def train_logreg(words: Sequence[str], labels: Sequence[SlangClass],
+                 vocab: FeatureVocabulary,
+                 segmenter: SegmenterModel | None = None, *, l2: float = 1.0,
+                 max_epochs: int = 500, tol: float = 1e-6) -> ClassifierModel:
+    """Fit the classifier on the words' `feature_matrix`.
 
     The vocabulary must be fit on training data only. Training is fully
     deterministic (zero init, full-batch L-BFGS). Stops at gradient
     max-norm <= tol, when the line search stalls, or after ``max_epochs``
     iterations; the model records which, and the iteration count.
     """
-    if len(feature_maps) != len(labels):
-        raise AnalysisError(
-            f"{len(feature_maps)} feature maps vs {len(labels)} labels")
+    if len(words) != len(labels):
+        raise AnalysisError(f"{len(words)} words vs {len(labels)} labels")
     if not labels:
         raise AnalysisError("cannot train on an empty dataset")
     if max_epochs < 0:
@@ -137,11 +135,11 @@ def train_logreg(feature_maps: Sequence[Mapping[str, int]],
         raise AnalysisError("training data must contain at least 2 classes")
 
     class_index = {c: i for i, c in enumerate(classes)}
-    x = _with_bias(count_matrix(vocab, feature_maps))
+    x = _with_bias(feature_matrix(vocab, words, segmenter))
     y_idx = np.array([class_index[label] for label in labels], dtype=np.int64)
 
     weights = np.zeros((len(classes), len(vocab.features) + 1))
-    loss, grad = loss_and_gradient(weights, x, y_idx, l2, augmented=True)
+    loss, grad = loss_and_gradient(weights, x, y_idx, l2)
     pairs: deque = deque(maxlen=_LBFGS_MEMORY)
     iterations = 0
     while True:
@@ -162,8 +160,7 @@ def train_logreg(feature_maps: Sequence[Mapping[str, int]],
         step = 1.0
         for _ in range(40):
             candidate = weights + step * direction
-            new_loss, new_grad = loss_and_gradient(candidate, x, y_idx, l2,
-                                                   augmented=True)
+            new_loss, new_grad = loss_and_gradient(candidate, x, y_idx, l2)
             if new_loss <= loss + 1e-4 * step * slope:
                 break
             step *= 0.5

@@ -307,11 +307,13 @@ def sexprej(embedding: EmbeddingTable, word: str,
             prejudice_terms: Sequence[str]) -> float:
     """Mean cosine similarity of a word to the prejudice-term list.
 
-    Terms missing from the vocabulary are excluded from the mean; the word
-    itself must be present.
+    Terms without a vector (`lookup`) are excluded from the mean; the word
+    itself must have one.
     """
-    vector = embedding.vector(subject_token(word))
-    return float(_mean_cosines(embedding, vector, prejudice_terms))
+    found, vectors = lookup(embedding, [word])
+    if not found[0]:
+        raise AnalysisError(f"word {word!r} has no vector")
+    return float(_mean_cosines(embedding, vectors[0], prejudice_terms))
 
 
 def permutation_test_means(group_a: Sequence[float], group_b: Sequence[float],

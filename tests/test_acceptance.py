@@ -34,12 +34,7 @@ from slanglex.phonology import (
     load_bundled_pronouncing_table,
     to_phonemes,
 )
-from slanglex.slangclass.features import (
-    NgramKind,
-    extract_char_ngrams,
-    extract_morpheme_ngrams,
-    fit_vocabulary,
-)
+from slanglex.slangclass.features import NgramKind, NgramTable
 from slanglex.slangclass.logreg import (
     loss_and_gradient,
     predict_proba_batch,
@@ -110,6 +105,7 @@ def test_c2_gradients_match_finite_differences(capsys):
             n_rows = int(rng.integers(1, 8))
             l2 = float(rng.choice([0.0, 0.5, 2.0]))
             x = rng.normal(size=(n_rows, n_features))
+            x = np.hstack([x, np.ones((n_rows, 1))])  # the bias column
             y = rng.integers(0, n_classes, size=n_rows)
             w = rng.normal(scale=0.5, size=(n_classes, n_features + 1))
             _, analytic = loss_and_gradient(w, x, y, l2)
@@ -271,10 +267,9 @@ def test_c4_synthetic_gold_classifier(capsys):
         train_labels = [r.label for r in split.train]
         truth = [r.label for r in split.test]
 
-        char_maps = [extract_char_ngrams(w, 1, 3) for w in train_words]
-        char_vocab = fit_vocabulary(char_maps, NgramKind.CHAR, cap=800,
-                                    n_min=1, n_max=3)
-        char_model = train_logreg(char_maps, train_labels, char_vocab,
+        char_vocab = NgramTable(train_words, NgramKind.CHAR, 1, 3).vocabulary(
+            train_words, cap=800)
+        char_model = train_logreg(train_words, train_labels, char_vocab,
                                   l2=0.5, max_epochs=400)
         test_words = [r.word for r in split.test]
         char_pred = judge_rows(char_model.classes,
@@ -282,12 +277,10 @@ def test_c4_synthetic_gold_classifier(capsys):
         f1_char = weighted_f1(truth, char_pred)
 
         segmenter = train_segmenter(sorted(set(train_words)), seed=0)
-        morph_maps = [extract_morpheme_ngrams(segment(segmenter, w), 1, 2)
-                      for w in train_words]
-        morph_vocab = fit_vocabulary(morph_maps, NgramKind.MORPHEME, cap=800,
-                                     n_min=1, n_max=2)
-        morph_model = train_logreg(morph_maps, train_labels, morph_vocab,
-                                   l2=0.5, max_epochs=400)
+        morph_vocab = NgramTable(train_words, NgramKind.MORPHEME, 1, 2,
+                                 segmenter).vocabulary(train_words, cap=800)
+        morph_model = train_logreg(train_words, train_labels, morph_vocab,
+                                   segmenter, l2=0.5, max_epochs=400)
         morph_pred = judge_rows(morph_model.classes, predict_proba_batch(
             morph_model, test_words, segmenter))[0]
         f1_morph = weighted_f1(truth, morph_pred)
@@ -440,8 +433,8 @@ def test_c8_embedding_semantics(capsys):
         wins = 0
         for seed in range(5):
             config = TrainingConfig(dimension=20, window=2, negatives=5,
-                                    epochs=20, initial_lr=0.025, min_count=1,
-                                    subsample_threshold=0.0, seed=seed)
+                                    epochs=20, lr=0.025, min_count=1,
+                                    subsample=0.0, seed=seed)
             table = train_skipgram(corpus, config)
             same = cosine(table.vector("xxx"), table.vector("yyy"))
             other = cosine(table.vector("xxx"), table.vector("zzz"))

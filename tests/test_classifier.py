@@ -5,7 +5,8 @@ compares the central difference quotient of the loss against the
 analytic gradient. Agreement within 1e-5 relative error over randomized
 instances is the contract. The optimum oracle runs plain fixed-step
 gradient descent to convergence, and the trained model must predict the
-same probabilities.
+same probabilities. The loss takes the design matrix, whose last column
+is the bias feature of ones.
 """
 import io
 
@@ -17,9 +18,8 @@ from slanglex.labels import SlangClass
 from slanglex.slangclass.features import (
     FeatureVocabulary,
     NgramKind,
-    count_matrix,
-    extract_char_ngrams,
-    fit_vocabulary,
+    NgramTable,
+    feature_matrix,
 )
 from slanglex.slangclass.logreg import (
     ClassifierModel,
@@ -46,11 +46,16 @@ def fd_gradient(weights, x, y_idx, l2, h=1e-6):
     return grad
 
 
+def with_bias(x):
+    """The design matrix: ``x`` with the bias column of ones appended."""
+    return np.hstack([x, np.ones((len(x), 1))])
+
+
 def random_instance(rng, n_classes, n_features, n_rows):
     x = rng.normal(size=(n_rows, n_features))
     y = rng.integers(0, n_classes, size=n_rows)
     w = rng.normal(scale=0.5, size=(n_classes, n_features + 1))
-    return w, x, y
+    return w, with_bias(x), y
 
 
 class TestGradientOracle:
@@ -72,27 +77,17 @@ class TestGradientOracle:
         # a pure-bias weight matrix must incur zero penalty
         w = np.zeros((2, 3))
         w[:, -1] = 5.0
-        x = np.zeros((1, 2))
+        x = with_bias(np.zeros((1, 2)))
         y = np.array([0])
         loss_l2, _ = loss_and_gradient(w, x, y, l2=100.0)
         loss_free, _ = loss_and_gradient(w, x, y, l2=0.0)
         assert loss_l2 == pytest.approx(loss_free)
 
-    def test_augmented_matrix_gives_the_same_bits(self):
-        # the trainer appends the bias column once per fit
-        rng = np.random.default_rng(3)
-        w, x, y = random_instance(rng, 3, 5, 9)
-        x_aug = np.hstack([x, np.ones((len(x), 1))])
-        loss, grad = loss_and_gradient(w, x, y, 0.5)
-        loss_aug, grad_aug = loss_and_gradient(w, x_aug, y, 0.5, augmented=True)
-        assert loss_aug == loss
-        assert grad_aug.tobytes() == grad.tobytes()
-
     def test_zero_weights_loss_is_log_k(self):
         # uniform predictions: mean NLL = log(n_classes)
         for k in (2, 3, 4):
             w = np.zeros((k, 4))
-            x = np.ones((6, 3))
+            x = with_bias(np.ones((6, 3)))
             y = np.zeros(6, dtype=np.int64)
             loss, _ = loss_and_gradient(w, x, y, l2=0.0)
             assert loss == pytest.approx(np.log(k), abs=1e-12)
@@ -101,40 +96,38 @@ class TestGradientOracle:
 def toy_dataset():
     words = ["aaaa", "aaab", "aaba", "bbbb", "bbba", "babb"]
     labels = [SlangClass.BLEND] * 3 + [SlangClass.CLIPPING] * 3
-    maps = [extract_char_ngrams(w, 1, 2) for w in words]
-    vocab = fit_vocabulary(maps, NgramKind.CHAR, cap=50, n_min=1, n_max=2)
-    return words, labels, maps, vocab
+    vocab = NgramTable(words, NgramKind.CHAR, 1, 2).vocabulary(words, cap=50)
+    return words, labels, vocab
 
 
 class TestTraining:
     def test_separable_data_fits_exactly(self):
-        words, labels, maps, vocab = toy_dataset()
-        model = train_logreg(maps, labels, vocab, l2=0.01)
+        words, labels, vocab = toy_dataset()
+        model = train_logreg(words, labels, vocab, l2=0.01)
         for word, label in zip(words, labels):
             probs = predict_proba_batch(model, [word])[0]
             assert model.classes[int(np.argmax(probs))] is label
 
     def test_zero_epochs_predict_uniform(self):
-        _, labels, maps, vocab = toy_dataset()
-        model = train_logreg(maps, labels, vocab, max_epochs=0)
+        words, labels, vocab = toy_dataset()
+        model = train_logreg(words, labels, vocab, max_epochs=0)
         assert (model.stop, model.iterations) == ("max_iter", 0)
         for p in predict_proba_batch(model, ["aaaa"])[0]:
             assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_uniform_quarter_with_four_classes(self):
-        maps = [extract_char_ngrams(w, 1, 2)
-                for w in ("aa", "ab", "ba", "bb", "aaa", "abb", "bab", "bba")]
+        words = ["aa", "ab", "ba", "bb", "aaa", "abb", "bab", "bba"]
         labels = [SlangClass.BLEND, SlangClass.CLIPPING,
                   SlangClass.ALPHABETISM, SlangClass.REDUPLICATIVE] * 2
-        vocab = fit_vocabulary(maps, NgramKind.CHAR, cap=50, n_min=1, n_max=2)
-        model = train_logreg(maps, labels, vocab, max_epochs=0)
+        vocab = NgramTable(words, NgramKind.CHAR, 1, 2).vocabulary(words, cap=50)
+        model = train_logreg(words, labels, vocab, max_epochs=0)
         for p in predict_proba_batch(model, ["ab"])[0]:
             assert p == pytest.approx(0.25, abs=1e-12)
 
     def test_training_lowers_the_loss(self):
-        _, labels, maps, vocab = toy_dataset()
-        model = train_logreg(maps, labels, vocab, l2=0.1)
-        x = count_matrix(vocab, maps)
+        words, labels, vocab = toy_dataset()
+        model = train_logreg(words, labels, vocab, l2=0.1)
+        x = with_bias(feature_matrix(vocab, words))
         classes = model.classes
         y = np.array([classes.index(lab) for lab in labels])
         trained_loss, _ = loss_and_gradient(model.weights, x, y, 0.1)
@@ -142,15 +135,15 @@ class TestTraining:
         assert trained_loss < initial_loss
 
     def test_deterministic(self):
-        _, labels, maps, vocab = toy_dataset()
-        a = train_logreg(maps, labels, vocab)
-        b = train_logreg(maps, labels, vocab)
+        words, labels, vocab = toy_dataset()
+        a = train_logreg(words, labels, vocab)
+        b = train_logreg(words, labels, vocab)
         assert np.array_equal(a.weights, b.weights)
 
     def test_survives_separable_data_without_regularization(self):
         # tol=0 cannot be met, so the fit must end cleanly at float precision
-        words, labels, maps, vocab = toy_dataset()
-        model = train_logreg(maps, labels, vocab, l2=1e-8, tol=0.0)
+        words, labels, vocab = toy_dataset()
+        model = train_logreg(words, labels, vocab, l2=1e-8, tol=0.0)
         assert model.stop in ("stalled", "max_iter")
         assert np.all(np.isfinite(model.weights))
         for word, label in zip(words, labels):
@@ -158,35 +151,35 @@ class TestTraining:
             assert model.classes[int(np.argmax(probs))] is label
 
     def test_classes_sorted_by_name(self):
-        _, labels, maps, vocab = toy_dataset()
-        model = train_logreg(maps, labels, vocab)
+        words, labels, vocab = toy_dataset()
+        model = train_logreg(words, labels, vocab)
         assert model.classes == (SlangClass.BLEND, SlangClass.CLIPPING)
 
     def test_validation(self):
-        _, labels, maps, vocab = toy_dataset()
+        words, labels, vocab = toy_dataset()
         with pytest.raises(AnalysisError):
-            train_logreg(maps[:2], labels, vocab)
+            train_logreg(words[:2], labels, vocab)
         with pytest.raises(AnalysisError):
             train_logreg([], [], vocab)
         with pytest.raises(AnalysisError):
-            train_logreg(maps[:2], [SlangClass.BLEND] * 2, vocab)
+            train_logreg(words[:2], [SlangClass.BLEND] * 2, vocab)
 
 
 def probabilities(weights, x):
-    """Row-wise softmax of the class scores, bias column appended."""
-    scores = np.hstack([x, np.ones((len(x), 1))]) @ weights.T
+    """Row-wise softmax of the class scores of the design matrix ``x``."""
+    scores = x @ weights.T
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
 
 def gradient_descent_oracle(x, y_idx, n_classes, l2, tol=1e-9):
     """Plain gradient descent with the fixed step 1/L, L the bound
-    ||[x 1]||^2 / (2n) + l2/n on the gradient's Lipschitz constant, run
-    from zero until the gradient max-norm is at most ``tol``."""
+    ||x||^2 / (2n) + l2/n on the gradient's Lipschitz constant (``x`` the
+    design matrix), run from zero until the gradient max-norm is at most
+    ``tol``."""
     n = x.shape[0]
-    lipschitz = (np.linalg.norm(np.hstack([x, np.ones((n, 1))]), 2) ** 2
-                 / (2 * n) + l2 / n)
-    weights = np.zeros((n_classes, x.shape[1] + 1))
+    lipschitz = np.linalg.norm(x, 2) ** 2 / (2 * n) + l2 / n
+    weights = np.zeros((n_classes, x.shape[1]))
     for _ in range(100_000):
         _, grad = loss_and_gradient(weights, x, y_idx, l2)
         if np.max(np.abs(grad)) <= tol:
@@ -200,14 +193,16 @@ class TestOptimumOracle:
         rng = np.random.default_rng(11)
         for n_classes, n_rows, l2 in ((3, 18, 0.5), (4, 24, 1.0)):
             counts = rng.integers(0, 4, size=(n_rows, 5))
-            maps = [{f"f{j}": int(c) for j, c in enumerate(row) if c}
-                    for row in counts]
+            # each word spells its count row; "z" is no feature
+            words = ["".join(ch * int(c) for ch, c in zip("abcde", row)) + "z"
+                     for row in counts]
             labels = [list(SlangClass)[i % n_classes]
                       for i in rng.permutation(n_rows)]
             vocab = FeatureVocabulary(kind=NgramKind.CHAR, n_min=1, n_max=1,
-                                      features=tuple(f"f{j}" for j in range(5)))
-            model = train_logreg(maps, labels, vocab, l2=l2, tol=1e-8)
-            x = count_matrix(vocab, maps)
+                                      features=tuple("abcde"))
+            model = train_logreg(words, labels, vocab, l2=l2, tol=1e-8)
+            x = with_bias(feature_matrix(vocab, words))
+            assert np.array_equal(x[:, :-1], counts)
             y = np.array([model.classes.index(label) for label in labels])
             _, grad = loss_and_gradient(model.weights, x, y, l2)
             assert model.stop == "tol"
@@ -220,21 +215,24 @@ class TestOptimumOracle:
 
 class TestPrediction:
     def test_distribution_sums_to_one(self):
-        _, labels, maps, vocab = toy_dataset()
-        model = train_logreg(maps, labels, vocab)
+        words, labels, vocab = toy_dataset()
+        model = train_logreg(words, labels, vocab)
         assert predict_proba_batch(model, ["abab"])[0].sum() == pytest.approx(1.0)
 
     def test_fully_unknown_word_uses_bias_only(self):
-        _, labels, maps, vocab = toy_dataset()
-        model = train_logreg(maps, labels, vocab, max_epochs=0)
+        words, labels, vocab = toy_dataset()
+        model = train_logreg(words, labels, vocab, max_epochs=0)
         for p in predict_proba_batch(model, ["zzzz"])[0]:
             assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_morpheme_vocab_requires_segmenter(self):
-        _, labels, maps, _ = toy_dataset()
-        morph_vocab = fit_vocabulary(maps, NgramKind.MORPHEME, cap=50)
-        model = train_logreg(maps, labels, morph_vocab)
-        with pytest.raises(AnalysisError):
+        words, labels, _ = toy_dataset()
+        morph_vocab = FeatureVocabulary(NgramKind.MORPHEME, 1, 5, ("aa", "bb"))
+        with pytest.raises(AnalysisError, match="require a trained segmenter"):
+            train_logreg(words, labels, morph_vocab)
+        model = ClassifierModel(morph_vocab, (SlangClass.BLEND, SlangClass.CLIPPING),
+                                np.zeros((2, 3)), 1.0)
+        with pytest.raises(AnalysisError, match="require a trained segmenter"):
             predict_proba_batch(model, ["aaaa"], segmenter=None)
 
 
@@ -247,8 +245,8 @@ def npy_bytes(array):
 
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
-        words, labels, maps, vocab = toy_dataset()
-        model = train_logreg(maps, labels, vocab, l2=0.3)
+        words, labels, vocab = toy_dataset()
+        model = train_logreg(words, labels, vocab, l2=0.3)
         path = tmp_path / "clf.npz"
         save_classifier(model, path)
         loaded = load_classifier(path)
@@ -290,9 +288,9 @@ class TestPersistence:
             load_classifier(path)
 
     def test_unsupported_compression_named(self, tmp_path):
-        _, labels, maps, vocab = toy_dataset()
+        words, labels, vocab = toy_dataset()
         path = tmp_path / "clf.npz"
-        save_classifier(train_logreg(maps, labels, vocab, max_epochs=0), path)
+        save_classifier(train_logreg(words, labels, vocab, max_epochs=0), path)
         data = bytearray(path.read_bytes())
         at = data.index(b"PK\x01\x02") + 10  # first member's compression method
         data[at:at + 2] = (99).to_bytes(2, "little")
@@ -324,9 +322,9 @@ class TestPersistence:
             "n_range-shape", "object-array", "unknown-kind", "unknown-class",
             "version"])
     def test_malformed_array_named(self, tmp_path, change, message):
-        _, labels, maps, vocab = toy_dataset()
+        words, labels, vocab = toy_dataset()
         path = tmp_path / "clf.npz"
-        save_classifier(train_logreg(maps, labels, vocab, max_epochs=0), path)
+        save_classifier(train_logreg(words, labels, vocab, max_epochs=0), path)
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
         change(arrays)

@@ -292,9 +292,9 @@ class TestRefusedSettings:
         ("max-iters", "-1", "max_iters must be >= 0, got -1"),
         ("affix-k", "0", "k must be at least 1, got 0"),
         ("suffix-k", "0", "k must be at least 1, got 0"),
-        ("subsample", "nan", "subsample_threshold must not be nan"),
-        ("lr", "inf", "initial_lr must be finite and > 0, got inf"),
-        ("lr", "nan", "initial_lr must be finite and > 0, got nan"),
+        ("subsample", "nan", "subsample must not be nan"),
+        ("lr", "inf", "lr must be finite and > 0, got inf"),
+        ("lr", "nan", "lr must be finite and > 0, got nan"),
         ("dimension", "0", "dimension must be >= 1, got 0"),
         ("k", "0", "k must be at least 1, got 0"),
     ])

@@ -153,8 +153,8 @@ def identical_context_corpus():
 
 
 SMALL_CONFIG = TrainingConfig(dimension=20, window=2, negatives=5, epochs=20,
-                              initial_lr=0.025, min_count=1,
-                              subsample_threshold=0.0, seed=0)
+                              lr=0.025, min_count=1,
+                              subsample=0.0, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -180,7 +180,7 @@ class TestTraining:
         other = train_skipgram(
             identical_context_corpus(),
             TrainingConfig(dimension=20, window=2, negatives=5, epochs=20,
-                           min_count=1, subsample_threshold=0.0, seed=1))
+                           min_count=1, subsample=0.0, seed=1))
         assert not np.array_equal(other.matrix, trained_table.matrix)
 
     def test_heavy_repetition_stays_finite(self):
@@ -188,7 +188,7 @@ class TestTraining:
         # pairs unless the chunk is bounded by the vocabulary size
         corpus = [["ab", "cd", "ef"]] * 300
         config = TrainingConfig(dimension=10, window=2, negatives=5, epochs=5,
-                                min_count=1, subsample_threshold=0.0, seed=3)
+                                min_count=1, subsample=0.0, seed=3)
         table = train_skipgram(corpus, config)
         assert all(math.isfinite(loss) for loss in table.epoch_losses)
         assert table.epoch_losses[-1] < table.epoch_losses[0]
@@ -197,7 +197,7 @@ class TestTraining:
     def test_min_count_filters_vocabulary(self):
         corpus = [["common", "common", "common", "rare"]]
         config = TrainingConfig(dimension=4, window=2, negatives=2, epochs=1,
-                                min_count=2, subsample_threshold=0.0)
+                                min_count=2, subsample=0.0)
         table = train_skipgram(corpus, config)
         assert "common" in table
         assert "rare" not in table
@@ -211,9 +211,9 @@ class TestTraining:
 
     def test_config_validation(self):
         for kwargs in ({"dimension": 0}, {"window": 0}, {"negatives": 0},
-                       {"epochs": 0}, {"min_count": 0}, {"initial_lr": 0.0},
-                       {"initial_lr": math.inf}, {"initial_lr": math.nan},
-                       {"subsample_threshold": math.nan}):
+                       {"epochs": 0}, {"min_count": 0}, {"lr": 0.0},
+                       {"lr": math.inf}, {"lr": math.nan},
+                       {"subsample": math.nan}):
             with pytest.raises(AnalysisError):
                 TrainingConfig(**kwargs)
 
@@ -231,11 +231,11 @@ def reference_skipgram(corpus, config):
     index = {t: i for i, t in enumerate(vocab)}
     vocab_counts = np.array([counts[t] for t in vocab], dtype=np.float64)
     keep_prob = np.ones(len(vocab))
-    if config.subsample_threshold > 0:
+    if config.subsample > 0:
         freq = vocab_counts / vocab_counts.sum()
         with np.errstate(divide="ignore"):
             keep_prob = np.minimum(
-                1.0, np.sqrt(config.subsample_threshold / freq))
+                1.0, np.sqrt(config.subsample / freq))
     noise = vocab_counts ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
     rng = np.random.default_rng(config.seed)
@@ -257,8 +257,8 @@ def reference_skipgram(corpus, config):
     chunk = min(len(vocab), 128)
     epoch_losses = []
     for epoch in range(config.epochs):
-        lr = max(config.initial_lr * (1.0 - epoch / config.epochs),
-                 config.initial_lr * 1e-4)
+        lr = max(config.lr * (1.0 - epoch / config.epochs),
+                 config.lr * 1e-4)
         kept = rng.random(len(tokens)) < keep_prob[tokens]
         reach = rng.integers(1, config.window + 1, size=int(kept.sum()))
         centers, contexts = _window_pairs(tokens[kept], sentence_ids[kept],
@@ -346,7 +346,7 @@ class TestTrainingOracle:
         config = TrainingConfig(dimension=dimension, window=window,
                                 negatives=negatives, epochs=epochs,
                                 min_count=min_count,
-                                subsample_threshold=subsample, seed=seed)
+                                subsample=subsample, seed=seed)
         counts = collections.Counter(t for sentence in corpus for t in sentence)
         if max(counts.values()) < min_count:
             with pytest.raises(AnalysisError):

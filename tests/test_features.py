@@ -18,11 +18,9 @@ from slanglex.slangclass.features import (
     FeatureVocabulary,
     NgramKind,
     NgramTable,
-    count_matrix,
     extract_char_ngrams,
     extract_morpheme_ngrams,
     feature_matrix,
-    fit_vocabulary,
     word_features,
 )
 from slanglex.slangclass.logreg import (
@@ -85,47 +83,65 @@ class TestMorphemeNgrams:
         assert extract_morpheme_ngrams(seg, 1, 5) == {"dog": 1}
 
 
+def unigram_vocabulary(words, cap):
+    """The char-unigram vocabulary of the words."""
+    return NgramTable(words, NgramKind.CHAR, 1, 1).vocabulary(words, cap)
+
+
 class TestVocabulary:
     def test_cap_keeps_most_frequent(self):
-        maps = [{"aa": 5, "bb": 1}, {"aa": 2, "cc": 3}]
-        vocab = fit_vocabulary(maps, NgramKind.CHAR, cap=2)
-        assert vocab.features == ("aa", "cc")
+        # a: 5 + 2, b: 1, c: 3
+        vocab = unigram_vocabulary(["aaaaab", "aaccc"], cap=2)
+        assert vocab.features == ("a", "c")
 
     def test_tie_breaks_lexicographically(self):
-        maps = [{"zz": 2, "aa": 2, "mm": 2}]
-        vocab = fit_vocabulary(maps, NgramKind.CHAR, cap=2)
-        assert vocab.features == ("aa", "mm")
+        vocab = unigram_vocabulary(["zzaamm"], cap=2)
+        assert vocab.features == ("a", "m")
 
     def test_cap_larger_than_inventory(self):
-        vocab = fit_vocabulary([{"a": 1}], NgramKind.CHAR, cap=50)
+        vocab = unigram_vocabulary(["a"], cap=50)
         assert vocab.features == ("a",)
 
     def test_validation(self):
         with pytest.raises(AnalysisError):
-            fit_vocabulary([{"a": 1}], NgramKind.CHAR, cap=0)
-        with pytest.raises(AnalysisError):
-            fit_vocabulary([], NgramKind.CHAR)
+            unigram_vocabulary(["a"], cap=0)
+        with pytest.raises(AnalysisError, match="no features observed"):
+            unigram_vocabulary([], cap=200)
+
+
+# morphs for the morph-feature rows; letters outside them segment alone
+SEGMENTER = SegmenterModel(morph_counts={"ab": 4, "ba": 3, "c": 2, "abc": 1},
+                           alphabet=frozenset("abcd"), total_code_length=0.0)
 
 
 class TestVectorize:
-    """One feature map as a count row: `count_matrix` of a single map."""
+    """Words as count rows: `feature_matrix`, the one path to a model
+    matrix."""
 
     def test_counts_land_in_columns(self):
-        vocab = fit_vocabulary([{"a": 3, "b": 1}], NgramKind.CHAR, cap=10)
-        x = count_matrix(vocab, [{"a": 2, "b": 7}])[0]
+        vocab = unigram_vocabulary(["ab"], cap=10)
+        x = feature_matrix(vocab, ["aabbbbbbb"])[0]
         assert x[vocab.index["a"]] == 2.0
         assert x[vocab.index["b"]] == 7.0
 
     def test_unknown_features_ignored(self):
-        vocab = fit_vocabulary([{"a": 1}], NgramKind.CHAR, cap=10)
-        x = count_matrix(vocab, [{"zzz": 40}])[0]
+        vocab = unigram_vocabulary(["a"], cap=10)
+        x = feature_matrix(vocab, ["zzz"])[0]
         assert np.array_equal(x, np.zeros(1))
 
     def test_dtype_and_shape(self):
-        vocab = fit_vocabulary([{"a": 1, "b": 1, "c": 1}], NgramKind.CHAR, cap=3)
-        x = count_matrix(vocab, [{"b": 1}])
+        vocab = unigram_vocabulary(["abc"], cap=3)
+        x = feature_matrix(vocab, ["b"])
         assert x.dtype == np.float64
         assert x.shape == (1, 3)
+
+    def test_morph_rows(self):
+        # abab -> ab+ab, cab -> c+ab, abd -> ab+d; "zz" is never seen
+        vocab = FeatureVocabulary(kind=NgramKind.MORPHEME, n_min=1, n_max=2,
+                                  features=("ab", "c+ab", "zz"))
+        x = feature_matrix(vocab, ["abab", "cab", "abd"], SEGMENTER)
+        assert x.dtype == np.float64
+        assert x.tolist() == [[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 0.0]]
 
 
 # ASCII, the punctuation alphabetisms use, U+0000, an astral character, a
@@ -147,7 +163,7 @@ def _model(features, n_min, n_max):
 def _one_word_probs(model, word):
     """Scoring as it was defined one word at a time: the reference."""
     vocab = model.vocab
-    x = count_matrix(vocab, [extract_char_ngrams(word, vocab.n_min, vocab.n_max)])[0]
+    x = _old_rows(vocab, [extract_char_ngrams(word, vocab.n_min, vocab.n_max)])[0]
     scores = model.weights @ np.append(x, 1.0)
     return _softmax_rows(scores[None, :])[0]
 
@@ -164,9 +180,8 @@ class TestBatchScoring:
     def test_batch_equals_one_word_path(self, features, n_range, words):
         model = _model(features, *n_range)
         x = feature_matrix(model.vocab, words)
-        expected = np.vstack([count_matrix(model.vocab,
-                                           [extract_char_ngrams(w, *n_range)])
-                              for w in words])
+        expected = _old_rows(model.vocab,
+                             [extract_char_ngrams(w, *n_range) for w in words])
         assert x.dtype == np.float64
         assert np.array_equal(x, expected)
         probs = predict_proba_batch(model, words)
@@ -178,9 +193,9 @@ class TestBatchScoring:
         rng = np.random.default_rng(0)
         words = ["".join(rng.choice(list("abcd.-"), size=rng.integers(1, 9)))
                  for _ in range(700)]
-        maps = [extract_char_ngrams(w, 1, 5) for w in words[:100]]
-        model = _model(fit_vocabulary(maps, NgramKind.CHAR, cap=200).features,
-                       1, 5)
+        vocab = NgramTable(words[:100], NgramKind.CHAR, 1, 5).vocabulary(
+            words[:100], cap=200)
+        model = _model(vocab.features, 1, 5)
         probs = predict_proba_batch(model, words)
         assert probs.shape == (700, len(SlangClass))
         for word, row in zip(words, probs):
@@ -220,9 +235,6 @@ def _old_rows(vocab, maps):
     return x
 
 
-# morphs for the morph-feature rows; letters outside them segment alone
-SEGMENTER = SegmenterModel(morph_counts={"ab": 4, "ba": 3, "c": 2, "abc": 1},
-                           alphabet=frozenset("abcd"), total_code_length=0.0)
 WORDS = st.text("abcdAB.-", min_size=1, max_size=7)
 
 
@@ -243,45 +255,24 @@ class TestNgramTable:
              n_range=[1, 2], cap=2)
     def test_table_equals_per_word_path(self, words, picks, kind, n_range, cap):
         segmenter = SEGMENTER if kind is NgramKind.MORPHEME else None
-        table = NgramTable.of_words(words, kind, *n_range, segmenter)
-        # a row subset, with repeats, of a word list that may hold duplicates
+        table = NgramTable(words, kind, *n_range, segmenter)
+        # a subset, with repeats, of a word list that may hold duplicates
         chosen = [words[p % len(words)] for p in picks]
         maps = [word_features(w, kind, *n_range, segmenter) for w in chosen]
-        rows = table.rows(chosen)
-        assert [table.maps[i] for i in rows] == maps
         if not any(maps):  # every word shorter than n_min
             with pytest.raises(AnalysisError, match="no features observed"):
-                table.vocabulary(rows, cap)
+                table.vocabulary(chosen, cap)
             return
-        vocab = table.vocabulary(rows, cap)
+        vocab = table.vocabulary(chosen, cap)
         assert vocab == _old_vocabulary(maps, kind, cap, *n_range)
-        assert fit_vocabulary(maps, kind, cap, *n_range) == vocab
-        x = count_matrix(vocab, [table.maps[i] for i in rows])
+        x = feature_matrix(vocab, chosen, segmenter)
         assert np.array_equal(x, _old_rows(vocab, maps))
-        assert rows == [list(dict.fromkeys(words)).index(w) for w in chosen]
-
-    @settings(max_examples=80)
-    @given(maps=st.lists(st.dictionaries(GRAMS, st.integers(0, 4), max_size=6),
-                         min_size=1, max_size=6),
-           cap=st.integers(1, 12))
-    # a feature seen only with count 0 still ranks, after the others
-    @example(maps=[{"b": 1}, {"a": 0}], cap=5)
-    def test_any_maps_keep_the_old_rule(self, maps, cap):
-        if not any(maps):
-            with pytest.raises(AnalysisError, match="no features observed"):
-                fit_vocabulary(maps, NgramKind.CHAR, cap)
-            return
-        vocab = fit_vocabulary(maps, NgramKind.CHAR, cap)
-        assert vocab == _old_vocabulary(maps, NgramKind.CHAR, cap, 1, 5)
-        assert np.array_equal(count_matrix(vocab, maps), _old_rows(vocab, maps))
-        assert all(np.array_equal(count_matrix(vocab, [m])[0], row)
-                   for m, row in zip(maps, _old_rows(vocab, maps)))
 
     def test_rows_are_of_its_words_only(self):
-        table = NgramTable.of_words(["ab", "ba", "ab"], NgramKind.CHAR, 1, 2)
-        assert table.rows(["ba", "ab", "ba"]) == [1, 0, 1]
+        table = NgramTable(["ab", "ba", "ab"], NgramKind.CHAR, 1, 2)
+        assert table.vocabulary(["ba", "ba"], 5).features == ("a", "b", "ba")
         with pytest.raises(KeyError):
-            table.rows(["c"])
+            table.vocabulary(["c"], 5)
 
 
 def count_extractions(monkeypatch) -> collections.Counter:
@@ -303,9 +294,9 @@ def test_pipeline_models_equal_per_word_path(tmp_path, monkeypatch):
     train_logreg = cli.train_logreg
     extracted = count_extractions(monkeypatch)
 
-    def recording(maps, labels, vocab, **kwargs):
-        fits.append((list(labels), kwargs, train_logreg(maps, labels, vocab,
-                                                        **kwargs)))
+    def recording(words, labels, vocab, segmenter=None, **kwargs):
+        fits.append((list(words), list(labels), kwargs,
+                     train_logreg(words, labels, vocab, segmenter, **kwargs)))
         return fits[-1][-1]
 
     monkeypatch.setattr(cli, "train_logreg", recording)
@@ -325,18 +316,28 @@ def test_pipeline_models_equal_per_word_path(tmp_path, monkeypatch):
                 *((records, NgramKind.CHAR, None) for records in folds)]
     assert len(fits) == len(expected) == 6
     # the char fits read one table of every gold word, so each word's char
-    # n-grams are extracted once; morph n-grams once for the training words
-    # (the morph fit's table) and once for the test words (scoring)
+    # n-grams are extracted once (their matrices walk the trie); morph
+    # n-grams twice for the training words (the morph fit's table, then its
+    # matrix) and once for the test words (scoring)
+    train = {r.word for r in split.train}
     assert extracted == {**{(NgramKind.CHAR, r.word): 1 for r in gold},
-                         **{(NgramKind.MORPHEME, r.word): 1 for r in gold}}
+                         **{(NgramKind.MORPHEME, r.word): 1 + (r.word in train)
+                            for r in gold}}
     monkeypatch.setattr(features, "word_features", word_features)
-    monkeypatch.setattr(logreg, "count_matrix", _old_rows)
-    for (labels, kwargs, model), (records, kind, seg) in zip(fits, expected):
+
+    def old_matrix(vocab, words, segmenter=None):
+        return _old_rows(vocab, [word_features(w, vocab.kind, vocab.n_min,
+                                               vocab.n_max, segmenter)
+                                 for w in words])
+
+    monkeypatch.setattr(logreg, "feature_matrix", old_matrix)
+    for (words, labels, kwargs, model), (records, kind, seg) in zip(fits, expected):
         n_min, n_max, cap = (cli.FIT[key] for key in ("n_min", "n_max", "cap"))
         maps = [word_features(r.word, kind, n_min, n_max, seg) for r in records]
         vocab = _old_vocabulary(maps, kind, cap, n_min, n_max)
+        assert words == [r.word for r in records]
         assert labels == [r.label for r in records]
-        old = train_logreg(maps, labels, vocab, **kwargs)
+        old = train_logreg(words, labels, vocab, seg, **kwargs)
         assert model.vocab == vocab
         assert model.classes == old.classes
         assert model.weights.tobytes() == old.weights.tobytes()

@@ -362,7 +362,12 @@ class TestSexprej:
 
     def test_word_must_be_in_vocab(self):
         emb = table({"t1": [1.0]})
-        with pytest.raises(AnalysisError):
+        with pytest.raises(AnalysisError, match="word 'w' has no vector"):
+            sexprej(emb, "w", ["t1"])
+
+    def test_zero_vector_word_is_missing(self):
+        emb = table({"w": [0.0, 0.0], "t1": [1.0, 0.0]})
+        with pytest.raises(AnalysisError, match="word 'w' has no vector"):
             sexprej(emb, "w", ["t1"])
 
 

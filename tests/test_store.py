@@ -137,8 +137,10 @@ class TestSharedTables:
             store.forget(gold)
             table = store.load(cli._char_table, gold, 1, 5)
         words = [r.word for r in load_gold_classes(gold)]
-        assert table is not first and len(table.maps) < len(first.maps)
-        assert table.maps == NgramTable.of_words(words, NgramKind.CHAR, 1, 5).maps
+        fresh = NgramTable(words, NgramKind.CHAR, 1, 5)
+        assert table is not first and len(table.grams) < len(first.grams)
+        assert table.grams == fresh.grams
+        assert table.vocabulary(words, 200) == fresh.vocabulary(words, 200)
 
 
 class TestPipelineLoads:
