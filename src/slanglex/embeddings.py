@@ -3,14 +3,11 @@
 Training works on arrays, not one pair at a time. Each epoch subsamples
 every token with one draw, draws every position's window at once and
 builds all (center, context) pairs inside sentence bounds; the pairs then
-go through in chunks in corpus order. For a stretch of 64 chunks at a
-time, the negatives are drawn in one call (the same stream of doubles as
-drawing them chunk by chunk), and each chunk's center, context and
-negative rows are ordered stably by row, one lexsort per kind. Per chunk,
-one batched `sgns_pair_gradients` call computes the loss and gradients
-from the vectors as they stood at the chunk's start, negatives equal to
-their pair's context are dropped, and the summed updates are applied once
-per row (mini-batched SGNS, Ji et al. 2016). A chunk holds at most
+go through in chunks in corpus order. Per chunk, one batched
+`sgns_pair_gradients` call computes the loss and gradients from the
+vectors as they stood at the chunk's start, negatives equal to their
+pair's context are dropped, and the summed updates are applied once per
+row (mini-batched SGNS, Ji et al. 2016). A chunk holds at most
 min(vocabulary size, 128) pairs. The vocabulary bound keeps training
 stable: rows that repeat within a chunk get their stale updates added
 together, and with a small vocabulary and large chunks those sums
@@ -19,28 +16,29 @@ chunk ended at a loss of 4e22). The 128 keeps a chunk's negative rows and
 their gradients, chunk x negatives x dimension floats each, small enough
 to stay in cache: at the default 5 negatives and 100 dimensions, 128-pair
 chunks trained faster and with a lower peak memory than 256- or 512-pair
-chunks. The stretch bounds the memory of the draws and orders, about 40
-bytes per negative: drawn for a whole epoch at once, they raised the
-peak RSS of training on 1,000 generated usage entries (23k tokens) from
-46 to 62 MB, against 49 MB in stretches.
+chunks. The negatives of a stretch of 64 chunks are drawn in one call,
+which reads the same stream of doubles as drawing them chunk by chunk
+(a call per chunk trained 1-2% slower). The stretch bounds the memory of
+the draws: drawn for a whole epoch at once, they raised the peak RSS of
+training on 1,000 generated usage entries (23k tokens) from 48 to 54 MB.
 
-The chunk loop does no sorting and allocates no large array of its own:
-the gathered rows, the row-sorted gradients, the per-row sums and the
-rows being updated go into four arrays made once per training (the
-descent reuses the gathered negatives' array, which the gradients no
-longer need). Only `sgns_pair_gradients`, which the gradient checks
-share, returns fresh arrays, and each chunk frees them before the next
-makes its own. Half-megabyte temporaries allocated and freed by every
-chunk make glibc grow and trim its heap on every chunk, and the fresh
-pages cost more than the arithmetic: on the `pipeline-usage` benchmark
-inputs (281 sentences, 428 types, 8 epochs), a fresh process takes about
-90k minor page faults to train at 100 dimensions and 276k at 300 that
-way, and about a third of its training time goes to the kernel; with the
-work arrays it takes about 3k at either. A repeated row's gradients are
-summed by `np.add.reduceat` over the stably sorted rows, which adds a
-run's first row to numpy's pairwise sum of the others. That fixes the
-order of every sum; `np.add.at`, a matrix product or a sum written out
-another way changes the last bits of the vectors.
+Each chunk gathers its rows into four arrays made once per training,
+which then take the row-sorted gradients, the per-row sums and the rows
+being updated (the descent reuses the gathered negatives' array, which
+the gradients no longer need). Only `sgns_pair_gradients`, which the
+gradient checks share, returns fresh arrays, and each chunk frees them
+before the next makes its own. Half-megabyte temporaries allocated and
+freed by every chunk make glibc grow and trim its heap on every chunk,
+and the fresh pages cost more than the arithmetic: on the
+`pipeline-usage` benchmark inputs (281 sentences, 428 types, 8 epochs),
+a fresh process takes about 90k minor page faults to train at 100
+dimensions and 276k at 300 that way, and about a third of its training
+time goes to the kernel; with the work arrays it takes about 3k at
+either. Each descent sorts its rows stably and sums a repeated row's
+gradients by `np.add.reduceat`, which adds a run's first row to numpy's
+pairwise sum of the others. That fixes the order of every sum;
+`np.add.at`, a matrix product or a sum written out another way changes
+the last bits of the vectors.
 
 Training is single-threaded, and for a fixed seed it is bit-for-bit
 deterministic: the random draws and the order of every sum are fixed by
@@ -82,7 +80,7 @@ import zipfile
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,7 +93,7 @@ from .store import load, sha256_hex
 _TOKEN_RE = re.compile(r"[a-z0-9_]+(?:'[a-z0-9_]+)*")
 # pairs per chunk, further capped at the vocabulary size (module docstring)
 _MAX_CHUNK = 128
-# chunks whose negatives are drawn and ordered at once (module docstring)
+# chunks whose negatives are drawn at once (module docstring)
 _STRETCH = 64
 # the layout of a cache file; part of its key, with the version
 _CACHE_FORMAT = 1
@@ -132,10 +130,9 @@ class TrainingConfig:
 
 
 class EmbeddingTable:
-    """token -> d-dimensional vector, with corpus counts as metadata."""
+    """token -> d-dimensional vector, with the epoch losses of training."""
 
     def __init__(self, tokens: Sequence[str], matrix: np.ndarray,
-                 counts: Mapping[str, int],
                  epoch_losses: tuple[float, ...] = ()):
         if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
             raise AnalysisError("embedding matrix does not match token list")
@@ -143,7 +140,6 @@ class EmbeddingTable:
             raise AnalysisError("embedding matrix contains non-finite values")
         self.tokens = tuple(tokens)
         self.matrix = matrix
-        self.counts = dict(counts)
         self.epoch_losses = epoch_losses
         self._index = {t: i for i, t in enumerate(self.tokens)}
         if len(self._index) != len(self.tokens):
@@ -238,82 +234,24 @@ def sgns_pair_gradients(center: np.ndarray, positive: np.ndarray,
     return loss, grad_center, grad_positive, grad_negatives
 
 
-def _block_runs(rows: np.ndarray, block: int):
-    """For each block of `block` consecutive entries of `rows`, in turn:
-    the block-local order that sorts it stably by row, the block-local
-    start of each run of one row in that order, and each run's row. One
-    lexsort orders every block at once."""
-    order = np.lexsort((rows, np.arange(len(rows)) // block))
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    first[::block] = True
-    starts = np.flatnonzero(first)
-    # each block's runs begin at bounds[i]; the arange's last entry is
-    # past the end, so bounds[i + 1] exists for the last block too
-    bounds = starts.searchsorted(np.arange(0, len(rows) + block, block))
-    bounds = bounds.tolist()
-    order %= block
-    targets = ordered[starts]
-    starts %= block
-    for i, lo in enumerate(range(0, len(rows), block)):
-        runs = slice(bounds[i], bounds[i + 1])
-        yield order[lo:lo + block], starts[runs], targets[runs]
-
-
-def _descend(matrix: np.ndarray, grads: np.ndarray, runs, lr: float,
-             work: tuple[np.ndarray, np.ndarray]) -> None:
+def _descend(matrix: np.ndarray, rows: np.ndarray, grads: np.ndarray,
+             lr: float, work: tuple[np.ndarray, np.ndarray]) -> None:
     """matrix[rows] -= lr * grads, summing the gradients of a repeated row
-    with np.add.reduceat over the rows in stable sorted order; `runs` is
-    one block of `_block_runs`. The first work array takes the sorted
-    gradients and then the rows being updated, the second the sums
-    (ufunc.at is several times slower)."""
-    order, starts, targets = runs
-    rows, sums = work[0], work[1][:len(starts)]
-    ordered = grads.take(order, axis=0, out=rows[:len(order)], mode="clip")
+    with np.add.reduceat over the rows in stable sorted order. The first
+    work array takes the sorted gradients and then the rows being updated,
+    the second the sums (ufunc.at is several times slower)."""
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    targets = rows[starts]
+    buffer, sums = work[0], work[1][:len(starts)]
+    ordered = grads.take(order, axis=0, out=buffer[:len(order)], mode="clip")
     np.add.reduceat(ordered, starts, axis=0, out=sums)
     sums *= lr
-    current = matrix.take(targets, axis=0, out=rows[:len(targets)],
+    current = matrix.take(targets, axis=0, out=buffer[:len(targets)],
                           mode="clip")
     current -= sums
     matrix[targets] = current
-
-
-def _train_stretch(vectors: np.ndarray, context: np.ndarray,
-                   centers: np.ndarray, contexts: np.ndarray,
-                   negatives: np.ndarray, lr: float, work):
-    """Train on a stretch of pairs and their drawn negatives, chunk by
-    chunk, in the arrays of `work` (module docstring); a chunk is as long
-    as `work`'s arrays. Negatives equal to their pair's context are
-    dropped. Yields each chunk's summed loss."""
-    center_rows, context_rows, negative_rows, sums = work
-    chunk, k, d = negative_rows.shape
-    # the descent starts once the gradients are computed, so it can reuse
-    # the gathered negatives' rows
-    descent = (negative_rows.reshape(-1, d), sums)
-    keep = negatives != contexts[:, None]
-    for lo, c_runs, p_runs, n_runs in zip(
-            range(0, len(centers), chunk), _block_runs(centers, chunk),
-            _block_runs(contexts, chunk),
-            _block_runs(negatives.ravel(), chunk * k)):
-        m = min(chunk, len(centers) - lo)
-        # gradients from the rows as they stand at the chunk's start
-        loss, g_c, g_p, g_n = sgns_pair_gradients(
-            vectors.take(centers[lo:lo + m], axis=0, out=center_rows[:m],
-                         mode="clip"),
-            context.take(contexts[lo:lo + m], axis=0, out=context_rows[:m],
-                         mode="clip"),
-            context.take(negatives[lo:lo + m], axis=0,
-                         out=negative_rows[:m], mode="clip"),
-            keep=keep[lo:lo + m])
-        _descend(vectors, g_c, c_runs, lr, descent)
-        _descend(context, g_p, p_runs, lr, descent)
-        _descend(context, g_n.reshape(-1, d), n_runs, lr, descent)
-        chunk_loss = float(loss.sum())
-        # free the gradients before the next chunk allocates its own, so
-        # the heap holds one chunk's at a time (module docstring)
-        del loss, g_c, g_p, g_n
-        yield chunk_loss
 
 
 def _window_pairs(tokens: np.ndarray, sentence_ids: np.ndarray,
@@ -374,9 +312,12 @@ def train_skipgram(corpus: Sequence[Sequence[str]],
     chunk = min(len(vocab), _MAX_CHUNK)
     stretch = chunk * _STRETCH
     k = config.negatives
-    # one chunk's gathered rows and summed updates, reused by every chunk
-    work = (np.empty((chunk, d)), np.empty((chunk, d)),
-            np.empty((chunk, k, d)), np.empty((chunk * k, d)))
+    # one chunk's gathered rows and summed updates, reused by every chunk;
+    # the descent starts once the gradients are computed, so it can reuse
+    # the gathered negatives' rows
+    center_rows, context_rows = np.empty((chunk, d)), np.empty((chunk, d))
+    negative_rows = np.empty((chunk, k, d))
+    descent = (negative_rows.reshape(-1, d), np.empty((chunk * k, d)))
     epoch_losses = []
     for epoch in range(config.epochs):
         lr = max(config.lr * (1.0 - epoch / config.epochs), config.lr * 1e-4)
@@ -385,18 +326,31 @@ def train_skipgram(corpus: Sequence[Sequence[str]],
         centers, contexts = _window_pairs(tokens[kept], sentence_ids[kept],
                                           reach, config.window)
         loss_sum = 0.0
-        for lo in range(0, len(centers), stretch):
-            c_ids = centers[lo:lo + stretch]
-            n_ids = noise_cdf.searchsorted(rng.random((len(c_ids), k)))
-            # summed chunk by chunk, in one order whatever the stretches
-            for chunk_loss in _train_stretch(vectors, context, c_ids,
-                                             contexts[lo:lo + stretch],
-                                             n_ids, lr, work):
-                loss_sum += chunk_loss
+        for lo in range(0, len(centers), chunk):
+            if lo % stretch == 0:
+                drawn = noise_cdf.searchsorted(
+                    rng.random((min(stretch, len(centers) - lo), k)))
+            c_ids = centers[lo:lo + chunk]
+            p_ids = contexts[lo:lo + chunk]
+            n_ids = drawn[lo % stretch:lo % stretch + chunk]
+            m = len(c_ids)
+            # gradients from the rows as they stand at the chunk's start
+            loss, g_c, g_p, g_n = sgns_pair_gradients(
+                vectors.take(c_ids, axis=0, out=center_rows[:m], mode="clip"),
+                context.take(p_ids, axis=0, out=context_rows[:m], mode="clip"),
+                context.take(n_ids, axis=0, out=negative_rows[:m],
+                             mode="clip"),
+                keep=n_ids != p_ids[:, None])
+            _descend(vectors, c_ids, g_c, lr, descent)
+            _descend(context, p_ids, g_p, lr, descent)
+            _descend(context, n_ids.ravel(), g_n.reshape(-1, d), lr, descent)
+            loss_sum += float(loss.sum())
+            # free the gradients before the next chunk allocates its own, so
+            # the heap holds one chunk's at a time (module docstring)
+            del loss, g_c, g_p, g_n
         epoch_losses.append(loss_sum / len(centers) if len(centers) else 0.0)
 
     return EmbeddingTable(tokens=vocab, matrix=vectors,
-                          counts={t: int(counts[t]) for t in vocab},
                           epoch_losses=tuple(epoch_losses))
 
 
@@ -536,24 +490,18 @@ def _write_cache(path: Path, table: EmbeddingTable) -> None:
             temporary.unlink(missing_ok=True)
 
 
-def _table(tokens: Sequence[str], matrix: np.ndarray) -> EmbeddingTable:
-    return EmbeddingTable(tokens=tokens, matrix=matrix,
-                          counts={t: 1 for t in tokens})
-
-
 def load_embeddings(path) -> EmbeddingTable:
     """Read the text vector format (module docstring); a malformed line or
-    table raises a `SchemaError` naming the file. Counts are not stored in
-    this format, so every loaded token gets count 1. A table this version
-    has loaded before, byte for byte, comes from the cache instead."""
+    table raises a `SchemaError` naming the file. A table this version has
+    loaded before, byte for byte, comes from the cache instead."""
     cache = _cache_file(load(sha256_hex, path))
     cached = None if cache is None else _read_cache(cache)
     if cached is not None:
         with contextlib.suppress(AnalysisError):  # an edited cache file
-            return _table(*cached)
+            return EmbeddingTable(*cached)
     tokens, matrix = _parse_lines(path)
     try:
-        table = _table(tokens, matrix)
+        table = EmbeddingTable(tokens, matrix)
     except AnalysisError as exc:  # duplicate tokens, non-finite values
         raise SchemaError(str(exc), path=path) from None
     if cache is not None:

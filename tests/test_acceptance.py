@@ -73,7 +73,7 @@ def criterion(number, name, capsys):
 def embedding_from(vectors: dict) -> EmbeddingTable:
     tokens = tuple(vectors)
     matrix = np.array([vectors[t] for t in tokens], dtype=np.float64)
-    return EmbeddingTable(tokens, matrix, {t: 1 for t in tokens})
+    return EmbeddingTable(tokens, matrix)
 
 
 def test_c1_pattern_rule_fidelity(capsys):

@@ -201,7 +201,6 @@ class TestTraining:
         table = train_skipgram(corpus, config)
         assert "common" in table
         assert "rare" not in table
-        assert table.counts["common"] == 3
 
     def test_empty_vocabulary_rejected(self):
         config = TrainingConfig(dimension=4, window=2, negatives=2, epochs=1,
@@ -401,14 +400,13 @@ class TestPersistence:
         rng = np.random.default_rng(2)
         tokens = ["alpha", "beta", "gamma"]
         matrix = rng.normal(size=(3, 4))
-        table = EmbeddingTable(tokens, matrix, {t: 2 for t in tokens})
+        table = EmbeddingTable(tokens, matrix)
         path = tmp_path / "vectors.txt"
         save_embeddings(table, path)
         loaded = load_embeddings(path)
         assert loaded.tokens == tuple(tokens)
         assert loaded.dimension == 4
         assert np.allclose(loaded.matrix, matrix, atol=5e-7)
-        assert loaded.counts == {t: 1 for t in tokens}
 
     @settings(max_examples=100)
     @given(matrix=arrays(
@@ -421,7 +419,7 @@ class TestPersistence:
     @example(matrix=np.array([[-0.0], [5e-7], [-5e-7], [1e300]]))
     def test_rows_formatted_value_by_value(self, tmp_path_factory, matrix):
         tokens = [f"t{i}" for i in range(len(matrix))]
-        table = EmbeddingTable(tokens, matrix, {t: 1 for t in tokens})
+        table = EmbeddingTable(tokens, matrix)
         path = tmp_path_factory.getbasetemp() / "vectors.txt"
         save_embeddings(table, path)
         expected = f"{len(tokens)} {matrix.shape[1]}\n" + "".join(
@@ -534,7 +532,6 @@ class TestCache:
         assert warm.matrix.dtype == cold.matrix.dtype == np.float64
         assert warm.matrix.shape == cold.matrix.shape == (len(rows), 2)
         assert warm.matrix.tobytes() == cold.matrix.tobytes()
-        assert warm.counts == cold.counts
 
     @pytest.mark.parametrize("text", [
         "2 1\na 0.5\na 0.25\n", "1 2\na 0.5 nan\n", "2 3\na 0.1 0.2 0.3\n",

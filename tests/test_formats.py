@@ -289,7 +289,7 @@ class TestRoundTrips:
         matrix = data.draw(arrays(np.float64, (len(tokens), dim),
                                   elements=st.floats(-1e3, 1e3)))
         path = tmp_path_factory.getbasetemp() / "roundtrip.txt"
-        save_embeddings(EmbeddingTable(tokens, matrix, {t: 1 for t in tokens}), path)
+        save_embeddings(EmbeddingTable(tokens, matrix), path)
         loaded = load_embeddings(path)
         assert loaded.tokens == tuple(tokens)
         assert np.array_equal(loaded.matrix,

@@ -35,7 +35,7 @@ from slanglex.social import (
 def table(vectors: dict[str, list[float]]) -> EmbeddingTable:
     tokens = list(vectors)
     matrix = np.array([vectors[t] for t in tokens], dtype=np.float64)
-    return EmbeddingTable(tokens, matrix, {t: 1 for t in tokens})
+    return EmbeddingTable(tokens, matrix)
 
 
 def fsum_cosine(u, v):
