@@ -27,7 +27,6 @@ from .corpus import (
     load_standard_lexicon,
     read_records,
     save_slang_lexicon,
-    split_gold,
     stratified_split,
 )
 from .embeddings import (
@@ -385,21 +384,21 @@ def _fit_classifier(gold_path, records, kind: NgramKind, segmenter, n_min,
 
 def run_classes_train(gold_path, out_path, kind, segmenter, seed,
                       test_fraction, **fit):
-    """Fit on the gold training split; returns the summary, the split and
-    the test-split predictions."""
-    split = split_gold(load(load_gold_classes, gold_path),
-                       test_fraction=test_fraction, seed=seed)
-    model = _fit_classifier(gold_path, split.train, kind, segmenter, **fit)
+    """Fit on the gold training split; returns the summary, the split as
+    ``(train, test)`` and the test-split predictions."""
+    train, test = stratified_split(load(load_gold_classes, gold_path),
+                                   lambda r: r.label, test_fraction, seed)
+    model = _fit_classifier(gold_path, train, kind, segmenter, **fit)
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         save_classifier(model, out_path)
-    probs = predict_proba_batch(model, [r.word for r in split.test], segmenter)
+    probs = predict_proba_batch(model, [r.word for r in test], segmenter)
     preds = judge_rows(model.classes, probs)[0]
-    f1 = weighted_f1([r.label for r in split.test], preds)
-    return ({"features": kind.value, "train": len(split.train),
-             "test": len(split.test), "vocab": len(model.vocab.features),
-             "test_f1": f1, "stop": model.stop, "iterations": model.iterations},
-            split, preds)
+    f1 = weighted_f1([r.label for r in test], preds)
+    return ({"features": kind.value, "train": len(train), "test": len(test),
+             "vocab": len(model.vocab.features), "test_f1": f1,
+             "stop": model.stop, "iterations": model.iterations},
+            (train, test), preds)
 
 
 @command(classes, "classes.train", "gold", "out_file", "features", "segmenter",
@@ -626,12 +625,12 @@ def _compare_classifiers(gold_path, out: Path, segmenter, seed) -> dict:
     f1 = {}
     predictions = []
     for kind in NgramKind:
-        info, split, preds = run_classes_train(
+        info, (train, test), preds = run_classes_train(
             gold_path, None, kind, segmenter, seed, DEFAULT["test_fraction"], **FIT)
         f1[kind.value] = info["test_f1"]
         predictions.append(preds)
-    truth = [r.label for r in split.test]
-    sampler = LabelSampler([r.label for r in split.train], seed)
+    truth = [r.label for r in test]
+    sampler = LabelSampler([r.label for r in train], seed)
     f1["baseline"] = weighted_f1(truth, sampler.draw(len(truth)))
 
     write = _reports(out, seed, [("gold", gold_path)])
@@ -640,7 +639,7 @@ def _compare_classifiers(gold_path, out: Path, segmenter, seed) -> dict:
     write("class_predictions.csv",
           ["word", "true", "char_prediction", "morph_prediction"],
           [(r.word, str(r.label), str(char), str(morph))
-           for r, char, morph in zip(split.test, *predictions)])
+           for r, char, morph in zip(test, *predictions)])
     return {f"{model}_f1": value for model, value in f1.items()}
 
 

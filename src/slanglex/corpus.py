@@ -1,5 +1,8 @@
 """Lexicon data model, ingestion, vote filtering, and train/test splitting.
 
+`stratified_split` is the one split: the class detector, cross-class
+validation and the subject KNN all call it with their own label.
+
 Two on-disk formats are understood:
 
   * slang lexicons as JSON lines, one entry object per line with fields
@@ -80,12 +83,6 @@ class GoldClassRecord:
     word: str
     label: SlangClass
     components: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: tuple
-    test: tuple
 
 
 _STRINGS = (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
@@ -233,10 +230,11 @@ def filter_by_votes(entries: Sequence[LexiconEntry],
 
 def stratified_split(records: Sequence, label_of: Callable,
                      test_fraction: float, seed: int) -> tuple[tuple, tuple]:
-    """Per-class train/test split over arbitrary records.
+    """Per-class train/test split over arbitrary records: ``(train, test)``.
 
-    Each class contributes round(class_size * test_fraction) test records
-    (round half up, minimum 1). Deterministic for a fixed seed; input order
+    Each class of n records contributes round(n * test_fraction) test
+    records (round half up), at least 1 and at most n - 1, so every class
+    keeps a training record. Deterministic for a fixed seed; input order
     is preserved within each side.
     """
     if not 0.0 < test_fraction < 1.0:
@@ -251,18 +249,11 @@ def stratified_split(records: Sequence, label_of: Callable,
         if len(indices) < 2:
             raise AnalysisError(
                 f"class {label} has {len(indices)} record(s); need at least 2 to split")
-        n_test = max(1, math.floor(len(indices) * test_fraction + 0.5))
+        n_test = min(max(1, math.floor(len(indices) * test_fraction + 0.5)),
+                     len(indices) - 1)
         shuffled = indices[:]
         rng.shuffle(shuffled)
         test_idx.update(shuffled[:n_test])
     train = tuple(r for i, r in enumerate(records) if i not in test_idx)
     test = tuple(r for i, r in enumerate(records) if i in test_idx)
     return train, test
-
-
-def split_gold(records: Sequence[GoldClassRecord], test_fraction: float = 0.10,
-               seed: int = 0) -> DatasetSplit:
-    """Stratified train/test split of gold class records."""
-    train, test = stratified_split(records, lambda r: r.label,
-                                   test_fraction, seed)
-    return DatasetSplit(train=train, test=test)

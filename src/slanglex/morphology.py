@@ -23,7 +23,9 @@ XLX(c) = c * log2(c), adding k tokens of a morph with count c costs
     c > 0:  EG(c + k) - EG(c) - (XLX(c + k) - XLX(c))
 
 plus, once per analysis of j morphs, XLX(N + j * k) - XLX(N). EG and XLX
-are tables indexed by count, built once per fit. Every split candidate
+are tables indexed by count, built once per fit, and so are, per token
+multiplicity k, the two cases above: indexed by c for a morph already in
+the inventory and by len(m) for a new one. Every split candidate
 shares the token-total term, so candidates differ only by sums of a few
 small per-morph changes; the absolute ``_EPS`` compares those changes, not
 totals of 1e5 bits where it would be below float resolution. The costs a
@@ -151,27 +153,34 @@ def train_segmenter(words: Iterable[str], max_iters: int = 10,
     counts = dict(multiplicity)
     analyses = {word: (word,) for word in multiplicity}
     n_tokens = sum(counts.values())
+    longest = max(map(len, multiplicity))
+    tables: dict[int, tuple[list[float], list[float]]] = {}
 
-    def add(morph: str, k: int):
-        nonlocal n_tokens
-        counts[morph] = counts.get(morph, 0) + k
-        n_tokens += k
+    def table(k: int) -> tuple[list[float], list[float]]:
+        # the bits added by k more tokens of a morph, the token-total term
+        # aside: seen[c] for a morph with count c > 0, new[len] for a new one
+        if k not in tables:
+            tables[k] = ([0.0] + [eg[c + k] - eg[c] - (xlx[c + k] - xlx[c])
+                                  for c in range(1, size - k + 1)],
+                         [(n + 1) * letter_bits + eg[k] - xlx[k]
+                          for n in range(longest + 1)])
+        return tables[k]
 
-    def remove(morph: str, k: int):
+    def move(morphs: Sequence[str], k: int):
+        # k more tokens of each of morphs (repeats allowed); k < 0 removes
         nonlocal n_tokens
-        left = counts[morph] - k
-        if left:
-            counts[morph] = left
-        else:
-            del counts[morph]
-        n_tokens -= k
+        for m in morphs:
+            c = counts.get(m, 0) + k
+            if c:
+                counts[m] = c
+            else:
+                del counts[m]
+        n_tokens += len(morphs) * k
 
     def gain(morph: str, k: int) -> float:
-        # bits added by k more tokens of morph, the token-total term aside
+        seen, new = table(k)
         c = counts.get(morph, 0)
-        if c:
-            return eg[c + k] - eg[c] - (xlx[c + k] - xlx[c])
-        return (len(morph) + 1) * letter_bits + eg[k] - xlx[k]
+        return seen[c] if c else new[len(morph)]
 
     def added_bits(morphs: Sequence[str], k: int) -> float:
         # bits added by k more tokens of each of morphs (repeats allowed)
@@ -182,20 +191,27 @@ def train_segmenter(words: Iterable[str], max_iters: int = 10,
 
     def optimize(piece: str, mult: int) -> list[str]:
         # piece's tokens are currently absent from the counts
-        best = gain(piece, mult) + (xlx[n_tokens + mult] - xlx[n_tokens])
+        seen, new = table(mult)
+        get = counts.get
+        n = len(piece)
+        c = get(piece)
+        best = ((seen[c] if c else new[n])
+                + (xlx[n_tokens + mult] - xlx[n_tokens]))
         pair_bits = xlx[n_tokens + 2 * mult] - xlx[n_tokens]
         best_i = None
-        for i in range(1, len(piece)):
+        for i in range(1, n):
             left, right = piece[:i], piece[i:]
             if left == right:
                 bits = gain(left, 2 * mult)
             else:
-                bits = gain(left, mult) + gain(right, mult)
+                c, d = get(left), get(right)
+                bits = ((seen[c] if c else new[i])
+                        + (seen[d] if d else new[n - i]))
             if bits + pair_bits < best - _EPS:
                 best = bits + pair_bits
                 best_i = i
         if best_i is None:
-            add(piece, mult)
+            move((piece,), mult)
             return [piece]
         return optimize(piece[:best_i], mult) + optimize(piece[best_i:], mult)
 
@@ -208,19 +224,16 @@ def train_segmenter(words: Iterable[str], max_iters: int = 10,
         for word in order:
             mult = multiplicity[word]
             old = analyses[word]
-            for m in old:
-                remove(m, mult)
+            move(old, -mult)
             old_bits = added_bits(old, mult)
             new = tuple(optimize(word, mult))
             if new == old:
                 continue
-            for m in new:
-                remove(m, mult)
+            move(new, -mult)
             if added_bits(new, mult) <= old_bits + _EPS:
                 analyses[word] = new
                 changed = True
-            for m in analyses[word]:
-                add(m, mult)
+            move(analyses[word], mult)
         costs.append(morph_code_length(counts, len(alphabet)))
         if not changed:
             break

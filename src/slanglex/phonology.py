@@ -6,8 +6,10 @@ longest-match letter-cluster rule table for out-of-vocabulary words.
 Each emitted sequence records which path produced it so downstream
 reports can quantify fallback usage.
 
-Stress digits on vowel symbols (AH0, IY1, ...) are stripped on load, so
-the whole module works over the plain 39-symbol inventory.
+A phoneme is its stress-stripped ARPAbet symbol: stress digits on vowel
+symbols (AH0, IY1, ...) are stripped on load, so the whole module works
+over the plain 39-symbol inventory, and a phoneme's manner is read from
+the one table, ``MANNER_BY_SYMBOL``.
 """
 
 from __future__ import annotations
@@ -54,29 +56,18 @@ MANNER_BY_SYMBOL: dict[str, Manner] = {
 }
 
 
-def strip_stress(symbol: str) -> str:
-    return symbol.rstrip("012")
+def _canonical(symbol: str) -> str:
+    """The phoneme an ARPAbet symbol stands for: the symbol uppercased with
+    its stress digits stripped, checked against the inventory."""
+    canonical = symbol.upper().rstrip("012")
+    if canonical not in MANNER_BY_SYMBOL:
+        raise AnalysisError(f"unknown ARPAbet symbol: {symbol!r}")
+    return canonical
 
 
 def manner_of(symbol: str) -> Manner:
     """Articulation manner of an ARPAbet symbol (stress digits tolerated)."""
-    canonical = strip_stress(symbol.upper())
-    try:
-        return MANNER_BY_SYMBOL[canonical]
-    except KeyError:
-        raise AnalysisError(f"unknown ARPAbet symbol: {symbol!r}") from None
-
-
-@dataclass(frozen=True)
-class Phoneme:
-    symbol: str
-    manner: Manner
-
-
-def phoneme(symbol: str) -> Phoneme:
-    """Build a Phoneme, validating the symbol against the inventory."""
-    canonical = strip_stress(symbol.upper())
-    return Phoneme(canonical, manner_of(canonical))
+    return MANNER_BY_SYMBOL[_canonical(symbol)]
 
 
 class ConversionSource(enum.Enum):
@@ -87,7 +78,7 @@ class ConversionSource(enum.Enum):
 @dataclass(frozen=True)
 class PhonemeSequence:
     word: str
-    phonemes: tuple[Phoneme, ...]
+    phonemes: tuple[str, ...]
     source: ConversionSource
 
 
@@ -101,11 +92,11 @@ class PronouncingTable:
 
     def __init__(self, entries: Mapping[str, Sequence[str]]):
         self._entries = {
-            word.upper(): tuple(phoneme(s) for s in symbols)
+            word.upper(): tuple(map(_canonical, symbols))
             for word, symbols in entries.items()
         }
 
-    def lookup(self, word: str) -> tuple[Phoneme, ...] | None:
+    def lookup(self, word: str) -> tuple[str, ...] | None:
         return self._entries.get(word.upper())
 
     @classmethod
@@ -125,11 +116,11 @@ def _split_entry(line: str) -> list[str]:
 
 
 def _known(symbols: list[str]) -> list[str]:
-    """A file line's symbols; an unknown one is an error naming the line."""
-    for symbol in symbols:
-        if strip_stress(symbol.upper()) not in MANNER_BY_SYMBOL:
-            raise SchemaError(f"unknown ARPAbet symbol: {symbol!r}")
-    return symbols
+    """A file line's phonemes; an unknown symbol is an error naming the line."""
+    try:
+        return list(map(_canonical, symbols))
+    except AnalysisError as exc:
+        raise SchemaError(str(exc)) from None
 
 
 class FallbackRules:
@@ -137,20 +128,20 @@ class FallbackRules:
 
     Applied greedily left to right, always consuming the longest cluster
     with a rule. The bundled table covers every single letter, so any
-    alphabetic input converts. Symbols are validated, and turned into
-    phonemes, once at construction.
+    alphabetic input converts. Symbols are validated, and stress-stripped,
+    once at construction.
     """
 
     def __init__(self, rules: Mapping[str, Sequence[str]]):
-        self._rules = {cluster.lower(): tuple(phoneme(s) for s in symbols)
+        self._rules = {cluster.lower(): tuple(map(_canonical, symbols))
                        for cluster, symbols in rules.items()}
         if not self._rules:
             raise AnalysisError("fallback rule table is empty")
         self._max_len = max(len(c) for c in self._rules)
 
-    def apply(self, word: str) -> tuple[Phoneme, ...]:
+    def apply(self, word: str) -> tuple[str, ...]:
         text = letters(word)
-        result: list[Phoneme] = []
+        result: list[str] = []
         i = 0
         while i < len(text):
             for width in range(min(self._max_len, len(text) - i), 0, -1):
@@ -208,7 +199,7 @@ def to_phonemes(word: str, table: PronouncingTable,
         raise AnalysisError("cannot convert an empty word")
     if not has_letter(word):
         raise AnalysisError(f"word contains no alphabetic characters: {word!r}")
-    phonemes: list[Phoneme] = []
+    phonemes: list[str] = []
     all_lookup = True
     for token in word.split():
         cleaned = re.sub(r"[^A-Za-z']", "", token).strip("'")
@@ -241,7 +232,7 @@ def phoneme_distribution(corpus: Iterable[PhonemeSequence]) -> dict[str, float]:
     total = 0
     for seq in corpus:
         for p in seq.phonemes:
-            counts[p.symbol] = counts.get(p.symbol, 0) + 1
+            counts[p] = counts.get(p, 0) + 1
             total += 1
     if total == 0:
         raise AnalysisError("empty corpus: no phonemes to count")
@@ -287,7 +278,8 @@ def positional_manner_distribution(corpus: Sequence[PhonemeSequence],
         if not seq.phonemes:
             continue
         p = seq.phonemes[0] if position is WordPosition.FIRST else seq.phonemes[-1]
-        counts[p.manner] = counts.get(p.manner, 0) + 1
+        manner = MANNER_BY_SYMBOL[p]
+        counts[manner] = counts.get(manner, 0) + 1
         n += 1
     if n == 0:
         raise AnalysisError("empty corpus: no words with phonemes")

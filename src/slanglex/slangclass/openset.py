@@ -26,7 +26,7 @@ from typing import Callable, Hashable, Sequence, TypeVar
 
 import numpy as np
 
-from ..corpus import GoldClassRecord, split_gold
+from ..corpus import GoldClassRecord, stratified_split
 from ..errors import AnalysisError
 from ..labels import REJECTED, SlangClass
 from ..stats import weighted_f1
@@ -115,16 +115,16 @@ def cross_class_validate(gold: Sequence[GoldClassRecord],
     if len(classes) < 3:
         raise AnalysisError(
             f"cross-class validation needs >= 3 classes, got {len(classes)}")
-    split = split_gold(list(gold), test_fraction=test_fraction, seed=seed)
+    train, test = stratified_split(gold, lambda r: r.label, test_fraction, seed)
     fold_f1: dict[SlangClass, float] = {}
     for held in classes:
         known = [c for c in classes if c != held]
-        model = fit([r for r in split.train if r.label != held])
-        labels, rows = model([r.word for r in split.test])
+        model = fit([r for r in train if r.label != held])
+        labels, rows = model([r.word for r in test])
         if set(labels) - set(known):
             raise AnalysisError("model produced labels outside the known set")
         predictions = judge_rows(labels, rows, score, delta)[0]
-        truth = [REJECTED if r.label == held else r.label for r in split.test]
+        truth = [REJECTED if r.label == held else r.label for r in test]
         fold_f1[held] = weighted_f1(truth, predictions)
     mean = sum(fold_f1.values()) / len(fold_f1)
     return CrossClassReport(fold_f1=fold_f1, mean_f1=mean)

@@ -293,29 +293,6 @@ def occupation_projections(embedding: EmbeddingTable,
     return sorted(projections, key=lambda item: (-item[1], item[0]))
 
 
-def _mean_cosines(embedding: EmbeddingTable, vectors: np.ndarray,
-                  prejudice_terms: Sequence[str]) -> np.ndarray:
-    """SEXPREJ of a vector (d,), or of each row of (m, d): the mean cosine
-    to the prejudice terms that are in the vocabulary."""
-    _, rows = lookup(embedding, prejudice_terms)
-    if not len(rows):
-        raise AnalysisError("no prejudice term is in the embedding vocabulary")
-    return cosines(vectors, rows).mean(axis=-1)
-
-
-def sexprej(embedding: EmbeddingTable, word: str,
-            prejudice_terms: Sequence[str]) -> float:
-    """Mean cosine similarity of a word to the prejudice-term list.
-
-    Terms without a vector (`lookup`) are excluded from the mean; the word
-    itself must have one.
-    """
-    found, vectors = lookup(embedding, [word])
-    if not found[0]:
-        raise AnalysisError(f"word {word!r} has no vector")
-    return float(_mean_cosines(embedding, vectors[0], prejudice_terms))
-
-
 def permutation_test_means(group_a: Sequence[float], group_b: Sequence[float],
                            n_permutations: int = 10_000,
                            seed: int = 0) -> tuple[float, bool]:
@@ -378,12 +355,21 @@ def name_prejudice_comparison(embedding: EmbeddingTable,
                               prejudice_terms: Sequence[str],
                               n_permutations: int = 10_000,
                               seed: int = 0) -> NameBiasReport:
-    """Mean SEXPREJ by name gender plus permutation-test significance."""
+    """Mean SEXPREJ by name gender plus permutation-test significance.
+
+    A name's SEXPREJ is its mean cosine to the prejudice terms that have a
+    vector (`lookup`); names of unknown gender or without a vector are
+    left out and counted."""
     known = [(name, genders.lookup(name)) for name in names]
     known = [(name, g) for name, g in known if g is not Gender.UNKNOWN]
     found, rows = lookup(embedding, [name for name, _ in known])
     usable = list(itertools.compress(known, found))
-    values = _mean_cosines(embedding, rows, prejudice_terms) if usable else ()
+    values = ()
+    if usable:
+        _, terms = lookup(embedding, prejudice_terms)
+        if not len(terms):
+            raise AnalysisError("no prejudice term is in the embedding vocabulary")
+        values = cosines(rows, terms).mean(axis=-1)
     scores = tuple((name, g, float(value))
                    for (name, g), value in zip(usable, values))
     groups = {gender: [value for _, g, value in scores if g is gender]

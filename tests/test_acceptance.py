@@ -19,7 +19,7 @@ import pytest
 from click.testing import CliRunner
 
 from slanglex.cli import main as cli_main
-from slanglex.corpus import GoldClassRecord, split_gold
+from slanglex.corpus import GoldClassRecord, stratified_split
 from slanglex.embeddings import (
     EmbeddingTable,
     TrainingConfig,
@@ -48,11 +48,13 @@ from slanglex.slangclass.patterns import (
     classify_reduplicative,
 )
 from slanglex.social import (
+    Gender,
+    GenderLexicon,
     direct_bias,
     gender_direction,
+    name_prejudice_comparison,
     permutation_test_means,
     religious_prejudice_matrix,
-    sexprej,
 )
 from slanglex.stats import confusion_and_report, weighted_f1
 
@@ -89,7 +91,7 @@ def test_c1_pattern_rule_fidelity(capsys):
         table = load_bundled_pronouncing_table()
         rules = load_bundled_fallback_rules()
         woody = to_phonemes("woody", table, rules)
-        assert tuple(p.symbol for p in woody.phonemes) == ("W", "UH", "D", "IY")
+        assert woody.phonemes == ("W", "UH", "D", "IY")
         assert time.perf_counter() - start < 1.0
 
 
@@ -261,17 +263,17 @@ def test_c4_synthetic_gold_classifier(capsys):
         start = time.perf_counter()
         records = synthetic_gold()
         assert len(records) == 400
-        split = split_gold(records, test_fraction=0.10, seed=4)
-        assert len(split.test) == 40
-        train_words = [r.word for r in split.train]
-        train_labels = [r.label for r in split.train]
-        truth = [r.label for r in split.test]
+        train, test = stratified_split(records, lambda r: r.label, 0.10, seed=4)
+        assert len(test) == 40
+        train_words = [r.word for r in train]
+        train_labels = [r.label for r in train]
+        truth = [r.label for r in test]
 
         char_vocab = NgramTable(train_words, NgramKind.CHAR, 1, 3).vocabulary(
             train_words, cap=800)
         char_model = train_logreg(train_words, train_labels, char_vocab,
                                   l2=0.5, max_epochs=400)
-        test_words = [r.word for r in split.test]
+        test_words = [r.word for r in test]
         char_pred = judge_rows(char_model.classes,
                                predict_proba_batch(char_model, test_words))[0]
         f1_char = weighted_f1(truth, char_pred)
@@ -410,9 +412,16 @@ def test_c7_bias_metric_fixtures(capsys):
             "word": [1.0, 0.0],
             "near": [1.0, 0.0],
             "far": [0.0, 1.0],
+            "eve": [0.0, 1.0], "bob": [1.0, 0.0], "tom": [0.0, 1.0],
         })
+        genders = GenderLexicon({"word": Gender.FEMALE, "eve": Gender.FEMALE,
+                                 "bob": Gender.MALE, "tom": Gender.MALE})
+        report = name_prejudice_comparison(emb3, genders.names, genders,
+                                           ["near", "far"])
+        name, _, value = report.scores[0]
         # hand mean of cosines: (1 + 0) / 2
-        assert sexprej(emb3, "word", ["near", "far"]) == pytest.approx(0.5, abs=1e-9)
+        assert name == "word"
+        assert value == pytest.approx(0.5, abs=1e-9)
 
         p, exhaustive = permutation_test_means([0.9, 0.9], [0.1, 0.1])
         assert exhaustive

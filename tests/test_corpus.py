@@ -1,7 +1,10 @@
 """Ingestion, vote filtering and stratified splitting."""
 import json
+import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from slanglex.corpus import (
     GoldClassRecord,
@@ -11,7 +14,6 @@ from slanglex.corpus import (
     load_slang_lexicon,
     load_standard_lexicon,
     save_slang_lexicon,
-    split_gold,
     stratified_split,
 )
 from slanglex.errors import AnalysisError, SchemaError
@@ -185,11 +187,30 @@ class TestStratifiedSplit:
             with pytest.raises(AnalysisError):
                 stratified_split(records, lambda r: r.label, fraction, seed=0)
 
-    def test_split_gold_wrapper(self):
-        records = self.records({SlangClass.BLEND: 20, SlangClass.CLIPPING: 20})
-        split = split_gold(records, test_fraction=0.10, seed=7)
-        assert split == split_gold(records, test_fraction=0.10, seed=7)
-        assert len(split.test) == 4
+    def test_every_class_keeps_a_training_record(self):
+        # 2 * 0.75 = 1.5 rounds to 2, the whole class; the cap is n - 1
+        records = self.records({SlangClass.BLEND: 2, SlangClass.CLIPPING: 8})
+        train, test = stratified_split(records, lambda r: r.label, 0.75, seed=0)
+        assert [r.label for r in train].count(SlangClass.BLEND) == 1
+        assert [r.label for r in test].count(SlangClass.CLIPPING) == 6
+
+    @given(sizes=st.lists(st.integers(2, 12), min_size=1, max_size=4),
+           fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32),
+           data=st.data())
+    def test_split_properties(self, sizes, fraction, seed, data):
+        labels = [label for label, n in enumerate(sizes) for _ in range(n)]
+        labels = data.draw(st.permutations(labels))
+        records = list(enumerate(labels))  # (position, label), all distinct
+        train, test = stratified_split(records, lambda r: r[1], fraction, seed)
+        # the two sides partition the records, each side in input order
+        assert sorted(train + test) == records
+        assert list(train) == [r for r in records if r in set(train)]
+        assert list(test) == [r for r in records if r in set(test)]
+        for label, n in enumerate(sizes):
+            expected = min(max(1, math.floor(n * fraction + 0.5)), n - 1)
+            assert [r[1] for r in test].count(label) == expected
+        assert stratified_split(records, lambda r: r[1], fraction,
+                                seed) == (train, test)
 
 
 class TestGoldClassCsv:

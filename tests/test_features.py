@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slanglex.cli as cli
-from slanglex.corpus import load_gold_classes, split_gold
+from slanglex.corpus import load_gold_classes, stratified_split
 from slanglex.errors import AnalysisError
 from slanglex.labels import SlangClass
 from slanglex.morphology import Segmentation, SegmenterModel, load_segmenter
@@ -307,21 +307,21 @@ def test_pipeline_models_equal_per_word_path(tmp_path, monkeypatch):
 
     gold = load_gold_classes(files("slanglex").joinpath(
         "data", "fixtures", "gold_classes.csv"))
-    split = split_gold(gold, test_fraction=0.10, seed=7)
+    train, _ = stratified_split(gold, lambda r: r.label, 0.10, seed=7)
     segmenter = load_segmenter(out / "segmenter_slang.tsv")
-    folds = [[r for r in split.train if r.label != held]
+    folds = [[r for r in train if r.label != held]
              for held in sorted({r.label for r in gold}, key=str)]
-    expected = [(split.train, NgramKind.CHAR, None),
-                (split.train, NgramKind.MORPHEME, segmenter),
+    expected = [(train, NgramKind.CHAR, None),
+                (train, NgramKind.MORPHEME, segmenter),
                 *((records, NgramKind.CHAR, None) for records in folds)]
     assert len(fits) == len(expected) == 6
     # the char fits read one table of every gold word, so each word's char
     # n-grams are extracted once (their matrices walk the trie); morph
     # n-grams twice for the training words (the morph fit's table, then its
     # matrix) and once for the test words (scoring)
-    train = {r.word for r in split.train}
+    train_words = {r.word for r in train}
     assert extracted == {**{(NgramKind.CHAR, r.word): 1 for r in gold},
-                         **{(NgramKind.MORPHEME, r.word): 1 + (r.word in train)
+                         **{(NgramKind.MORPHEME, r.word): 1 + (r.word in train_words)
                             for r in gold}}
     monkeypatch.setattr(features, "word_features", word_features)
 

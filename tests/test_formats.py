@@ -75,13 +75,12 @@ LINE_FORMATS = [
         ["brunch", "lol"], "fave,Clipping,favorite,extra", id="gold"),
     pytest.param(
         ("dict.txt", lambda p: [
-            [s.symbol for s in PronouncingTable.from_file(p).lookup(w)]
+            list(PronouncingTable.from_file(p).lookup(w))
             for w in ("dog", "cat")]),
         ";;;", ["DOG  D AO1 G", "CAT  K AE1 T"],
         [["D", "AO", "G"], ["K", "AE", "T"]], "JUSTAWORD", id="pronouncing"),
     pytest.param(
-        ("rules.tsv", lambda p: [
-            s.symbol for s in FallbackRules.from_file(p).apply("ab")]),
+        ("rules.tsv", lambda p: list(FallbackRules.from_file(p).apply("ab"))),
         "#", ["a\tAH", "b\tB"], ["AH", "B"], "a AH", id="fallback"),
     pytest.param(
         ("seg.tsv", lambda p: load_segmenter(p).morph_counts),

@@ -293,7 +293,7 @@ EPS = 1e-12  # the library's tie tolerance
 def reference_train(words, max_iters=10, seed=0):
     """The trainer's search, scoring each candidate by recomputing the
     whole code length of a copied inventory: same visiting order, same
-    recursive splitting, same tolerance."""
+    recursive splitting, same tolerance. Returns the model it trains."""
     multiplicity = Counter(w.lower() for w in words)
     alphabet_size = len(set("".join(multiplicity)))
     counts = Counter(multiplicity)
@@ -321,6 +321,7 @@ def reference_train(words, max_iters=10, seed=0):
 
     rng = random.Random(seed)
     order = sorted(multiplicity)
+    costs = [cost(counts)]
     for _ in range(max_iters):
         rng.shuffle(order)
         changed = False
@@ -338,9 +339,12 @@ def reference_train(words, max_iters=10, seed=0):
                     counts[m] -= mult
                 for m in old:
                     counts[m] += mult
+        costs.append(cost(counts))
         if not changed:
             break
-    return dict(sorted((+counts).items()))
+    return SegmenterModel(dict(sorted((+counts).items())),
+                          frozenset("".join(multiplicity)), costs[-1],
+                          tuple(costs))
 
 
 def exhaustive_segment(model, word):
@@ -371,6 +375,11 @@ LEXICONS = st.lists(st.text("abcd", min_size=1, max_size=3), min_size=1,
     lambda pieces: st.lists(st.lists(st.sampled_from(pieces), min_size=1,
                                      max_size=3).map("".join),
                             min_size=1, max_size=8))
+# LEXICONS' words drawn with repeats, which fold into multiplicities above
+# 1, and some doubled, which can split into two equal halves
+REPEATS = LEXICONS.flatmap(lambda words: st.lists(
+    st.sampled_from(words) | st.sampled_from(words).map(lambda w: w * 2),
+    min_size=1, max_size=12))
 # one count for every morph makes analyses with equal morph counts tie
 INVENTORIES = st.one_of(
     st.builds(dict.fromkeys, st.sets(st.text("ab", min_size=1, max_size=3),
@@ -390,7 +399,16 @@ class TestFastPathOracles:
              seed=1)
     def test_trainer_matches_full_recomputation(self, words, seed):
         model = train_segmenter(words, seed=seed)
-        assert model.morph_counts == reference_train(words, seed=seed)
+        reference = reference_train(words, seed=seed)
+        assert model.morph_counts == reference.morph_counts
+
+    @settings(max_examples=100)
+    @given(words=REPEATS, seed=st.integers(0, 3))
+    @example(words=["abab", "abab", "ab", "aa", "aaaa"], seed=0)
+    def test_trained_model_equals_the_reference(self, words, seed):
+        # the counts, every pass's cost and the final cost, to the bit
+        assert train_segmenter(words, seed=seed) == reference_train(
+            words, seed=seed)
 
     @settings(max_examples=100)
     @given(counts=INVENTORIES, data=st.data())

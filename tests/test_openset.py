@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from slanglex.corpus import GoldClassRecord, split_gold
+from slanglex.corpus import GoldClassRecord, stratified_split
 from slanglex.errors import AnalysisError
 from slanglex.labels import REJECTED, SlangClass
 from slanglex.slangclass.openset import (
@@ -302,8 +302,8 @@ class TestCrossClassValidation:
 
         report = cross_class_validate(gold, h_factory, delta=0.5,
                                       score=ScoreType.MAX_PROB, seed=0)
-        test_words = [r.word for r in split_gold(gold, test_fraction=0.10,
-                                                 seed=0).test]
+        _, test = stratified_split(gold, lambda r: r.label, 0.10, seed=0)
+        test_words = [r.word for r in test]
         assert calls == [test_words] * 3
         assert report.mean_f1 == pytest.approx(1.0)
 

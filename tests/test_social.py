@@ -27,7 +27,6 @@ from slanglex.social import (
     occupation_projections,
     permutation_test_means,
     religious_prejudice_matrix,
-    sexprej,
     subject_token,
 )
 
@@ -346,29 +345,44 @@ class TestOccupationProjections:
 
 
 class TestSexprej:
+    """A name's SEXPREJ, as `name_prejudice_comparison` scores it: its mean
+    cosine to the prejudice terms that have a vector."""
+    GENDERS = GenderLexicon({"w": Gender.FEMALE, "f1": Gender.FEMALE,
+                             "f2": Gender.FEMALE, "m1": Gender.MALE,
+                             "m2": Gender.MALE})
+
+    def compare(self, vectors, terms):
+        others = dict.fromkeys(["f1", "f2", "m1", "m2"], [1.0, 1.0])
+        return name_prejudice_comparison(table({**others, **vectors}),
+                                         self.GENDERS.names, self.GENDERS, terms)
+
+    def score_of_w(self, vectors, terms):
+        return {name: value for name, _, value in
+                self.compare(vectors, terms).scores}["w"]
+
     def test_hand_mean(self):
-        emb = table({"w": [1.0, 0.0], "t1": [1.0, 0.0], "t2": [0.0, 1.0]})
+        emb = {"w": [1.0, 0.0], "t1": [1.0, 0.0], "t2": [0.0, 1.0]}
         # cos(w, t1) = 1, cos(w, t2) = 0; mean 0.5
-        assert sexprej(emb, "w", ["t1", "t2"]) == pytest.approx(0.5)
+        assert self.score_of_w(emb, ["t1", "t2"]) == pytest.approx(0.5)
 
     def test_oov_terms_excluded_from_mean(self):
-        emb = table({"w": [1.0, 0.0], "t1": [1.0, 0.0], "t2": [0.0, 1.0]})
-        assert sexprej(emb, "w", ["t1", "t2", "gone"]) == pytest.approx(0.5)
+        emb = {"w": [1.0, 0.0], "t1": [1.0, 0.0], "t2": [0.0, 1.0]}
+        assert self.score_of_w(emb, ["t1", "t2", "gone"]) == pytest.approx(0.5)
 
     def test_no_terms_in_vocab_rejected(self):
-        emb = table({"w": [1.0]})
-        with pytest.raises(AnalysisError):
-            sexprej(emb, "w", ["gone"])
+        with pytest.raises(AnalysisError, match="no prejudice term"):
+            self.compare({"w": [1.0, 0.0]}, ["gone"])
 
     def test_word_must_be_in_vocab(self):
-        emb = table({"t1": [1.0]})
-        with pytest.raises(AnalysisError, match="word 'w' has no vector"):
-            sexprej(emb, "w", ["t1"])
+        # a name without a vector is left out of the scores and counted
+        report = self.compare({"t1": [1.0, 0.0]}, ["t1"])
+        assert "w" not in [name for name, _, _ in report.scores]
+        assert report.excluded_oov == 1
 
     def test_zero_vector_word_is_missing(self):
-        emb = table({"w": [0.0, 0.0], "t1": [1.0, 0.0]})
-        with pytest.raises(AnalysisError, match="word 'w' has no vector"):
-            sexprej(emb, "w", ["t1"])
+        report = self.compare({"w": [0.0, 0.0], "t1": [1.0, 0.0]}, ["t1"])
+        assert "w" not in [name for name, _, _ in report.scores]
+        assert report.excluded_oov == 1
 
 
 class TestPermutationTest:
