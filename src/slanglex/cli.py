@@ -153,7 +153,7 @@ OPTIONS = {
     "min_count": (("--min-count",), dict(default=5)),
     "subsample": (("--subsample",), dict(default=1e-3)),
     "epochs": (("--epochs",), dict(default=5)),
-    "sgns_lr": (("--lr",), dict(default=0.025)),
+    "lr": (("--lr",), dict(default=0.025)),
     "k": (("--k",), dict(default=5)),
     "strictness": (("--strictness",), dict(
         default=1.0, help="Exponent on |cosine| in the bias average.")),
@@ -165,7 +165,7 @@ DEFAULT = {key: attrs["default"] for key, (_, attrs) in OPTIONS.items()
 FIT = {key: DEFAULT[key]
        for key in ("n_min", "n_max", "cap", "l2", "max_epochs", "tol")}
 SGNS = ("dimension", "window", "negatives", "min_count", "subsample", "epochs",
-        "sgns_lr")
+        "lr")
 
 
 def _names_parameter(command, parts) -> bool:

@@ -3,13 +3,19 @@
 Case and punctuation are preserved: periods and capitals are exactly the
 cues that identify alphabetisms, so no normalization happens here.
 
+The n-grams of a word have one rule, `word_features`: every run of
+``n_min..n_max`` units with its multiplicity, where the units are the
+word's characters or its segmenter's morphs (morph runs are joined with
+`MORPH_SEPARATOR`).
+
 Words reach a model in two steps, each defined once. `NgramTable`
 picks the features: it holds the `word_features` of distinct words as one
 count table, whose columns are the distinct grams in gram (code point)
-order and whose rows keep their nonzero counts in compressed sparse row
-arrays. A vocabulary has one rule, `NgramTable.vocabulary`: the `cap`
-grams with the largest column totals over the chosen words (one
-``np.bincount``), ties broken by gram order. A gram no chosen word holds
+order and whose nonzero cells are kept as row, column and count arrays.
+A vocabulary has one rule, `NgramTable.vocabulary`: the `cap` grams with
+the largest column totals over the chosen words, ties broken by gram
+order; a cell weighs as often as its row is chosen, so the totals are one
+weighted ``np.bincount`` over the cells. A gram no chosen word holds
 is never ranked, so a table over more words than a fit trains on gives
 the fit the same vocabulary: the char fits on one gold file share one
 table of all its words, each word's n-grams extracted once.
@@ -29,7 +35,7 @@ per depth, until its next character has no edge; each word is followed by
 0x110000, which no edge has, so no position runs into the next word. A
 position that reaches a feature's state at a depth within
 ``n_min..n_max`` counts one hit, so the counts equal those of the words'
-`extract_char_ngrams` maps exactly. Characters come from one UTF-32
+`word_features` maps exactly. Characters come from one UTF-32
 encoding of the joined words, one code unit per character as ``len``
 counts them; a numpy ``U`` array would drop a word's trailing U+0000.
 """
@@ -45,7 +51,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..errors import AnalysisError
-from ..morphology import Segmentation, SegmenterModel, segment
+from ..morphology import SegmenterModel, segment
 
 MORPH_SEPARATOR = "+"
 
@@ -55,46 +61,31 @@ class NgramKind(enum.Enum):
     MORPHEME = "morph"
 
 
-def _check_range(n_min: int, n_max: int) -> None:
+def _check(words: Iterable[str], n_min: int, n_max: int) -> None:
     if not 1 <= n_min <= n_max:
         raise AnalysisError(f"bad n-gram range ({n_min}, {n_max})")
-
-
-def extract_char_ngrams(word: str, n_min: int = 1, n_max: int = 5) -> dict[str, int]:
-    """All contiguous substrings of length n_min..n_max, with multiplicity."""
-    if not word:
+    if not all(words):
         raise AnalysisError("cannot extract features from an empty word")
-    _check_range(n_min, n_max)
-    counts: dict[str, int] = {}
-    for n in range(n_min, n_max + 1):
-        for i in range(len(word) - n + 1):
-            gram = word[i:i + n]
-            counts[gram] = counts.get(gram, 0) + 1
-    return counts
-
-
-def extract_morpheme_ngrams(seg: Segmentation, n_min: int = 1,
-                            n_max: int = 5) -> dict[str, int]:
-    """Contiguous morph subsequences joined with a reserved separator."""
-    _check_range(n_min, n_max)
-    counts: dict[str, int] = {}
-    morphs = seg.morphs
-    for n in range(n_min, n_max + 1):
-        for i in range(len(morphs) - n + 1):
-            gram = MORPH_SEPARATOR.join(morphs[i:i + n])
-            counts[gram] = counts.get(gram, 0) + 1
-    return counts
 
 
 def word_features(word: str, kind: NgramKind, n_min: int, n_max: int,
                   segmenter: SegmenterModel | None = None) -> dict[str, int]:
-    """The features of one word, for training and prediction alike: char
-    n-grams, or n-grams of the segmenter's morphs."""
+    """The n-grams of one word (module docstring) with their multiplicities,
+    for training and prediction alike, shortest runs first, then left to
+    right."""
+    _check((word,), n_min, n_max)
     if kind is NgramKind.CHAR:
-        return extract_char_ngrams(word, n_min, n_max)
-    if segmenter is None:
+        units, join = word, str  # a run of characters is already a string
+    elif segmenter is None:
         raise AnalysisError("morpheme features require a trained segmenter")
-    return extract_morpheme_ngrams(segment(segmenter, word), n_min, n_max)
+    else:
+        units, join = segment(segmenter, word).morphs, MORPH_SEPARATOR.join
+    counts: dict[str, int] = {}
+    for n in range(n_min, n_max + 1):
+        for i in range(len(units) - n + 1):
+            gram = join(units[i:i + n])
+            counts[gram] = counts.get(gram, 0) + 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -131,12 +122,12 @@ class NgramTable:
         self._row = {word: i for i, word in enumerate(distinct)}
         self.grams = sorted({gram for fmap in maps for gram in fmap})
         column = {gram: j for j, gram in enumerate(self.grams)}
-        sizes = np.array([len(fmap) for fmap in maps], dtype=np.int64)
-        self.starts = np.concatenate(([0], np.cumsum(sizes)))  # CSR row starts
+        # the nonzero cells, row after row: each one's row, column and count
+        self.rows = np.repeat(np.arange(len(maps)), [len(fmap) for fmap in maps])
         self.columns = np.fromiter((column[g] for fmap in maps for g in fmap),
-                                   np.int64, self.starts[-1])
+                                   np.int64, len(self.rows))
         self.counts = np.fromiter((c for fmap in maps for c in fmap.values()),
-                                  np.float64, self.starts[-1])
+                                  np.float64, len(self.rows))
 
     def vocabulary(self, words: Iterable[str], cap: int) -> FeatureVocabulary:
         """The `cap` grams with the largest totals over ``words``, each a
@@ -145,18 +136,15 @@ class NgramTable:
         if cap < 1:
             raise AnalysisError(f"vocabulary cap must be positive, got {cap}")
         rows = np.array([self._row[word] for word in words], dtype=np.int64)
-        starts = self.starts[rows]
-        sizes = self.starts[rows + 1] - starts
-        # the cells of the rows, row after row
-        cells = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) \
-            + np.arange(sizes.sum())
-        columns = self.columns[cells]
-        observed = np.flatnonzero(np.bincount(columns, minlength=len(self.grams)))
+        # each cell counts once for every time its row is chosen; the
+        # totals are integers, so they are exact in float64
+        chosen = np.bincount(rows, minlength=len(self._row))[self.rows]
+        totals = np.bincount(self.columns, weights=chosen * self.counts,
+                             minlength=len(self.grams))
+        observed = np.flatnonzero(totals)  # every count is positive
         if not len(observed):
             raise AnalysisError("no features observed in training data")
-        totals = np.bincount(columns, weights=self.counts[cells],
-                             minlength=len(self.grams))[observed]
-        ranked = observed[np.argsort(-totals, kind="stable")[:cap]]
+        ranked = observed[np.argsort(-totals[observed], kind="stable")[:cap]]
         return FeatureVocabulary(kind=self.kind, n_min=self.n_min,
                                  n_max=self.n_max,
                                  features=tuple(self.grams[j] for j in ranked))
@@ -229,10 +217,8 @@ def feature_matrix(vocab: FeatureVocabulary, words: Sequence[str],
     vocabulary features, for fitting and scoring alike; unknown features
     are ignored. Char features take the trie walk; morph features segment
     each word and scatter its `word_features` into one matrix."""
-    _check_range(vocab.n_min, vocab.n_max)
+    _check(words, vocab.n_min, vocab.n_max)
     if vocab.kind is NgramKind.CHAR:
-        if not all(words):
-            raise AnalysisError("cannot extract features from an empty word")
         return vocab._trie.counts(words, vocab.n_min, vocab.n_max)
     index = vocab.index
     cells = [(row, index[feature], count) for row, word in enumerate(words)

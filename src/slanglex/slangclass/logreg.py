@@ -200,16 +200,18 @@ def save_classifier(model: ClassifierModel, path) -> None:
             raise AnalysisError(
                 f"feature {feature!r} ends in U+0000, which the model file "
                 "cannot store")
-    np.savez(
-        path,
-        format_version=np.array([_MODEL_FORMAT_VERSION]),
-        weights=model.weights,
-        classes=np.array([str(c) for c in model.classes], dtype=str),
-        kind=np.array([model.vocab.kind.value]),
-        n_range=np.array([model.vocab.n_min, model.vocab.n_max]),
-        features=np.array(model.vocab.features, dtype=str),
-        regularization=np.array([model.regularization]),
-    )
+    # through a handle: given a name, numpy appends .npz to one without it
+    with open(path, "wb") as handle:
+        np.savez(
+            handle,
+            format_version=np.array([_MODEL_FORMAT_VERSION]),
+            weights=model.weights,
+            classes=np.array([str(c) for c in model.classes], dtype=str),
+            kind=np.array([model.vocab.kind.value]),
+            n_range=np.array([model.vocab.n_min, model.vocab.n_max]),
+            features=np.array(model.vocab.features, dtype=str),
+            regularization=np.array([model.regularization]),
+        )
 
 
 _DTYPE_KINDS = {"i": "an integer", "f": "a float", "U": "a string"}

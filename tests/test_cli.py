@@ -466,6 +466,19 @@ class TestClasses:
             assert result.exit_code == 0, result.output
             assert stop in result.output
 
+    def test_model_written_to_the_path_as_given(self, runner, tmp_path):
+        # numpy appends .npz to a file name without it
+        _, _, gold = write_inputs(tmp_path)
+        model_path = tmp_path / "model.bin"
+        result = runner.invoke(main, ["classes", "train", "--gold", str(gold),
+                                      "--out", str(model_path)])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in tmp_path.glob("model*")) == ["model.bin"]
+        result = runner.invoke(main, [
+            "classes", "predict", "--model", str(model_path), "--words", "lol",
+            "--delta", "0.5"])
+        assert result.exit_code == 0, result.output
+
     def test_pipeline_fits_reach_tolerance(self, runner, tmp_path, monkeypatch):
         # every fit of the fixture pipeline converges; none is cut by the cap
         import slanglex.cli as cli

@@ -12,14 +12,12 @@ import slanglex.cli as cli
 from slanglex.corpus import load_gold_classes, stratified_split
 from slanglex.errors import AnalysisError
 from slanglex.labels import SlangClass
-from slanglex.morphology import Segmentation, SegmenterModel, load_segmenter
+from slanglex.morphology import SegmenterModel, load_segmenter, segment
 from slanglex.slangclass import features, logreg
 from slanglex.slangclass.features import (
     FeatureVocabulary,
     NgramKind,
     NgramTable,
-    extract_char_ngrams,
-    extract_morpheme_ngrams,
     feature_matrix,
     word_features,
 )
@@ -32,46 +30,51 @@ from slanglex.slangclass.logreg import (
 
 class TestCharNgrams:
     def test_ab_full_enumeration(self):
-        assert extract_char_ngrams("ab", 1, 2) == {"a": 1, "b": 1, "ab": 1}
+        assert word_features("ab", NgramKind.CHAR, 1, 2) == {"a": 1, "b": 1, "ab": 1}
 
     def test_boo_with_multiplicity(self):
-        assert extract_char_ngrams("boo", 1, 2) == {
+        assert word_features("boo", NgramKind.CHAR, 1, 2) == {
             "b": 1, "o": 2, "bo": 1, "oo": 1}
 
     def test_periods_and_case_survive(self):
-        grams = extract_char_ngrams("A.B", 1, 3)
+        grams = word_features("A.B", NgramKind.CHAR, 1, 3)
         assert grams["."] == 1
         assert grams["A.B"] == 1
         assert "a" not in grams
 
     def test_window_longer_than_word(self):
-        assert extract_char_ngrams("ab", 1, 5) == {"a": 1, "b": 1, "ab": 1}
+        assert word_features("ab", NgramKind.CHAR, 1, 5) == {"a": 1, "b": 1, "ab": 1}
 
     def test_count_identity(self):
         # a word of length L has L - n + 1 n-gram tokens
         word = "abcdefg"
         for n in range(1, 4):
-            grams = extract_char_ngrams(word, n, n)
+            grams = word_features(word, NgramKind.CHAR, n, n)
             assert sum(grams.values()) == len(word) - n + 1
 
     def test_validation(self):
         with pytest.raises(AnalysisError):
-            extract_char_ngrams("")
+            word_features("", NgramKind.CHAR, 1, 5)
         with pytest.raises(AnalysisError):
-            extract_char_ngrams("ab", 2, 1)
+            word_features("ab", NgramKind.CHAR, 2, 1)
         with pytest.raises(AnalysisError):
-            extract_char_ngrams("ab", 0, 1)
+            word_features("ab", NgramKind.CHAR, 0, 1)
+
+
+# segments dogcat as dog+cat, abc as a+b+c and dog as dog
+MORPHS = SegmenterModel(morph_counts=dict.fromkeys(["dog", "cat", "a", "b", "c"], 1),
+                        alphabet=frozenset("dogcatb"), total_code_length=0.0)
 
 
 class TestMorphemeNgrams:
     def test_two_morph_enumeration(self):
-        seg = Segmentation("dogcat", ("dog", "cat"))
-        assert extract_morpheme_ngrams(seg, 1, 2) == {
+        assert segment(MORPHS, "dogcat").morphs == ("dog", "cat")
+        assert word_features("dogcat", NgramKind.MORPHEME, 1, 2, MORPHS) == {
             "dog": 1, "cat": 1, "dog+cat": 1}
 
     def test_three_morph_gram_counts(self):
-        seg = Segmentation("abc", ("a", "b", "c"))
-        grams = extract_morpheme_ngrams(seg, 1, 3)
+        assert segment(MORPHS, "abc").morphs == ("a", "b", "c")
+        grams = word_features("abc", NgramKind.MORPHEME, 1, 3, MORPHS)
         # 3 unigrams, 2 bigrams, 1 trigram
         by_order = {1: 0, 2: 0, 3: 0}
         for gram, count in grams.items():
@@ -79,8 +82,21 @@ class TestMorphemeNgrams:
         assert by_order == {1: 3, 2: 2, 3: 1}
 
     def test_single_morph(self):
-        seg = Segmentation("dog", ("dog",))
-        assert extract_morpheme_ngrams(seg, 1, 5) == {"dog": 1}
+        assert segment(MORPHS, "dog").morphs == ("dog",)
+        assert word_features("dog", NgramKind.MORPHEME, 1, 5, MORPHS) == {"dog": 1}
+
+    @settings(max_examples=200)
+    @given(word=st.text("abcd", min_size=1, max_size=12),
+           n_range=st.tuples(st.integers(1, 6), st.integers(1, 6)).map(sorted))
+    def test_single_letter_morphs_give_char_features(self, word, n_range):
+        # every letter is its own morph, so a morph run, its separators
+        # removed, is the char run at the same place
+        letters = SegmenterModel(morph_counts=dict.fromkeys("abcd", 1),
+                                 alphabet=frozenset("abcd"), total_code_length=0.0)
+        morph = word_features(word, NgramKind.MORPHEME, *n_range, letters)
+        stripped = [(gram.replace(features.MORPH_SEPARATOR, ""), count)
+                    for gram, count in morph.items()]
+        assert stripped == list(word_features(word, NgramKind.CHAR, *n_range).items())
 
 
 def unigram_vocabulary(words, cap):
@@ -163,7 +179,8 @@ def _model(features, n_min, n_max):
 def _one_word_probs(model, word):
     """Scoring as it was defined one word at a time: the reference."""
     vocab = model.vocab
-    x = _old_rows(vocab, [extract_char_ngrams(word, vocab.n_min, vocab.n_max)])[0]
+    x = _old_rows(vocab, [word_features(word, NgramKind.CHAR, vocab.n_min,
+                                       vocab.n_max)])[0]
     scores = model.weights @ np.append(x, 1.0)
     return _softmax_rows(scores[None, :])[0]
 
@@ -180,8 +197,8 @@ class TestBatchScoring:
     def test_batch_equals_one_word_path(self, features, n_range, words):
         model = _model(features, *n_range)
         x = feature_matrix(model.vocab, words)
-        expected = _old_rows(model.vocab,
-                             [extract_char_ngrams(w, *n_range) for w in words])
+        expected = _old_rows(model.vocab, [word_features(w, NgramKind.CHAR, *n_range)
+                                           for w in words])
         assert x.dtype == np.float64
         assert np.array_equal(x, expected)
         probs = predict_proba_batch(model, words)
