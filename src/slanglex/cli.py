@@ -101,8 +101,9 @@ IN_FILE = click.Path(exists=True, dir_okay=False)
 OUT_FILE = click.Path(dir_okay=False)
 
 # key -> (flag declarations, click attributes). Commands name the keys they
-# take; the parameter name is also the config key. The pipeline reads the
-# defaults of the settings it does not expose from here too.
+# take; the parameter name is also the config key. These are the only
+# defaults of the settings: the library takes each from its caller, and the
+# pipeline reads the defaults of the settings it does not expose from here.
 OPTIONS = {
     "fixtures": (("--fixtures",),
                  dict(is_flag=True, help="Run on the bundled miniature corpus.")),

@@ -216,12 +216,12 @@ def load_gold_classes(path) -> list[GoldClassRecord]:
 
 
 def filter_by_votes(entries: Sequence[LexiconEntry],
-                    min_votes: int = 100) -> list[LexiconEntry]:
+                    min_votes: int) -> list[LexiconEntry]:
     """Keep entries whose total vote count reaches the threshold.
 
-    Rare words and short-lived trends carry few votes; the default cutoff
-    of 100 total votes (inclusive) weeds them out. Order is preserved and
-    the operation is idempotent.
+    Rare words and short-lived trends carry few votes; a cutoff on total
+    votes (inclusive) weeds them out. Order is preserved and the operation
+    is idempotent.
     """
     if min_votes < 0:
         raise AnalysisError(f"min_votes must be non-negative, got {min_votes}")

@@ -14,13 +14,11 @@ together, and with a small vocabulary and large chunks those sums
 overshoot and training diverges (on a 15-token corpus, 1,024 pairs per
 chunk ended at a loss of 4e22). The 128 keeps a chunk's negative rows and
 their gradients, chunk x negatives x dimension floats each, small enough
-to stay in cache: at the default 5 negatives and 100 dimensions, 128-pair
+to stay in cache: at the CLI's 5 negatives and 100 dimensions, 128-pair
 chunks trained faster and with a lower peak memory than 256- or 512-pair
-chunks. The negatives of a stretch of 64 chunks are drawn in one call,
-which reads the same stream of doubles as drawing them chunk by chunk
-(a call per chunk trained 1-2% slower). The stretch bounds the memory of
-the draws: drawn for a whole epoch at once, they raised the peak RSS of
-training on 1,000 generated usage entries (23k tokens) from 48 to 54 MB.
+chunks. Each chunk draws its own negatives: drawn for a whole epoch at
+once, they raised the peak RSS of training on 1,000 generated usage
+entries (23k tokens) from 48 to 54 MB.
 
 Each chunk gathers its rows into four arrays made once per training,
 which then take the row-sorted gradients, the per-row sums and the rows
@@ -93,8 +91,6 @@ from .store import load, sha256_hex
 _TOKEN_RE = re.compile(r"[a-z0-9_]+(?:'[a-z0-9_]+)*")
 # pairs per chunk, further capped at the vocabulary size (module docstring)
 _MAX_CHUNK = 128
-# chunks whose negatives are drawn at once (module docstring)
-_STRETCH = 64
 # the layout of a cache file; part of its key, with the version
 _CACHE_FORMAT = 1
 # cache files kept, the most recently used first
@@ -103,14 +99,14 @@ _CACHE_ENTRIES = 16
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    dimension: int = 100
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    lr: float = 0.025
-    min_count: int = 5
-    subsample: float = 1e-3  # <= 0 disables subsampling
-    seed: int = 0
+    dimension: int
+    window: int
+    negatives: int
+    epochs: int
+    lr: float
+    min_count: int
+    subsample: float  # <= 0 disables subsampling
+    seed: int
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -310,7 +306,6 @@ def train_skipgram(corpus: Sequence[Sequence[str]],
     sentence_ids = np.repeat(np.arange(len(sentences)),
                              [len(sent) for sent in sentences])
     chunk = min(len(vocab), _MAX_CHUNK)
-    stretch = chunk * _STRETCH
     k = config.negatives
     # one chunk's gathered rows and summed updates, reused by every chunk;
     # the descent starts once the gradients are computed, so it can reuse
@@ -327,13 +322,10 @@ def train_skipgram(corpus: Sequence[Sequence[str]],
                                           reach, config.window)
         loss_sum = 0.0
         for lo in range(0, len(centers), chunk):
-            if lo % stretch == 0:
-                drawn = noise_cdf.searchsorted(
-                    rng.random((min(stretch, len(centers) - lo), k)))
             c_ids = centers[lo:lo + chunk]
             p_ids = contexts[lo:lo + chunk]
-            n_ids = drawn[lo % stretch:lo % stretch + chunk]
             m = len(c_ids)
+            n_ids = noise_cdf.searchsorted(rng.random((m, k)))
             # gradients from the rows as they stand at the chunk's start
             loss, g_c, g_p, g_n = sgns_pair_gradients(
                 vectors.take(c_ids, axis=0, out=center_rows[:m], mode="clip"),

@@ -77,12 +77,10 @@ def elias_gamma_bits(count: int) -> int:
 
 
 def morph_code_length(morph_counts: Mapping[str, int],
-                      alphabet_size: int | None = None) -> float:
+                      alphabet_size: int) -> float:
     """Total two-part description length of a morph inventory. Its terms
     are summed with one rounding (``math.fsum``), so the result does not
     depend on the order of the counts."""
-    if alphabet_size is None:
-        alphabet_size = len({ch for m in morph_counts for ch in m})
     n_tokens = sum(morph_counts.values())
     terms = [n_tokens * math.log2(n_tokens)] if n_tokens > 0 else []
     for morph, count in morph_counts.items():
@@ -122,8 +120,8 @@ class Segmentation:
                 f"morphs {self.morphs!r} do not concatenate to {self.word!r}")
 
 
-def train_segmenter(words: Iterable[str], max_iters: int = 10,
-                    seed: int = 0) -> SegmenterModel:
+def train_segmenter(words: Iterable[str], max_iters: int,
+                    seed: int) -> SegmenterModel:
     """Learn a morph inventory from a word list.
 
     Each pass re-analyzes every word (in seeded random order) by recursive
@@ -321,7 +319,7 @@ def ranked_shares(counts: Mapping[str, int], total: int,
 
 
 def affix_distribution(segmentations: Sequence[Segmentation], side: AffixSide,
-                       k: int = 25) -> list[tuple[str, float, float]]:
+                       k: int) -> list[tuple[str, float, float]]:
     """Ranked shares of word-initial or word-final morphs over a corpus."""
     if not segmentations:
         raise AnalysisError("no segmentations to summarize")

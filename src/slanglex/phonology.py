@@ -240,7 +240,7 @@ def phoneme_distribution(corpus: Iterable[PhonemeSequence]) -> dict[str, float]:
 
 
 def odds_ratio_ranking(p_slang: Mapping[str, float], p_std: Mapping[str, float],
-                       smoothing: float = 1e-6) -> tuple[OddsRatioEntry, ...]:
+                       smoothing: float) -> tuple[OddsRatioEntry, ...]:
     """Rank phonemes by their slang-vs-standard odds ratio, descending.
 
     Additive smoothing, finite and positive, keeps ratios finite when a

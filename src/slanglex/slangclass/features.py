@@ -1,7 +1,9 @@
 """Character and morpheme n-gram features for the slang-class models.
 
-Case and punctuation are preserved: periods and capitals are exactly the
-cues that identify alphabetisms, so no normalization happens here.
+Char features keep case and punctuation: periods and capitals are exactly
+the cues that identify alphabetisms. Morph features do not see case:
+`segment` lowercases the word before it splits it, so ``L.O.L`` and
+``l.o.l`` give the same morph features.
 
 The n-grams of a word have one rule, `word_features`: every run of
 ``n_min..n_max`` units with its multiplicity, where the units are the

@@ -112,8 +112,8 @@ def _lbfgs_direction(grad: np.ndarray, pairs) -> np.ndarray:
 
 def train_logreg(words: Sequence[str], labels: Sequence[SlangClass],
                  vocab: FeatureVocabulary,
-                 segmenter: SegmenterModel | None = None, *, l2: float = 1.0,
-                 max_epochs: int = 500, tol: float = 1e-6) -> ClassifierModel:
+                 segmenter: SegmenterModel | None = None, *, l2: float,
+                 max_epochs: int, tol: float) -> ClassifierModel:
     """Fit the classifier on the words' `feature_matrix`.
 
     The vocabulary must be fit on training data only. Training is fully

@@ -103,7 +103,7 @@ TrainingProcedure = Callable[[list[GoldClassRecord]], BatchModel]
 def cross_class_validate(gold: Sequence[GoldClassRecord],
                          fit: TrainingProcedure, delta: float,
                          score: ScoreType, seed: int,
-                         test_fraction: float = 0.10) -> CrossClassReport:
+                         test_fraction: float) -> CrossClassReport:
     """Hold out each class in turn as the unknown set.
 
     The model for a fold is trained on the other classes' training split

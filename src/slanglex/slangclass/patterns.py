@@ -121,7 +121,7 @@ def substitution_stats(pairs: Sequence[tuple[str, str]]) -> SubstitutionStats:
     return SubstitutionStats(replacements=replacements, skipped=skipped)
 
 
-def blend_suffix_stats(blends: Sequence[GoldClassRecord], k: int = 5
+def blend_suffix_stats(blends: Sequence[GoldClassRecord], k: int
                        ) -> tuple[list[tuple[str, float, float]], int]:
     """Ranked shares of the top-k suffixes that blends inherit from their
     final component.

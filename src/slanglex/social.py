@@ -81,7 +81,7 @@ def check_k(k: int) -> None:
 
 def knn_from_embedding(embedding: EmbeddingTable,
                        labeled: Sequence[tuple[str, SubjectLabel]],
-                       k: int = 5) -> tuple[KnnModel, int]:
+                       k: int) -> tuple[KnnModel, int]:
     """Build the reference set from labeled words; returns (model, skipped)
     where skipped counts words missing from the embedding vocabulary."""
     check_k(k)
@@ -273,7 +273,7 @@ def gender_direction(embedding: EmbeddingTable,
 
 
 def direct_bias(embedding: EmbeddingTable, neutral_words: Sequence[str],
-                g: np.ndarray, c: float = 1.0) -> float:
+                g: np.ndarray, c: float) -> float:
     """Mean |cosine(w, g)|^c over the words present in the vocabulary."""
     if not c >= 0.0:
         raise AnalysisError(f"strictness c must be >= 0, got {c}")
@@ -294,8 +294,7 @@ def occupation_projections(embedding: EmbeddingTable,
 
 
 def permutation_test_means(group_a: Sequence[float], group_b: Sequence[float],
-                           n_permutations: int = 10_000,
-                           seed: int = 0) -> tuple[float, bool]:
+                           n_permutations: int, seed: int) -> tuple[float, bool]:
     """Two-sided permutation test on the difference of group means.
 
     Enumerates all label assignments when there are at most n_permutations
@@ -353,8 +352,7 @@ class NameBiasReport:
 def name_prejudice_comparison(embedding: EmbeddingTable,
                               names: Sequence[str], genders: GenderLexicon,
                               prejudice_terms: Sequence[str],
-                              n_permutations: int = 10_000,
-                              seed: int = 0) -> NameBiasReport:
+                              n_permutations: int, seed: int) -> NameBiasReport:
     """Mean SEXPREJ by name gender plus permutation-test significance.
 
     A name's SEXPREJ is its mean cosine to the prejudice terms that have a

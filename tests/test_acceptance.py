@@ -272,17 +272,19 @@ def test_c4_synthetic_gold_classifier(capsys):
         char_vocab = NgramTable(train_words, NgramKind.CHAR, 1, 3).vocabulary(
             train_words, cap=800)
         char_model = train_logreg(train_words, train_labels, char_vocab,
-                                  l2=0.5, max_epochs=400)
+                                  l2=0.5, max_epochs=400, tol=1e-6)
         test_words = [r.word for r in test]
         char_pred = judge_rows(char_model.classes,
                                predict_proba_batch(char_model, test_words))[0]
         f1_char = weighted_f1(truth, char_pred)
 
-        segmenter = train_segmenter(sorted(set(train_words)), seed=0)
+        segmenter = train_segmenter(sorted(set(train_words)), seed=0,
+                                    max_iters=10)
         morph_vocab = NgramTable(train_words, NgramKind.MORPHEME, 1, 2,
                                  segmenter).vocabulary(train_words, cap=800)
         morph_model = train_logreg(train_words, train_labels, morph_vocab,
-                                   segmenter, l2=0.5, max_epochs=400)
+                                   segmenter, l2=0.5, max_epochs=400,
+                                   tol=1e-6)
         morph_pred = judge_rows(morph_model.classes, predict_proba_batch(
             morph_model, test_words, segmenter))[0]
         f1_morph = weighted_f1(truth, morph_pred)
@@ -336,7 +338,7 @@ def test_c5_code_length_oracle(capsys):
             if cost < best_cost - 1e-9:
                 best_cost = cost
                 best = assignment
-        model = train_segmenter(lexicon)
+        model = train_segmenter(lexicon, max_iters=10, seed=0)
         assert model.total_code_length == pytest.approx(best_cost, abs=1e-9)
         assert segment(model, "dogcat").morphs == best[0] == ("dog", "cat")
 
@@ -344,7 +346,7 @@ def test_c5_code_length_oracle(capsys):
         rng = random.Random(5)
         vocab = ["".join(rng.choice("dogcatfsh") for _ in range(rng.randint(2, 8)))
                  for _ in range(30)]
-        fuzz_model = train_segmenter(sorted(set(vocab)))
+        fuzz_model = train_segmenter(sorted(set(vocab)), max_iters=10, seed=0)
         violations = 0
         for _ in range(10_000):
             pool = "dogcatfsh" if rng.random() < 0.8 else string.ascii_lowercase
@@ -390,8 +392,10 @@ def test_c7_bias_metric_fixtures(capsys):
             "parallel": [1.0, 0.0, 0.0],
         })
         g = gender_direction(emb, [("he", "she")])
-        assert direct_bias(emb, ["orthogonal"], g) == pytest.approx(0.0, abs=1e-9)
-        assert direct_bias(emb, ["parallel"], g) == pytest.approx(1.0, abs=1e-9)
+        assert direct_bias(emb, ["orthogonal"], g, c=1.0) == pytest.approx(
+            0.0, abs=1e-9)
+        assert direct_bias(emb, ["parallel"], g, c=1.0) == pytest.approx(
+            1.0, abs=1e-9)
 
         emb2 = embedding_from({
             "r1": [1.0, 0.0],
@@ -417,13 +421,15 @@ def test_c7_bias_metric_fixtures(capsys):
         genders = GenderLexicon({"word": Gender.FEMALE, "eve": Gender.FEMALE,
                                  "bob": Gender.MALE, "tom": Gender.MALE})
         report = name_prejudice_comparison(emb3, genders.names, genders,
-                                           ["near", "far"])
+                                           ["near", "far"],
+                                           n_permutations=10_000, seed=0)
         name, _, value = report.scores[0]
         # hand mean of cosines: (1 + 0) / 2
         assert name == "word"
         assert value == pytest.approx(0.5, abs=1e-9)
 
-        p, exhaustive = permutation_test_means([0.9, 0.9], [0.1, 0.1])
+        p, exhaustive = permutation_test_means([0.9, 0.9], [0.1, 0.1],
+                                               n_permutations=10_000, seed=0)
         assert exhaustive
         assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
 

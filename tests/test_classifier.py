@@ -103,14 +103,16 @@ def toy_dataset():
 class TestTraining:
     def test_separable_data_fits_exactly(self):
         words, labels, vocab = toy_dataset()
-        model = train_logreg(words, labels, vocab, l2=0.01)
+        model = train_logreg(words, labels, vocab, l2=0.01, max_epochs=500,
+                             tol=1e-6)
         for word, label in zip(words, labels):
             probs = predict_proba_batch(model, [word])[0]
             assert model.classes[int(np.argmax(probs))] is label
 
     def test_zero_epochs_predict_uniform(self):
         words, labels, vocab = toy_dataset()
-        model = train_logreg(words, labels, vocab, max_epochs=0)
+        model = train_logreg(words, labels, vocab, max_epochs=0, l2=1.0,
+                             tol=1e-6)
         assert (model.stop, model.iterations) == ("max_iter", 0)
         for p in predict_proba_batch(model, ["aaaa"])[0]:
             assert p == pytest.approx(0.5, abs=1e-12)
@@ -120,13 +122,15 @@ class TestTraining:
         labels = [SlangClass.BLEND, SlangClass.CLIPPING,
                   SlangClass.ALPHABETISM, SlangClass.REDUPLICATIVE] * 2
         vocab = NgramTable(words, NgramKind.CHAR, 1, 2).vocabulary(words, cap=50)
-        model = train_logreg(words, labels, vocab, max_epochs=0)
+        model = train_logreg(words, labels, vocab, max_epochs=0, l2=1.0,
+                             tol=1e-6)
         for p in predict_proba_batch(model, ["ab"])[0]:
             assert p == pytest.approx(0.25, abs=1e-12)
 
     def test_training_lowers_the_loss(self):
         words, labels, vocab = toy_dataset()
-        model = train_logreg(words, labels, vocab, l2=0.1)
+        model = train_logreg(words, labels, vocab, l2=0.1, max_epochs=500,
+                             tol=1e-6)
         x = with_bias(feature_matrix(vocab, words))
         classes = model.classes
         y = np.array([classes.index(lab) for lab in labels])
@@ -136,14 +140,17 @@ class TestTraining:
 
     def test_deterministic(self):
         words, labels, vocab = toy_dataset()
-        a = train_logreg(words, labels, vocab)
-        b = train_logreg(words, labels, vocab)
+        a = train_logreg(words, labels, vocab, l2=1.0, max_epochs=500,
+                         tol=1e-6)
+        b = train_logreg(words, labels, vocab, l2=1.0, max_epochs=500,
+                         tol=1e-6)
         assert np.array_equal(a.weights, b.weights)
 
     def test_survives_separable_data_without_regularization(self):
         # tol=0 cannot be met, so the fit must end cleanly at float precision
         words, labels, vocab = toy_dataset()
-        model = train_logreg(words, labels, vocab, l2=1e-8, tol=0.0)
+        model = train_logreg(words, labels, vocab, l2=1e-8, tol=0.0,
+                             max_epochs=500)
         assert model.stop in ("stalled", "max_iter")
         assert np.all(np.isfinite(model.weights))
         for word, label in zip(words, labels):
@@ -152,17 +159,20 @@ class TestTraining:
 
     def test_classes_sorted_by_name(self):
         words, labels, vocab = toy_dataset()
-        model = train_logreg(words, labels, vocab)
+        model = train_logreg(words, labels, vocab, l2=1.0, max_epochs=500,
+                             tol=1e-6)
         assert model.classes == (SlangClass.BLEND, SlangClass.CLIPPING)
 
     def test_validation(self):
         words, labels, vocab = toy_dataset()
         with pytest.raises(AnalysisError):
-            train_logreg(words[:2], labels, vocab)
+            train_logreg(words[:2], labels, vocab, l2=1.0, max_epochs=500,
+                         tol=1e-6)
         with pytest.raises(AnalysisError):
-            train_logreg([], [], vocab)
+            train_logreg([], [], vocab, l2=1.0, max_epochs=500, tol=1e-6)
         with pytest.raises(AnalysisError):
-            train_logreg(words[:2], [SlangClass.BLEND] * 2, vocab)
+            train_logreg(words[:2], [SlangClass.BLEND] * 2, vocab, l2=1.0,
+                         max_epochs=500, tol=1e-6)
 
 
 def probabilities(weights, x):
@@ -200,7 +210,8 @@ class TestOptimumOracle:
                       for i in rng.permutation(n_rows)]
             vocab = FeatureVocabulary(kind=NgramKind.CHAR, n_min=1, n_max=1,
                                       features=tuple("abcde"))
-            model = train_logreg(words, labels, vocab, l2=l2, tol=1e-8)
+            model = train_logreg(words, labels, vocab, l2=l2, tol=1e-8,
+                                 max_epochs=500)
             x = with_bias(feature_matrix(vocab, words))
             assert np.array_equal(x[:, :-1], counts)
             y = np.array([model.classes.index(label) for label in labels])
@@ -216,12 +227,14 @@ class TestOptimumOracle:
 class TestPrediction:
     def test_distribution_sums_to_one(self):
         words, labels, vocab = toy_dataset()
-        model = train_logreg(words, labels, vocab)
+        model = train_logreg(words, labels, vocab, l2=1.0, max_epochs=500,
+                             tol=1e-6)
         assert predict_proba_batch(model, ["abab"])[0].sum() == pytest.approx(1.0)
 
     def test_fully_unknown_word_uses_bias_only(self):
         words, labels, vocab = toy_dataset()
-        model = train_logreg(words, labels, vocab, max_epochs=0)
+        model = train_logreg(words, labels, vocab, max_epochs=0, l2=1.0,
+                             tol=1e-6)
         for p in predict_proba_batch(model, ["zzzz"])[0]:
             assert p == pytest.approx(0.5, abs=1e-12)
 
@@ -229,7 +242,8 @@ class TestPrediction:
         words, labels, _ = toy_dataset()
         morph_vocab = FeatureVocabulary(NgramKind.MORPHEME, 1, 5, ("aa", "bb"))
         with pytest.raises(AnalysisError, match="require a trained segmenter"):
-            train_logreg(words, labels, morph_vocab)
+            train_logreg(words, labels, morph_vocab, l2=1.0, max_epochs=500,
+                         tol=1e-6)
         model = ClassifierModel(morph_vocab, (SlangClass.BLEND, SlangClass.CLIPPING),
                                 np.zeros((2, 3)), 1.0)
         with pytest.raises(AnalysisError, match="require a trained segmenter"):
@@ -246,7 +260,8 @@ def npy_bytes(array):
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         words, labels, vocab = toy_dataset()
-        model = train_logreg(words, labels, vocab, l2=0.3)
+        model = train_logreg(words, labels, vocab, l2=0.3, max_epochs=500,
+                             tol=1e-6)
         path = tmp_path / "clf.npz"
         save_classifier(model, path)
         loaded = load_classifier(path)
@@ -290,7 +305,8 @@ class TestPersistence:
     def test_unsupported_compression_named(self, tmp_path):
         words, labels, vocab = toy_dataset()
         path = tmp_path / "clf.npz"
-        save_classifier(train_logreg(words, labels, vocab, max_epochs=0), path)
+        save_classifier(train_logreg(words, labels, vocab, max_epochs=0,
+                                     l2=1.0, tol=1e-6), path)
         data = bytearray(path.read_bytes())
         at = data.index(b"PK\x01\x02") + 10  # first member's compression method
         data[at:at + 2] = (99).to_bytes(2, "little")
@@ -324,7 +340,8 @@ class TestPersistence:
     def test_malformed_array_named(self, tmp_path, change, message):
         words, labels, vocab = toy_dataset()
         path = tmp_path / "clf.npz"
-        save_classifier(train_logreg(words, labels, vocab, max_epochs=0), path)
+        save_classifier(train_logreg(words, labels, vocab, max_epochs=0,
+                                     l2=1.0, tol=1e-6), path)
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
         change(arrays)

@@ -180,7 +180,7 @@ class TestTraining:
         other = train_skipgram(
             identical_context_corpus(),
             TrainingConfig(dimension=20, window=2, negatives=5, epochs=20,
-                           min_count=1, subsample=0.0, seed=1))
+                           min_count=1, subsample=0.0, seed=1, lr=0.025))
         assert not np.array_equal(other.matrix, trained_table.matrix)
 
     def test_heavy_repetition_stays_finite(self):
@@ -188,7 +188,7 @@ class TestTraining:
         # pairs unless the chunk is bounded by the vocabulary size
         corpus = [["ab", "cd", "ef"]] * 300
         config = TrainingConfig(dimension=10, window=2, negatives=5, epochs=5,
-                                min_count=1, subsample=0.0, seed=3)
+                                min_count=1, subsample=0.0, seed=3, lr=0.025)
         table = train_skipgram(corpus, config)
         assert all(math.isfinite(loss) for loss in table.epoch_losses)
         assert table.epoch_losses[-1] < table.epoch_losses[0]
@@ -197,24 +197,26 @@ class TestTraining:
     def test_min_count_filters_vocabulary(self):
         corpus = [["common", "common", "common", "rare"]]
         config = TrainingConfig(dimension=4, window=2, negatives=2, epochs=1,
-                                min_count=2, subsample=0.0)
+                                min_count=2, subsample=0.0, lr=0.025, seed=0)
         table = train_skipgram(corpus, config)
         assert "common" in table
         assert "rare" not in table
 
     def test_empty_vocabulary_rejected(self):
         config = TrainingConfig(dimension=4, window=2, negatives=2, epochs=1,
-                                min_count=50)
+                                min_count=50, lr=0.025, subsample=1e-3, seed=0)
         with pytest.raises(AnalysisError):
             train_skipgram([["a", "b"]], config)
 
     def test_config_validation(self):
+        valid = dict(dimension=100, window=5, negatives=5, epochs=5, lr=0.025,
+                     min_count=5, subsample=1e-3, seed=0)
         for kwargs in ({"dimension": 0}, {"window": 0}, {"negatives": 0},
                        {"epochs": 0}, {"min_count": 0}, {"lr": 0.0},
                        {"lr": math.inf}, {"lr": math.nan},
                        {"subsample": math.nan}):
             with pytest.raises(AnalysisError):
-                TrainingConfig(**kwargs)
+                TrainingConfig(**{**valid, **kwargs})
 
 
 def reference_skipgram(corpus, config):
@@ -327,8 +329,8 @@ class TestTrainingOracle:
            epochs=st.integers(1, 3), min_count=st.integers(1, 2),
            subsample=st.sampled_from([0.0, 1e-3, 0.05]),
            seed=st.integers(0, 2**32 - 1))
-    # three types: every row repeats within each chunk of 3 pairs, and
-    # the 360 pairs of an epoch span two 64-chunk stretches
+    # three types: every row repeats within each chunk of 3 pairs, over
+    # the 120 chunks of an epoch's 360 pairs
     @example(corpus=[["ab", "cd", "ef"]] * 60, negatives=5, dimension=10,
              window=2, epochs=3, min_count=1, subsample=0.0, seed=3)
     # 12 pairs in chunks of 4 (a window of 1 always reaches 1): no
@@ -345,7 +347,7 @@ class TestTrainingOracle:
         config = TrainingConfig(dimension=dimension, window=window,
                                 negatives=negatives, epochs=epochs,
                                 min_count=min_count,
-                                subsample=subsample, seed=seed)
+                                subsample=subsample, seed=seed, lr=0.025)
         counts = collections.Counter(t for sentence in corpus for t in sentence)
         if max(counts.values()) < min_count:
             with pytest.raises(AnalysisError):

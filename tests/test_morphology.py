@@ -86,7 +86,7 @@ class TestExhaustiveOracle:
             elif cost <= best_cost + 1e-9:
                 minima.append(assignment)
 
-        model = train_segmenter(LEXICON, seed=0)
+        model = train_segmenter(LEXICON, seed=0, max_iters=10)
         assert model.total_code_length == pytest.approx(best_cost, abs=1e-9)
         # the optimum reuses dog and cat across all four words
         assert model.morph_counts == {"cat": 3, "dog": 3}
@@ -99,12 +99,12 @@ class TestExhaustiveOracle:
     def test_hapax_stays_unsplit(self):
         # one word "cat": keeping it whole costs 4*log2(4) + 1 = 9 bits;
         # any split adds a second end marker and gamma code and costs more
-        model = train_segmenter(["cat"])
+        model = train_segmenter(["cat"], max_iters=10, seed=0)
         assert model.morph_counts == {"cat": 1}
         assert model.total_code_length == pytest.approx(9.0, abs=1e-9)
 
     def test_trained_cost_matches_recomputation(self):
-        model = train_segmenter(LEXICON, seed=3)
+        model = train_segmenter(LEXICON, seed=3, max_iters=10)
         recomputed = morph_code_length(model.morph_counts, len(model.alphabet))
         assert model.total_code_length == recomputed
         independent = oracle_cost(Counter(model.morph_counts), len(model.alphabet))
@@ -132,7 +132,7 @@ class TestCodeComponents:
 class TestTraining:
     def test_costs_non_increasing_and_end_below_start(self):
         words = ["walking", "walked", "talking", "talked", "walks", "talks"]
-        model = train_segmenter(words, seed=1)
+        model = train_segmenter(words, seed=1, max_iters=10)
         costs = model.training_costs
         assert len(costs) >= 2
         for before, after in zip(costs, costs[1:]):
@@ -141,26 +141,27 @@ class TestTraining:
 
     def test_deterministic_per_seed(self):
         words = ["looking", "booking", "cooking", "looked", "booked"]
-        assert train_segmenter(words, seed=5) == train_segmenter(words, seed=5)
+        assert (train_segmenter(words, seed=5, max_iters=10)
+                == train_segmenter(words, seed=5, max_iters=10))
 
     def test_duplicates_fold_into_multiplicity(self):
-        model = train_segmenter(["cat", "cat", "cat"])
+        model = train_segmenter(["cat", "cat", "cat"], max_iters=10, seed=0)
         assert model.morph_counts == {"cat": 3}
 
     def test_case_folded(self):
-        model = train_segmenter(["CAT"])
+        model = train_segmenter(["CAT"], max_iters=10, seed=0)
         assert model.morph_counts == {"cat": 1}
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(AnalysisError):
-            train_segmenter([])
+            train_segmenter([], max_iters=10, seed=0)
         with pytest.raises(AnalysisError):
-            train_segmenter(["dog", ""])
+            train_segmenter(["dog", ""], max_iters=10, seed=0)
 
 
 @pytest.fixture(scope="module")
 def model():
-    return train_segmenter(LEXICON, seed=0)
+    return train_segmenter(LEXICON, seed=0, max_iters=10)
 
 
 class TestSegment:
@@ -244,14 +245,14 @@ class TestAffixDistribution:
 
     def test_validation(self):
         with pytest.raises(AnalysisError):
-            affix_distribution([], AffixSide.PREFIX)
+            affix_distribution([], AffixSide.PREFIX, k=25)
         with pytest.raises(AnalysisError):
             affix_distribution(self.segs(), AffixSide.PREFIX, k=0)
 
 
 class TestPersistence:
     def test_roundtrip_preserves_behavior(self, tmp_path):
-        model = train_segmenter(LEXICON, seed=0)
+        model = train_segmenter(LEXICON, seed=0, max_iters=10)
         path = tmp_path / "segmenter.tsv"
         save_segmenter(model, path)
         loaded = load_segmenter(path)
@@ -398,7 +399,7 @@ class TestFastPathOracles:
     @example(words=["abcd", "abcda", "aabcd", "bcdaa", "a", "bcdbcda", "aa"],
              seed=1)
     def test_trainer_matches_full_recomputation(self, words, seed):
-        model = train_segmenter(words, seed=seed)
+        model = train_segmenter(words, seed=seed, max_iters=10)
         reference = reference_train(words, seed=seed)
         assert model.morph_counts == reference.morph_counts
 
@@ -407,7 +408,8 @@ class TestFastPathOracles:
     @example(words=["abab", "abab", "ab", "aa", "aaaa"], seed=0)
     def test_trained_model_equals_the_reference(self, words, seed):
         # the counts, every pass's cost and the final cost, to the bit
-        assert train_segmenter(words, seed=seed) == reference_train(
+        assert train_segmenter(words, seed=seed,
+                               max_iters=10) == reference_train(
             words, seed=seed)
 
     @settings(max_examples=100)
@@ -426,7 +428,7 @@ class TestFastPathOracles:
     @given(words=LEXICONS, seed=st.integers(0, 3))
     def test_saved_model_reports_the_same_code_length(self, tmp_path_factory,
                                                       words, seed):
-        model = train_segmenter(words, seed=seed)
+        model = train_segmenter(words, seed=seed, max_iters=10)
         path = tmp_path_factory.getbasetemp() / "segmenter.tsv"
         save_segmenter(model, path)
         assert load_segmenter(path).total_code_length == model.total_code_length

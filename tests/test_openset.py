@@ -104,7 +104,8 @@ class TestRejectRule:
 
         with pytest.raises(AnalysisError, match="outside the known set"):
             cross_class_validate(oracle_gold(), fit, delta=0.0,
-                                 score=ScoreType.MAX_PROB, seed=0)
+                                 score=ScoreType.MAX_PROB, seed=0,
+                                 test_fraction=0.10)
 
     def test_nan_delta_rejected(self):
         with pytest.raises(AnalysisError):
@@ -251,7 +252,8 @@ class TestCrossClassValidation:
 
         # two known classes per fold: unsure means maxprob 0.5 <= delta
         report = cross_class_validate(gold, h_factory, delta=0.5,
-                                      score=ScoreType.MAX_PROB, seed=0)
+                                      score=ScoreType.MAX_PROB, seed=0,
+                                      test_fraction=0.10)
         assert set(report.fold_f1) == {SlangClass.ALPHABETISM,
                                        SlangClass.BLEND, SlangClass.CLIPPING}
         for f1 in report.fold_f1.values():
@@ -275,7 +277,8 @@ class TestCrossClassValidation:
             return batch(known_classes, model)
 
         report = cross_class_validate(gold, h_factory, delta=0.5,
-                                      score=ScoreType.MAX_PROB, seed=0)
+                                      score=ScoreType.MAX_PROB, seed=0,
+                                      test_fraction=0.10)
         # per fold the test split holds one word per class. The held-out
         # word is accepted under a wrong label, which zeroes the Rejected
         # class F1 and drags the victim class to 2/3 precision:
@@ -301,7 +304,8 @@ class TestCrossClassValidation:
             return model
 
         report = cross_class_validate(gold, h_factory, delta=0.5,
-                                      score=ScoreType.MAX_PROB, seed=0)
+                                      score=ScoreType.MAX_PROB, seed=0,
+                                      test_fraction=0.10)
         _, test = stratified_split(gold, lambda r: r.label, 0.10, seed=0)
         test_words = [r.word for r in test]
         assert calls == [test_words] * 3
@@ -312,4 +316,5 @@ class TestCrossClassValidation:
         gold += [GoldClassRecord(f"b{i}", SlangClass.CLIPPING) for i in range(5)]
         with pytest.raises(AnalysisError):
             cross_class_validate(gold, lambda *a: None, delta=0.5,
-                                 score=ScoreType.MAX_PROB, seed=0)
+                                 score=ScoreType.MAX_PROB, seed=0,
+                                 test_fraction=0.10)

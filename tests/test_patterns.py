@@ -126,7 +126,8 @@ def blend(word, *components):
 
 class TestBlendSuffixes:
     def test_inherited_suffix_extraction(self):
-        dist, skipped = blend_suffix_stats([blend("sextini", "sex", "martini")])
+        dist, skipped = blend_suffix_stats(
+            [blend("sextini", "sex", "martini")], k=5)
         assert dist == [("tini", 1.0, 1.0)]
         assert skipped == 0
 
@@ -143,19 +144,20 @@ class TestBlendSuffixes:
 
     def test_records_without_components_are_skipped(self):
         records = [blend("smog", "smoke", "fog"), blend("orphan")]
-        dist, skipped = blend_suffix_stats(records)
+        dist, skipped = blend_suffix_stats(records, k=5)
         assert skipped == 1
         assert dist == [("og", 1.0, 1.0)]
 
     def test_no_shared_suffix_is_skipped(self):
         records = [blend("smog", "smoke", "fog"),
                    blend("brunch", "breakfast", "xyz")]
-        _, skipped = blend_suffix_stats(records)
+        _, skipped = blend_suffix_stats(records, k=5)
         assert skipped == 1
 
     def test_all_unusable_counted(self):
         assert blend_suffix_stats([blend("orphan"),
-                                   blend("brunch", "breakfast", "xyz")]) == ([], 2)
+                                   blend("brunch", "breakfast", "xyz")],
+                                  k=5) == ([], 2)
 
     def test_bad_k_rejected(self):
         with pytest.raises(AnalysisError):

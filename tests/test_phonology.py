@@ -220,7 +220,7 @@ class TestDistributions:
 class TestOddsRatios:
     def test_hand_case_ratio_two(self):
         ranking = odds_ratio_ranking({"W": 0.5, "D": 0.5},
-                                     {"W": 0.25, "D": 0.75})
+                                     {"W": 0.25, "D": 0.75}, smoothing=1e-6)
         assert ratios(ranking)["W"] == pytest.approx(2.0, rel=1e-4)
         assert ratios(ranking)["D"] == pytest.approx(2.0 / 3.0, rel=1e-4)
         assert ranking[0].symbol == "W"
@@ -233,7 +233,7 @@ class TestOddsRatios:
 
     def test_tie_breaks_alphabetically(self):
         ranking = odds_ratio_ranking({"B": 0.5, "A": 0.5},
-                                     {"B": 0.5, "A": 0.5})
+                                     {"B": 0.5, "A": 0.5}, smoothing=1e-6)
         assert [e.symbol for e in ranking] == ["A", "B"]
         assert [e.rank for e in ranking] == [1, 2]
 

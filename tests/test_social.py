@@ -299,32 +299,37 @@ class TestDirectBias:
     def test_orthogonal_word_scores_zero(self):
         emb = table({"w": [0.0, 1.0]})
         g = np.array([1.0, 0.0])
-        assert direct_bias(emb, ["w"], g) == pytest.approx(0.0, abs=1e-9)
+        assert direct_bias(emb, ["w"], g, c=1.0) == pytest.approx(
+            0.0, abs=1e-9)
 
     def test_parallel_word_scores_one(self):
         emb = table({"w": [2.0, 0.0]})
         g = np.array([1.0, 0.0])
-        assert direct_bias(emb, ["w"], g) == pytest.approx(1.0, abs=1e-9)
+        assert direct_bias(emb, ["w"], g, c=1.0) == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_antiparallel_absolute_value(self):
         emb = table({"w": [-3.0, 0.0]})
         g = np.array([1.0, 0.0])
-        assert direct_bias(emb, ["w"], g) == pytest.approx(1.0, abs=1e-9)
+        assert direct_bias(emb, ["w"], g, c=1.0) == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_mean_and_strictness_exponent(self):
         emb = table({"para": [1.0, 0.0], "orth": [0.0, 1.0],
                      "diag": [1.0, 1.0]})
         g = np.array([1.0, 0.0])
-        assert direct_bias(emb, ["para", "orth"], g) == pytest.approx(0.5)
+        assert direct_bias(emb, ["para", "orth"], g,
+                           c=1.0) == pytest.approx(0.5)
         # cos(diag, g) = sqrt(1/2); squaring gives 1/2
         assert direct_bias(emb, ["diag"], g, c=2.0) == pytest.approx(0.5)
 
     def test_oov_words_are_skipped(self):
         emb = table({"w": [1.0, 0.0]})
         g = np.array([1.0, 0.0])
-        assert direct_bias(emb, ["w", "missing"], g) == pytest.approx(1.0)
+        assert direct_bias(emb, ["w", "missing"], g,
+                           c=1.0) == pytest.approx(1.0)
         with pytest.raises(AnalysisError):
-            direct_bias(emb, ["missing"], g)
+            direct_bias(emb, ["missing"], g, c=1.0)
 
 
 class TestOccupationProjections:
@@ -354,7 +359,8 @@ class TestSexprej:
     def compare(self, vectors, terms):
         others = dict.fromkeys(["f1", "f2", "m1", "m2"], [1.0, 1.0])
         return name_prejudice_comparison(table({**others, **vectors}),
-                                         self.GENDERS.names, self.GENDERS, terms)
+                                         self.GENDERS.names, self.GENDERS, terms,
+                                         n_permutations=10_000, seed=0)
 
     def score_of_w(self, vectors, terms):
         return {name: value for name, _, value in
@@ -389,12 +395,14 @@ class TestPermutationTest:
     def test_two_plus_two_exhaustive(self):
         # 6 ways to choose the first group; only the original split and
         # the full swap reach |diff| = 0.8, so p = 2/6 = 1/3
-        p, exhaustive = permutation_test_means([0.9, 0.9], [0.1, 0.1])
+        p, exhaustive = permutation_test_means([0.9, 0.9], [0.1, 0.1],
+                                               n_permutations=10_000, seed=0)
         assert exhaustive is True
         assert p == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_identical_groups_p_one(self):
-        p, exhaustive = permutation_test_means([0.5, 0.5], [0.5, 0.5])
+        p, exhaustive = permutation_test_means([0.5, 0.5], [0.5, 0.5],
+                                               n_permutations=10_000, seed=0)
         assert exhaustive is True
         assert p == pytest.approx(1.0)
 
@@ -411,7 +419,8 @@ class TestPermutationTest:
 
     def test_group_size_validation(self):
         with pytest.raises(AnalysisError):
-            permutation_test_means([1.0], [0.0, 0.0])
+            permutation_test_means([1.0], [0.0, 0.0], n_permutations=10_000,
+                                   seed=0)
 
 
 class TestNamePrejudiceComparison:
@@ -431,7 +440,7 @@ class TestNamePrejudiceComparison:
         emb, genders = self.make_fixture(tmp_path)
         report = name_prejudice_comparison(
             emb, ["anna", "bella", "zoe", "carl", "dave", "pat"],
-            genders, ["whore"])
+            genders, ["whore"], n_permutations=10_000, seed=0)
         assert report.female_mean == pytest.approx(1.0, abs=1e-9)
         assert report.male_mean == pytest.approx(0.0, abs=1e-9)
         assert report.difference == pytest.approx(1.0, abs=1e-9)
@@ -445,7 +454,7 @@ class TestNamePrejudiceComparison:
         emb, genders = self.make_fixture(tmp_path)
         report = name_prejudice_comparison(
             emb, ["carl", "anna", "pat", "zoe", "bella", "dave", "anna"],
-            genders, ["whore"])
+            genders, ["whore"], n_permutations=10_000, seed=0)
         assert [(name, gender) for name, gender, _ in report.scores] == [
             ("carl", Gender.MALE), ("anna", Gender.FEMALE),
             ("bella", Gender.FEMALE), ("dave", Gender.MALE),
@@ -457,7 +466,8 @@ class TestNamePrejudiceComparison:
         emb, genders = self.make_fixture(tmp_path)
         with pytest.raises(AnalysisError):
             name_prejudice_comparison(emb, ["anna", "carl", "dave"],
-                                      genders, ["whore"])
+                                      genders, ["whore"],
+                                      n_permutations=10_000, seed=0)
 
 
 class TestReligiousMatrix:
